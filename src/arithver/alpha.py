@@ -3,82 +3,25 @@ desk-scale Hoare-triple checker.
 
 alpha_S(xs, ys) is a generalized Sigma_1 formula holding exactly on the
 input/output pairs of S over N.  Loops are encoded by an iteration count
-and a beta-coded trace of tuple-coded loop-head states.  Since the graph
-of the pairing and beta functions must be spelled out in the language
-{0,1,+,*,<}, small helper formulas express z = <x,y>, v = b mod m and
-(w)_i = v with bounded quantifiers only.
+and a beta-coded trace of tuple-coded loop-head states, spelled out with
+the coding's own formulas for (w)_i = v and t = <c1,...,cm> (see coding).
 
 instantiate_alpha replaces every existential (including the bounded ones
 carrying huge trace codes) by concrete numerals computed from an actual
 run, so the instance is quantifier-free and evaluates exactly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import coding
-from .terms import (Add, And, BExists, BForall, Eq, Exists, FalseC, Forall,
-                    Implies, Lit, Lt, Mul, Not, Or, TrueC, Var, conj,
-                    free_vars, fresh_var, mk_numeral, substitute,
-                    substitute_simultaneous, term_vars)
-from .evaluator import Budget, eval_formula, eval_term
+from .coding import beta_graph, beta_inst, tuple_graph, tuple_inst
+from .terms import (Add, And, BExists, BForall, Eq, Exists, Forall, Implies,
+                    Lit, Names, Not, Or, conj, free_vars, subst_term,
+                    substitute_simultaneous)
+from .evaluator import (Budget, assignments, eval_formula, eval_term,
+                        format_assignment)
 from .whilelang import (Assign, If, Program, Seq, While, bool_to_formula,
                         eval_bool, program_vars, run)
-
-
-class _Names:
-    """Fresh-variable supply avoiding a growing set of names."""
-
-    def __init__(self, avoid=()):
-        self.used = {v.name for v in avoid}
-
-    def fresh(self, base):
-        name = base
-        primes = 0
-        while name in self.used:
-            primes += 1
-            if primes <= 3:
-                name = base + "'" * primes
-            else:
-                name = f"{base}_{primes}"
-        self.used.add(name)
-        return Var(name)
-
-    def fresh_vec(self, bases):
-        return [self.fresh(b) for b in bases]
-
-
-def pair_graph(z, x, y):
-    """z = <x,y> as an equation: 2z = (x+y)(x+y+1) + 2x."""
-    s = Add(x, y)
-    return Eq(Add(z, z), Add(Mul(s, Add(s, Lit(1))), Add(x, x)))
-
-
-def mod_graph(v, b, m, names):
-    """v = b mod m (m >= 1): v < m and b = q*m + v for some q <= b."""
-    q = names.fresh("q")
-    return And(Lt(v, m), BExists(q, Add(b, Lit(1)), Eq(b, Add(Mul(q, m), v))))
-
-
-def beta_graph(w, i, v, names):
-    """v = (w)_i: components b,c of w satisfy v = b mod (1 + (i+1)c).
-
-    b, c <= w because the pairing never shrinks, so the search is bounded.
-    """
-    b, c = names.fresh("b"), names.fresh("c")
-    m = Add(Lit(1), Mul(Add(i, Lit(1)), c))
-    return BExists(b, Add(w, Lit(1)),
-                   BExists(c, Add(w, Lit(1)),
-                           And(pair_graph(w, b, c), mod_graph(v, b, m, names))))
-
-
-def tuple_graph(t, components, names):
-    """t = <c1,...,cm> (right-nested pairing); m >= 1."""
-    if len(components) == 1:
-        return Eq(t, components[0])
-    r = names.fresh("r")
-    return BExists(r, Add(t, Lit(1)),
-                   And(pair_graph(t, components[0], r),
-                       tuple_graph(r, components[1:], names)))
 
 
 def _state_graph(w, i, terms, names):
@@ -88,19 +31,13 @@ def _state_graph(w, i, terms, names):
                    And(beta_graph(w, i, t, names), tuple_graph(t, terms, names)))
 
 
-def output_vars(xs, names=None):
-    """Primed copies of the program variables, in the same order."""
-    names = names or _Names(xs)
-    return names.fresh_vec([x.name + "'" for x in xs])
-
-
 def encode_alpha(prog):
     """alpha_S over the program variables and fresh primed outputs.
 
     Returns (formula, xs, ys).
     """
     xs = program_vars(prog)
-    names = _Names(xs)
+    names = Names(xs)
     ys = names.fresh_vec([x.name + "'" for x in xs])
     return _alpha(prog, xs, xs, ys, names), xs, ys
 
@@ -118,11 +55,9 @@ def _alpha(prog, xs, invars, outvars, names):
     """
     if isinstance(prog, Assign):
         i = xs.index(prog.var)
-        rhs = substitute_term_vec(prog.expr, xs, invars)
-        eqs = []
-        for j, (xv, yv) in enumerate(zip(invars, outvars)):
-            eqs.append(Eq(outvars[j], rhs if j == i else invars[j]))
-        return conj(eqs)
+        rhs = subst_term(prog.expr, dict(zip(xs, invars)))
+        return conj([Eq(outvars[j], rhs if j == i else invars[j])
+                     for j in range(len(xs))])
     if isinstance(prog, Seq):
         zs = names.fresh_vec([x.name + "''" for x in xs])
         a1 = _alpha(prog.first, xs, invars, zs, names)
@@ -139,11 +74,6 @@ def _alpha(prog, xs, invars, outvars, names):
     if isinstance(prog, While):
         return _alpha_while(prog, xs, invars, outvars, names)
     raise TypeError(f"not a program: {prog!r}")
-
-
-def substitute_term_vec(t, xs, terms):
-    from .terms import subst_term
-    return subst_term(t, dict(zip(xs, terms)))
 
 
 def _alpha_while(prog, xs, invars, outvars, names):
@@ -188,7 +118,7 @@ def encode_alpha_out(prog, index, inputs):
     for p in inputs:
         if p not in xs:
             raise ValueError(f"{p} is not a program variable")
-    names = _Names(list(free_vars(alpha)) + xs + ys)
+    names = Names(list(free_vars(alpha)) + xs + ys)
     y = names.fresh("y")
     out = And(alpha, Eq(y, ys[index - 1]))
     for yv in reversed(ys):
@@ -221,32 +151,9 @@ def _num_state(xs, st):
     return [st.get(x, 0) for x in xs]
 
 
-def _pair_inst(z, x, y):
-    return pair_graph(Lit(z), Lit(x), Lit(y))
-
-
-def _mod_inst(v, b, m):
-    q = b // m
-    return And(Lt(Lit(v), Lit(m)),
-               Eq(Lit(b), Add(Mul(Lit(q), Lit(m)), Lit(v))))
-
-
-def _beta_inst(w, i, v):
-    b, c = coding.split(w)
-    m = 1 + (i + 1) * c
-    return And(_pair_inst(w, b, c), _mod_inst(v, b, m))
-
-
-def _tuple_inst(t, vals):
-    if len(vals) == 1:
-        return Eq(Lit(t), Lit(vals[0]))
-    rest = coding.tuple_encode(vals[1:])
-    return And(_pair_inst(t, vals[0], rest), _tuple_inst(rest, vals[1:]))
-
-
 def _state_inst(w, i, vals):
     t = coding.beta_index(w, i)
-    return And(_beta_inst(w, i, t), _tuple_inst(t, vals))
+    return And(beta_inst(w, i, t), tuple_inst(t, vals))
 
 
 def _guard_inst(guard, xs, st):
@@ -265,7 +172,7 @@ def _inst(prog, xs, st, fuel):
         st[prog.var] = eval_term(prog.expr, st)
         after = _num_state(xs, st)
         i = xs.index(prog.var)
-        rhs = substitute_term_vec(prog.expr, xs, before)
+        rhs = subst_term(prog.expr, dict(zip(xs, before)))
         eqs = [Eq(Lit(after[j]), rhs if j == i else before[j])
                for j in range(len(xs))]
         return st, conj(eqs), fuel - 1
@@ -337,14 +244,14 @@ def vc_instance(triple, state, fuel):
     Returns None when the run exhausts its fuel.
     """
     xs = program_vars(triple.prog)
-    inst = instantiate_alpha(triple.prog, state, fuel)
-    if inst is None:
+    try:
+        final, inst, _ = _inst(triple.prog, xs, dict(state), fuel)
+    except FuelExhausted:
         return None
-    out = run(triple.prog, state, fuel)
     pre = substitute_simultaneous(
         triple.pre, [(x, Lit(state.get(x, 0))) for x in xs])
     post = substitute_simultaneous(
-        triple.post, [(x, Lit(out.state.get(x, 0))) for x in xs])
+        triple.post, [(x, Lit(final.get(x, 0))) for x in xs])
     return Implies(And(pre, inst), post)
 
 
@@ -359,12 +266,6 @@ class Verdict:
 
     def is_verified(self):
         return self.status == "verified"
-
-
-def _grid_points(vs, grid):
-    import itertools
-    for tup in itertools.product(range(grid + 1), repeat=len(vs)):
-        yield dict(zip(vs, tup))
 
 
 def check_triple(triple, grid, fuel, budget=Budget()):
@@ -382,18 +283,20 @@ def check_triple(triple, grid, fuel, budget=Budget()):
     caveats = []
     decided_pass = 0
     unknowns = 0
-    for point in _grid_points(sweep, grid):
+    for point in assignments(sweep, grid):
         pre_v = eval_formula(triple.pre, point, budget)
         if pre_v.is_false():
             decided_pass += 1
             continue
         if not pre_v.is_exact():
             unknowns += 1
-            caveats.append(f"pre Unknown at {_fmt(point)}: {pre_v.reason}")
+            caveats.append(f"pre Unknown at {format_assignment(point)}: "
+                           f"{pre_v.reason}")
             continue
         out = run(triple.prog, point, fuel)
         if not out.terminated:
-            caveats.append(f"fuel exhausted at {_fmt(point)}; divergence assumed")
+            caveats.append(f"fuel exhausted at {format_assignment(point)}; "
+                           "divergence assumed")
             continue
         post_env = dict(point)
         post_env.update(out.state)
@@ -405,11 +308,8 @@ def check_triple(triple, grid, fuel, budget=Budget()):
             decided_pass += 1
         else:
             unknowns += 1
-            caveats.append(f"post Unknown at {_fmt(point)}: {post_v.reason}")
+            caveats.append(f"post Unknown at {format_assignment(point)}: "
+                           f"{post_v.reason}")
     if unknowns and not decided_pass:
         return Verdict("inconclusive", grid, fuel, caveats=tuple(caveats))
     return Verdict("verified", grid, fuel, caveats=tuple(caveats))
-
-
-def _fmt(point):
-    return ",".join(f"{v.name}={n}" for v, n in point.items())

@@ -9,11 +9,11 @@ import argparse
 import json
 import sys
 
-from . import alpha, coding, hierarchy, proofs, syntax, whilelang, xrec
+from . import alpha, hierarchy, proofs, syntax, whilelang, xrec
 from .evaluator import Budget, eval_formula
 from .terms import (Add, And, BExists, BForall, Eq, Exists, FalseC, Forall,
                     Iff, Implies, Lit, Lt, Mul, Not, One, Or, TrueC, Var,
-                    Zero, free_vars)
+                    Zero)
 
 OK, FALSIFIED, UNKNOWN, USAGE = 0, 1, 2, 3
 

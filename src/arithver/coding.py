@@ -3,10 +3,17 @@
 The pairing function is Cantor's <x,y> = (x+y)(x+y+1)/2 + x.  A sequence
 a_0..a_k is coded by a single number w = <b,c> with
 (w)_i = b mod (1 + (i+1)*c).
+
+Beside each decoder sits its defining formula in the language
+{0,1,+,*,<}, with bounded quantifiers only (the *_graph functions), and
+that formula's witnessed closed instance at concrete numbers (the *_inst
+functions), which is quantifier-free and evaluates exactly.
 """
 
 import math
 import random
+
+from .terms import Add, And, BExists, Eq, Lit, Lt, Mul
 
 
 def pair(x, y):
@@ -90,3 +97,64 @@ def seq_encode(xs):
         m *= mod
     w = pair(b, c)
     return w
+
+
+# ---------------------------------------------------------------------------
+# Defining formulas and their witnessed instances
+
+
+def pair_graph(z, x, y):
+    """z = <x,y> as an equation: 2z = (x+y)(x+y+1) + 2x."""
+    s = Add(x, y)
+    return Eq(Add(z, z), Add(Mul(s, Add(s, Lit(1))), Add(x, x)))
+
+
+def mod_graph(v, b, m, names):
+    """v = b mod m (m >= 1): v < m and b = q*m + v for some q <= b."""
+    q = names.fresh("q")
+    return And(Lt(v, m), BExists(q, Add(b, Lit(1)), Eq(b, Add(Mul(q, m), v))))
+
+
+def beta_graph(w, i, v, names):
+    """v = (w)_i: components b,c of w satisfy v = b mod (1 + (i+1)c).
+
+    b, c <= w because the pairing never shrinks, so the search is bounded.
+    """
+    b, c = names.fresh("b"), names.fresh("c")
+    m = Add(Lit(1), Mul(Add(i, Lit(1)), c))
+    return BExists(b, Add(w, Lit(1)),
+                   BExists(c, Add(w, Lit(1)),
+                           And(pair_graph(w, b, c), mod_graph(v, b, m, names))))
+
+
+def tuple_graph(t, components, names):
+    """t = <c1,...,cm> (right-nested pairing); m >= 1."""
+    if len(components) == 1:
+        return Eq(t, components[0])
+    r = names.fresh("r")
+    return BExists(r, Add(t, Lit(1)),
+                   And(pair_graph(t, components[0], r),
+                       tuple_graph(r, components[1:], names)))
+
+
+def pair_inst(z, x, y):
+    return pair_graph(Lit(z), Lit(x), Lit(y))
+
+
+def mod_inst(v, b, m):
+    q = b // m
+    return And(Lt(Lit(v), Lit(m)),
+               Eq(Lit(b), Add(Mul(Lit(q), Lit(m)), Lit(v))))
+
+
+def beta_inst(w, i, v):
+    b, c = split(w)
+    m = 1 + (i + 1) * c
+    return And(pair_inst(w, b, c), mod_inst(v, b, m))
+
+
+def tuple_inst(t, vals):
+    if len(vals) == 1:
+        return Eq(Lit(t), Lit(vals[0]))
+    rest = tuple_encode(vals[1:])
+    return And(pair_inst(t, vals[0], rest), tuple_inst(rest, vals[1:]))

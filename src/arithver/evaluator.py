@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .terms import (Add, And, BExists, BForall, Eq, Exists, FalseC, Forall,
                     Iff, Implies, Lit, Lt, Mul, Not, One, Or, TrueC, Var,
-                    Zero)
+                    Zero, strip_exists)
 
 
 @dataclass(frozen=True)
@@ -168,12 +168,22 @@ def _bind(v, var, n):
     return v2
 
 
-def _strip_exists_block(f):
-    block = []
-    while isinstance(f, Exists):
-        block.append(f.var)
-        f = f.body
-    return block, f
+def assignments(vs, bound, base=None):
+    """Every assignment of 0..bound to vs on top of base, each a fresh dict.
+
+    Product order: the first variable is the most significant.  An empty
+    vs yields base once.
+    """
+    for tup in itertools.product(range(bound + 1), repeat=len(vs)):
+        point = dict(base or {})
+        point.update(zip(vs, tup))
+        yield point
+
+
+def format_assignment(point):
+    """An assignment as `x=1,y=2`, in its own order."""
+    text = ",".join(f"{v.name}={n}" for v, n in point.items())
+    return text or "the empty assignment"
 
 
 def find_witnesses(f, v, budget=Budget()):
@@ -183,20 +193,13 @@ def find_witnesses(f, v, budget=Budget()):
     true body), or None when no witness tuple <= q_bound exists.  Raises
     WitnessSearchError when the body cannot be evaluated exactly.
     """
-    block, body = _strip_exists_block(f)
-    if not block:
-        r = eval_formula(body, v, budget)
-        if not r.is_exact():
-            raise WitnessSearchError(r.reason)
-        return [] if r.is_true() else None
-    # lexicographic search, leftmost component most significant
-    for tup in itertools.product(range(budget.q_bound + 1), repeat=len(block)):
-        v2 = dict(v)
-        for var, val in zip(block, tup):
-            v2[var] = val
-        r = eval_formula(body, v2, budget)
+    block, body = strip_exists(f)
+    for point in assignments(block, budget.q_bound, v):
+        r = eval_formula(body, point, budget)
         if not r.is_exact():
             raise WitnessSearchError(r.reason)
         if r.is_true():
-            return list(zip(block, tup))
+            # a binder shadowed further in is unused; its least witness is 0
+            return [(var, 0 if var in block[k + 1:] else point[var])
+                    for k, var in enumerate(block)]
     return None

@@ -13,10 +13,11 @@ and dually, both by finiteness of the bounded range.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .terms import (Add, And, BExists, BForall, Eq, Exists, FalseC, Forall,
-                    Iff, Implies, Lt, Mul, Not, Or, TrueC, Var, alpha_equal,
-                    free_vars, fresh_var, substitute, term_vars)
+from .terms import (And, BExists, BForall, Eq, Exists, FalseC, Forall, Iff,
+                    Implies, Lt, Not, Or, TrueC, Var, free_vars, fresh_var,
+                    substitute)
 
 SIGMA = "sigma"
 PI = "pi"
@@ -189,53 +190,34 @@ def _merge_prefixes(pa, pb):
 
     ra, rb = runs(pa), runs(pb)
 
-    from functools import lru_cache
-
     @lru_cache(maxsize=None)
-    def cost(i, j, cur):
-        if i == len(ra) and j == len(rb):
-            return 0
-        best = None
+    def best(i, j, cur):
+        """Cheapest next run after one of kind cur, with i runs of pa and j
+        of pb taken: (alternations to the end, kind, i', j'), or None when
+        both are used up.  Ties go to the smaller tuple, so PI before SIGMA.
+        """
+        steps = []
         for nxt in (SIGMA, PI):
-            ii, jj = i, j
-            took = False
-            if ii < len(ra) and ra[ii][0] == nxt:
-                ii += 1
-                took = True
-            if jj < len(rb) and rb[jj][0] == nxt:
-                jj += 1
-                took = True
-            if not took:
+            ii = i + 1 if i < len(ra) and ra[i][0] == nxt else i
+            jj = j + 1 if j < len(rb) and rb[j][0] == nxt else j
+            if (ii, jj) == (i, j):
                 continue
-            c = (0 if nxt == cur else 1) + cost(ii, jj, nxt)
-            if best is None or c < best:
-                best = c
-        return best
+            rest = best(ii, jj, nxt)
+            c = (0 if nxt == cur else 1) + (rest[0] if rest else 0)
+            steps.append((c, nxt, ii, jj))
+        return min(steps, default=None)
 
     out = []
     i = j = 0
-    cur = None
-    while i < len(ra) or j < len(rb):
-        choices = []
-        for nxt in (SIGMA, PI):
-            ii, jj = i, j
-            took = False
-            if ii < len(ra) and ra[ii][0] == nxt:
-                ii += 1
-                took = True
-            if jj < len(rb) and rb[jj][0] == nxt:
-                jj += 1
-                took = True
-            if took:
-                c = (0 if nxt == cur else 1) + cost(ii, jj, nxt)
-                choices.append((c, nxt, ii, jj))
-        choices.sort()
-        _, nxt, ii, jj = choices[0]
+    step = best(0, 0, None)
+    while step:
+        _, kind, ii, jj = step
         if i < ii:
-            out.extend((nxt, v) for v in ra[i][1])
+            out.extend((kind, v) for v in ra[i][1])
         if j < jj:
-            out.extend((nxt, v) for v in rb[j][1])
-        i, j, cur = ii, jj, nxt
+            out.extend((kind, v) for v in rb[j][1])
+        i, j = ii, jj
+        step = best(i, j, kind)
     return out
 
 
@@ -289,19 +271,6 @@ def prenexify(f):
     """
     g = nnf(desugar(f))
     used = {v.name for v in free_vars(g)}
-    g = _rename_apart(g, set(used) | set())
-    used = {v.name for v in free_vars(g)} | _all_binder_names(g)
+    g = _rename_apart(g, used)  # adds every binder name of g to used
     prefix, matrix = _pull(g, used)
     return _rebuild(prefix, matrix)
-
-
-def _all_binder_names(f):
-    if isinstance(f, (TrueC, FalseC, Eq, Lt)):
-        return set()
-    if isinstance(f, Not):
-        return _all_binder_names(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return _all_binder_names(f.left) | _all_binder_names(f.right)
-    if isinstance(f, (Forall, Exists, BForall, BExists)):
-        return {f.var.name} | _all_binder_names(f.body)
-    raise TypeError(f"not a formula: {f!r}")

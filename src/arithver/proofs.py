@@ -8,11 +8,10 @@ evaluator, so an exact False rejects, all-True accepts, and anything else
 is reported as an unresolved side condition, never silently accepted.
 """
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .terms import And, Implies, Not, alpha_equal, free_vars, substitute
-from .evaluator import Budget, eval_formula
+from .evaluator import Budget, assignments, eval_formula, format_assignment
 from .whilelang import Assign, If, Seq, While, bool_to_formula
 from .alpha import HoareTriple
 
@@ -84,20 +83,16 @@ def _sweep(formula, grid, budget):
     """Grid-sweep the universal closure: 'true', 'false' or 'unknown'."""
     vs = sorted(free_vars(formula), key=lambda v: v.name)
     saw_unknown = False
-    for tup in itertools.product(range(grid + 1), repeat=len(vs)):
-        r = eval_formula(formula, dict(zip(vs, tup)), budget)
+    for point in assignments(vs, grid):
+        r = eval_formula(formula, point, budget)
         if r.is_false():
-            return "false", f"False at {_fmt(vs, tup)}"
+            return "false", f"False at {format_assignment(point)}"
         if not r.is_exact():
             saw_unknown = True
             reason = r.reason
     if saw_unknown:
         return "unknown", reason
     return "true", ""
-
-
-def _fmt(vs, tup):
-    return ",".join(f"{v.name}={n}" for v, n in zip(vs, tup)) or "the empty assignment"
 
 
 def check_proof(proof, grid=5, budget=Budget()):

@@ -259,6 +259,42 @@ def fresh_var(base, avoid):
     return Var(name)
 
 
+class Names:
+    """Fresh-variable supply avoiding a growing set of names.
+
+    The candidates for a base are base, base', base'', base''', base_4,
+    base_5, ...; each call hands out the first one not used yet.
+    """
+
+    def __init__(self, avoid=()):
+        self.used = {v.name for v in avoid}
+        self._last = {}  # base -> index last handed out; all below are used
+
+    def fresh(self, base):
+        primes = self._last.get(base, 0)
+        while True:
+            name = base + "'" * primes if primes <= 3 else f"{base}_{primes}"
+            if name not in self.used:
+                break
+            primes += 1
+        self._last[base] = primes
+        self.used.add(name)
+        return Var(name)
+
+    def fresh_vec(self, bases):
+        return [self.fresh(b) for b in bases]
+
+
+def strip_exists(f):
+    """(variables of f's leading block of unbounded existentials, outermost
+    first; the formula under the block)."""
+    block = []
+    while isinstance(f, Exists):
+        block.append(f.var)
+        f = f.body
+    return block, f
+
+
 def subst_term(t, env):
     """Substitute env (Var -> Term) into a term."""
     if isinstance(t, Var):

@@ -5,9 +5,9 @@ and per loop-guard test.  Fuel exhaustion is a value, not an error, and
 never proves divergence.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .terms import Eq, Implies, Lt, Not, Term, Var
+from .terms import Add, Implies, Lt, Mul, Not, Term, Var
 from .evaluator import eval_term
 
 
@@ -102,7 +102,6 @@ def node_ids(prog):
 
 
 def bool_vars(b):
-    from .terms import term_vars
     if isinstance(b, Less):
         out = []
         for t in (b.left, b.right):
@@ -116,7 +115,6 @@ def bool_vars(b):
 
 
 def _term_vars_ordered(t):
-    from .terms import Add, Mul
     if isinstance(t, Var):
         return [t]
     if isinstance(t, (Add, Mul)):

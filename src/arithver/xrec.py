@@ -6,11 +6,12 @@ functions of level-0 formulas, and compilation to while-programs.
 from dataclasses import dataclass
 
 from . import coding
-from .alpha import _Names, beta_graph, _beta_inst
+from .coding import beta_graph, beta_inst
 from .terms import (Add as AddT, And, BExists, BForall, Eq, Exists, FalseC,
-                    Lit, Lt, Mul as MulT, Not, One, Or, TrueC, Var, Zero,
-                    conj, free_vars, mk_numeral, substitute)
-from .evaluator import eval_formula
+                    Lit, Lt, Mul as MulT, Names, Not, One, Or, TrueC, Var,
+                    Zero, conj, free_vars, mk_numeral, strip_exists,
+                    substitute)
+from .evaluator import assignments, eval_formula
 from .hierarchy import classify, prenexify, desugar
 from .whilelang import Assign, Less, Seq, While
 
@@ -167,7 +168,7 @@ def _eval(h, args, tank):
 def gamma(h):
     """The defining formula of h: a generalized Sigma_1 formula with
     gamma_h(xs, y) true iff h(xs) = y.  Returns (formula, xs, y)."""
-    names = _Names()
+    names = Names()
     xs = names.fresh_vec([f"x{i}" for i in range(1, h.arity + 1)])
     y = names.fresh("y")
     return _gamma(h, names, xs, y), xs, y
@@ -259,12 +260,12 @@ def _gamma_inst(h, args, value):
         for i in range(count):
             trace.append(_val(h.g, vec + [i, trace[-1]]))
         w = coding.seq_encode(trace)
-        parts = [And(_beta_inst(w, 0, trace[0]), _gamma_inst(h.f, vec, trace[0]))]
+        parts = [And(beta_inst(w, 0, trace[0]), _gamma_inst(h.f, vec, trace[0]))]
         for i in range(count):
-            parts.append(conj([_beta_inst(w, i, trace[i]),
-                               _beta_inst(w, i + 1, trace[i + 1]),
+            parts.append(conj([beta_inst(w, i, trace[i]),
+                               beta_inst(w, i + 1, trace[i + 1]),
                                _gamma_inst(h.g, vec + [i, trace[i]], trace[i + 1])]))
-        parts.append(And(_beta_inst(w, count, trace[count]),
+        parts.append(And(beta_inst(w, count, trace[count]),
                          Eq(Lit(trace[count]), Lit(value))))
         return conj(parts)
     if isinstance(h, Mn):
@@ -297,11 +298,6 @@ def pred_schema():
 def monus_schema():
     # x - 0 = x; x - (y+1) = pred(x - y)
     return Pr(Proj(1, 1), _cn(pred_schema(), Proj(3, 3)))
-
-
-def _monus(a, b):
-    # a - b as a schema over the common arity of a and b
-    return _cn(monus_schema(), a, b)
 
 
 def sgbar_schema():
@@ -363,25 +359,22 @@ def min_schema():
 
 def sum_of(f):
     """g(xs, y) = sum of f(xs, i) for i = 0..y."""
-    n = f.arity
-    if n < 1:
-        raise ValueError("sum_of needs f of arity >= 1")
-    base = _cn(f, *_projs(n - 1), Const(0, n - 1))
-    np2 = n + 1  # arity of the step function g(xs, i, acc)
-    step = _cn(AddF(),
-               _cn(f, *_projs(np2)[:n - 1], _cn(AddF(), Proj(n, np2), Const(1, np2))),
-               Proj(np2, np2))
-    return Pr(base, step)
+    return _fold(AddF(), f, "sum_of")
 
 
 def prod_of(f):
     """h(xs, y) = product of f(xs, i) for i = 0..y."""
+    return _fold(MulF(), f, "prod_of")
+
+
+def _fold(op, f, name):
+    # op(...op(f(xs, 0), f(xs, 1)) ..., f(xs, y)) by recursion on y
     n = f.arity
     if n < 1:
-        raise ValueError("prod_of needs f of arity >= 1")
+        raise ValueError(f"{name} needs f of arity >= 1")
     base = _cn(f, *_projs(n - 1), Const(0, n - 1))
-    np2 = n + 1
-    step = _cn(MulF(),
+    np2 = n + 1  # arity of the step function g(xs, i, acc)
+    step = _cn(op,
                _cn(f, *_projs(np2)[:n - 1], _cn(AddF(), Proj(n, np2), Const(1, np2))),
                Proj(np2, np2))
     return Pr(base, step)
@@ -515,35 +508,18 @@ class FunctionalityError(Exception):
     pass
 
 
-def _strip_exists(f):
-    block = []
-    while isinstance(f, Exists):
-        block.append(f.var)
-        f = f.body
-    return block, f
-
-
 def _check_functionality(body, block, xs, result, grid=4, search=12):
     """Sample check that the relation is single-valued in the result."""
-    import itertools
-    for point in itertools.product(range(grid + 1), repeat=len(xs)):
-        env = dict(zip(xs, point))
+    for env in assignments(xs, grid):
         results = set()
         for y in range(search + 1):
-            env[result] = y
-            if not block:
-                if eval_formula(body, env).is_true():
+            for point in assignments(block, search, {**env, result: y}):
+                if eval_formula(body, point).is_true():
                     results.add(y)
-            else:
-                for zs in itertools.product(range(search + 1), repeat=len(block)):
-                    env2 = dict(env)
-                    env2.update(zip(block, zs))
-                    if eval_formula(body, env2).is_true():
-                        results.add(y)
-                        break
+                    break
         if len(results) > 1:
             raise FunctionalityError(
-                f"two results {sorted(results)} at input {point}")
+                f"two results {sorted(results)} at input {tuple(env.values())}")
 
 
 def sigma1_to_xrec(f, result_var, check=True):
@@ -556,7 +532,7 @@ def sigma1_to_xrec(f, result_var, check=True):
     the least result under that cap.  Returns (schema, input_vars).
     """
     g0 = prenexify(f)
-    block, body = _strip_exists(g0)
+    block, body = strip_exists(g0)
     if classify(body).n != 0:
         raise ShapeError("matrix is not level 0 after prenexing")
     if result_var not in free_vars(f):
@@ -565,7 +541,7 @@ def sigma1_to_xrec(f, result_var, check=True):
     if check:
         _check_functionality(body, block, xs, result_var)
 
-    names = _Names(free_vars(g0) | set(block))
+    names = Names(free_vars(g0) | set(block))
     cap = names.fresh("w")
     # g: least cap with exists result<cap exists zs<cap body
     inner = body
@@ -594,7 +570,7 @@ def compile_to_while(h):
     written first so that it is the first variable in pre-order; inputs
     are touched immediately after to pin their order.
     """
-    names = _Names()
+    names = Names()
     res = names.fresh("res")
     ps = names.fresh_vec([f"p{i}" for i in range(1, h.arity + 1)])
     body = _emit(h, ps, res, names)
@@ -674,7 +650,7 @@ def pi1_counterexample_program(psi, y):
     fv = free_vars(psi)
     if fv - {y}:
         raise ShapeError(f"psi may mention only {y}, found {sorted(v.name for v in fv)}")
-    names = _Names(fv | {y})
+    names = Names(fv | {y})
     x = names.fresh("x")
     i = names.fresh("i")
     phi = And(Eq(x, x),

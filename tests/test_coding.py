@@ -3,8 +3,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from arithver.coding import (beta, beta_index, pair, seq_encode, split,
-                             tuple_decode, tuple_encode)
+from arithver.coding import (beta, beta_graph, beta_index, beta_inst, mod_graph,
+                             mod_inst, pair, pair_graph, pair_inst, seq_encode,
+                             split, tuple_decode, tuple_encode, tuple_graph,
+                             tuple_inst)
+from arithver.evaluator import eval_formula
+from arithver.terms import Names, Var
 
 
 def test_pair_known_values():
@@ -101,3 +105,60 @@ def test_many_random_sequences_decode():
 def test_seq_encode_random(xs):
     w = seq_encode(xs)
     assert [beta_index(w, i) for i in range(len(xs))] == xs
+
+
+# -- defining formulas against the numeric decoders -------------------------
+
+z, a, b, w, i, v = (Var(n) for n in ("z", "a", "b", "w", "i", "v"))
+
+
+def _holds(f, env):
+    r = eval_formula(f, env)
+    assert r.is_exact(), r.reason
+    return r.is_true()
+
+
+def test_pair_graph_round_trip():
+    f = pair_graph(z, a, b)
+    for x in range(5):
+        for y in range(5):
+            hits = [n for n in range(pair(4, 4) + 2) if _holds(f, {z: n, a: x, b: y})]
+            assert hits == [pair(x, y)]
+            assert _holds(pair_inst(pair(x, y), x, y), {})
+            assert not _holds(pair_inst(pair(x, y) + 1, x, y), {})
+
+
+def test_mod_graph_round_trip():
+    f = mod_graph(v, a, b, Names([v, a, b]))
+    for n in range(12):
+        for m in range(1, 5):
+            hits = [r for r in range(6) if _holds(f, {v: r, a: n, b: m})]
+            assert hits == [n % m]
+            assert _holds(mod_inst(n % m, n, m), {})
+            assert not _holds(mod_inst(n % m + 1, n, m), {})
+
+
+def test_beta_graph_round_trip():
+    f = beta_graph(w, i, v, Names([w, i, v]))
+    for code in range(0, 24, 5):
+        for k in range(3):
+            want = beta_index(code, k)
+            hits = [r for r in range(8) if _holds(f, {w: code, i: k, v: r})]
+            assert hits == [want]
+            assert _holds(beta_inst(code, k, want), {})
+            assert not _holds(beta_inst(code, k, want + 1), {})
+
+
+def test_tuple_graph_round_trip():
+    cs = [Var(f"c{k}") for k in range(3)]
+    f = tuple_graph(z, cs, Names([z] + cs))
+    for vals in ([0, 0, 0], [1, 2, 1], [2, 0, 1], [0, 3, 0]):
+        t = tuple_encode(vals)
+        env = dict(zip(cs, vals))
+        hits = [n for n in range(t + 3) if _holds(f, {**env, z: n})]
+        assert hits == [t]
+        assert _holds(tuple_inst(t, vals), {})
+        assert not _holds(tuple_inst(t + 1, vals), {})
+    # a 1-tuple codes as itself
+    assert _holds(tuple_graph(z, [a], Names()), {z: 7, a: 7})
+    assert _holds(tuple_inst(7, [7]), {}) and not _holds(tuple_inst(8, [7]), {})

@@ -4,8 +4,9 @@ from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, FalseC,
                             Forall, Iff, Implies, Lit, Lt, Mul, Not, Or,
                             TrueC, Var)
 from arithver.evaluator import (FALSE, TRUE, Budget, TriState,
-                                WitnessSearchError, eval_formula, eval_term,
-                                find_witnesses, unknown)
+                                WitnessSearchError, assignments, eval_formula,
+                                eval_term, find_witnesses, format_assignment,
+                                unknown)
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -134,3 +135,42 @@ def test_find_witnesses_inexact_body_raises():
 def test_budget_validation():
     with pytest.raises(ValueError):
         Budget(q_bound=-1)
+
+
+def test_assignments_product_order():
+    assert list(assignments([x, y], 1)) == [
+        {x: 0, y: 0}, {x: 0, y: 1}, {x: 1, y: 0}, {x: 1, y: 1}]
+    assert len(list(assignments([x, y, z], 2))) == 27
+
+
+def test_assignments_on_top_of_base():
+    base = {z: 5, x: 9}
+    assert list(assignments([x], 1, base)) == [{z: 5, x: 0}, {z: 5, x: 1}]
+    assert base == {z: 5, x: 9}
+
+
+def test_assignments_empty_vars_yield_base_once():
+    base = {z: 1}
+    points = list(assignments([], 3, base))
+    assert points == [{z: 1}] and points[0] is not base
+    assert list(assignments([], 0)) == [{}]
+
+
+def test_assignments_yield_fresh_dicts():
+    points = []
+    for p in assignments([x], 2, {y: 0}):
+        points.append(p)
+        p[y] = 99  # mutating one point must not leak into the next
+    assert [p[x] for p in points] == [0, 1, 2]
+    assert len({id(p) for p in points}) == 3
+
+
+def test_format_assignment():
+    assert format_assignment({x: 1, y: 2}) == "x=1,y=2"
+    assert format_assignment({}) == "the empty assignment"
+
+
+def test_find_witnesses_shadowed_binder_gets_zero():
+    a = Var("a")
+    f = Exists(a, Exists(y, Exists(a, Eq(Add(a, y), Lit(3)))))
+    assert find_witnesses(f, {}) == [(a, 0), (y, 0), (a, 3)]

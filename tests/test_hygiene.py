@@ -1,0 +1,58 @@
+"""Source hygiene: no module imports a name it never uses, and none imports
+another module's private (underscored) name."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "arithver"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imports(tree):
+    """(bound name, imported name) for every import in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                yield (a.asname or a.name).split(".")[0], a.name
+        elif isinstance(node, ast.ImportFrom):
+            for a in node.names:
+                yield a.asname or a.name, a.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = sorted(bound for bound, _ in _imports(tree) if bound not in used)
+    assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    tree = ast.parse(path.read_text())
+    private = sorted(name for _, name in _imports(tree)
+                     if name.rsplit(".", 1)[-1].startswith("_"))
+    assert not private, f"{path.name} imports private names: {private}"
+
+
+def _sibling_imports(path):
+    """The package modules a module imports from."""
+    tree = ast.parse(path.read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module)
+            else:
+                out.update(a.name for a in node.names)
+    return out
+
+
+def test_coding_needs_only_terms():
+    assert _sibling_imports(SRC / "coding.py") == {"terms"}
+
+
+def test_xrec_does_not_import_alpha():
+    assert "alpha" not in _sibling_imports(SRC / "xrec.py")

@@ -1,11 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, FalseC,
                             Forall, Iff, Implies, Lit, Lt, Mul, Not, One, Or,
-                            TrueC, Var, Zero, alpha_equal, conj, disj,
+                            Names, TrueC, Var, Zero, alpha_equal, conj, disj,
                             expand_to_core, free_vars, fresh_var, mk_numeral,
-                            substitute, substitute_simultaneous, term_vars)
+                            strip_exists, substitute, substitute_simultaneous,
+                            term_vars)
 from arithver.evaluator import eval_term
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -159,3 +162,43 @@ def test_subst_term_then_eval(t, r):
     env_with[x] = eval_term(r, env)
     assert (eval_term(g.left, env) ==
             eval_term(f.left, env_with))
+
+
+def test_names_fresh_sequence():
+    names = Names()
+    got = [names.fresh("x").name for _ in range(6)]
+    assert got == ["x", "x'", "x''", "x'''", "x_4", "x_5"]
+
+
+def test_names_avoid_and_fresh_vec():
+    names = Names([Var("x"), Var("x''")])
+    got = [v.name for v in names.fresh_vec(["x", "x", "y"])]
+    assert got == ["x'", "x'''", "y"]
+
+
+def _fresh_by_probing(used, base):
+    # the definition: the first free candidate, probing from the start
+    primes = 0
+    name = base
+    while name in used:
+        primes += 1
+        name = base + "'" * primes if primes <= 3 else f"{base}_{primes}"
+    used.add(name)
+    return name
+
+
+def test_names_fresh_matches_probing_from_the_start():
+    rng = random.Random(5)
+    for _ in range(50):
+        avoid = {rng.choice(["x", "x'", "x_5", "x'_4", "y", "y''"])
+                 for _ in range(3)}
+        names, used = Names([Var(n) for n in avoid]), set(avoid)
+        for _ in range(40):
+            base = rng.choice(["x", "x'", "y"])
+            assert names.fresh(base).name == _fresh_by_probing(used, base)
+
+
+def test_strip_exists():
+    f = Exists(x, Exists(y, Forall(z, Exists(x, Eq(x, y)))))
+    assert strip_exists(f) == ([x, y], f.body.body)
+    assert strip_exists(Eq(x, y)) == ([], Eq(x, y))
