@@ -223,9 +223,6 @@ class HoareTriple:
     post: "Formula"
     params: tuple = ()  # parameter variables swept alongside inputs
 
-    def mode(self):
-        return "with-params" if self.params else "plain"
-
 
 def vc(triple):
     """Universal closure of pre(xs) /\\ alpha_S(xs, ys) -> post(ys/xs)."""

@@ -6,14 +6,14 @@ Exit codes: 0 ok/verified/accepted, 1 counterexample/false/rejected,
 """
 
 import argparse
+import dataclasses
+import functools
 import json
 import sys
 
 from . import alpha, hierarchy, proofs, syntax, whilelang, xrec
 from .evaluator import Budget, eval_formula
-from .terms import (Add, And, BExists, BForall, Eq, Exists, FalseC, Forall,
-                    Iff, Implies, Lit, Lt, Mul, Not, One, Or, TrueC, Var,
-                    Zero)
+from .terms import FalseC, TrueC, Var
 
 OK, FALSIFIED, UNKNOWN, USAGE = 0, 1, 2, 3
 
@@ -22,72 +22,30 @@ OK, FALSIFIED, UNKNOWN, USAGE = 0, 1, 2, 3
 # JSON tree encoding
 
 
-def term_json(t):
-    if isinstance(t, Var):
-        return {"kind": "var", "name": t.name}
-    if isinstance(t, Zero):
-        return {"kind": "zero"}
-    if isinstance(t, One):
-        return {"kind": "one"}
-    if isinstance(t, Lit):
-        return {"kind": "lit", "value": t.n}
-    if isinstance(t, (Add, Mul)):
-        return {"kind": "add" if isinstance(t, Add) else "mul",
-                "left": term_json(t.left), "right": term_json(t.right)}
-    raise TypeError(f"not a term: {t!r}")
+# kinds are class names in lower case, keys are field names, except:
+_KINDS = {TrueC: "true", FalseC: "false", whilelang.NotB: "not",
+          whilelang.ImpliesB: "implies"}
+_KEYS = {"n": "value", "els": "else"}
 
 
-_BIN = {And: "and", Or: "or", Implies: "implies", Iff: "iff"}
+@functools.cache
+def _shape(cls):
+    return (_KINDS.get(cls, cls.__name__.lower()),
+            [(f.name, _KEYS.get(f.name, f.name)) for f in dataclasses.fields(cls)])
 
 
-def formula_json(f):
-    if isinstance(f, TrueC):
-        return {"kind": "true"}
-    if isinstance(f, FalseC):
-        return {"kind": "false"}
-    if isinstance(f, (Eq, Lt)):
-        return {"kind": "eq" if isinstance(f, Eq) else "lt",
-                "left": term_json(f.left), "right": term_json(f.right)}
-    if isinstance(f, Not):
-        return {"kind": "not", "body": formula_json(f.body)}
-    if type(f) in _BIN:
-        return {"kind": _BIN[type(f)], "left": formula_json(f.left),
-                "right": formula_json(f.right)}
-    if isinstance(f, (Forall, Exists)):
-        return {"kind": "forall" if isinstance(f, Forall) else "exists",
-                "var": f.var.name, "body": formula_json(f.body)}
-    if isinstance(f, (BForall, BExists)):
-        return {"kind": "bforall" if isinstance(f, BForall) else "bexists",
-                "var": f.var.name, "bound": term_json(f.bound),
-                "body": formula_json(f.body)}
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def bool_json(b):
-    if isinstance(b, whilelang.Less):
-        return {"kind": "less", "left": term_json(b.left),
-                "right": term_json(b.right)}
-    if isinstance(b, whilelang.NotB):
-        return {"kind": "not", "body": bool_json(b.body)}
-    if isinstance(b, whilelang.ImpliesB):
-        return {"kind": "implies", "left": bool_json(b.left),
-                "right": bool_json(b.right)}
-    raise TypeError(f"not a boolean expression: {b!r}")
-
-
-def program_json(p):
-    if isinstance(p, whilelang.Assign):
-        return {"kind": "assign", "var": p.var.name, "expr": term_json(p.expr)}
-    if isinstance(p, whilelang.Seq):
-        return {"kind": "seq", "first": program_json(p.first),
-                "second": program_json(p.second)}
-    if isinstance(p, whilelang.If):
-        return {"kind": "if", "guard": bool_json(p.guard),
-                "then": program_json(p.then), "else": program_json(p.els)}
-    if isinstance(p, whilelang.While):
-        return {"kind": "while", "guard": bool_json(p.guard),
-                "body": program_json(p.body)}
-    raise TypeError(f"not a program: {p!r}")
+def tree_json(node):
+    """The --json tree of a term, formula, boolean guard or program."""
+    kind, keys = _shape(type(node))
+    out = {"kind": kind}
+    for field, key in keys:
+        v = getattr(node, field)
+        if field == "var":
+            v = v.name
+        elif not isinstance(v, (str, int)):
+            v = tree_json(v)
+        out[key] = v
+    return out
 
 
 def _emit(args, human, payload):
@@ -115,9 +73,12 @@ def _parse_assignment(text):
             raise CliError(f"bad assignment {piece!r}: expected name=value")
         name, _, val = piece.partition("=")
         try:
-            env[Var(name.strip())] = int(val)
+            n, v = int(val), Var(name.strip())
         except ValueError as e:
             raise CliError(f"bad assignment {piece!r}: {e}")
+        if n < 0:
+            raise CliError(f"bad assignment {piece!r}: values are naturals")
+        env[v] = n
     return env
 
 
@@ -131,10 +92,8 @@ def _parse_vars(text):
 
 
 def _budget(args):
-    kw = {}
-    if getattr(args, "qbound", None) is not None:
-        kw["q_bound"] = args.qbound
-    return Budget(**kw)
+    q = getattr(args, "qbound", None)
+    return Budget() if q is None else Budget(q_bound=q)
 
 
 def _read_file(path):
@@ -151,13 +110,13 @@ def _read_file(path):
 
 def cmd_parse_formula(args):
     f = syntax.parse_formula(args.text)
-    _emit(args, syntax.format_formula(f), formula_json(f))
+    _emit(args, syntax.format_formula(f), tree_json(f))
     return OK
 
 
 def cmd_parse_program(args):
     p = syntax.parse_program(args.text)
-    _emit(args, syntax.format_program(p), program_json(p))
+    _emit(args, syntax.format_program(p), tree_json(p))
     return OK
 
 
@@ -180,13 +139,13 @@ def cmd_encode_alpha(args):
     if args.out_index is not None:
         inputs = _parse_vars(args.inputs)
         f, ins, y = alpha.encode_alpha_out(prog, args.out_index, inputs)
-        payload = {"kind": "alpha-out", "formula": formula_json(f),
+        payload = {"kind": "alpha-out", "formula": tree_json(f),
                    "inputs": [v.name for v in ins], "result": y.name}
         human = (f"inputs: {', '.join(v.name for v in ins) or '(none)'}\n"
                  f"result: {y.name}\n{f}")
     else:
         f, xs, ys = alpha.encode_alpha(prog)
-        payload = {"kind": "alpha", "formula": formula_json(f),
+        payload = {"kind": "alpha", "formula": tree_json(f),
                    "vars": [v.name for v in xs],
                    "out_vars": [v.name for v in ys]}
         human = (f"vars: {', '.join(v.name for v in xs)}\n"
@@ -206,7 +165,7 @@ def cmd_classify(args):
 def cmd_prenex(args):
     f = syntax.parse_formula(args.text)
     g = hierarchy.prenexify(f)
-    _emit(args, syntax.format_formula(g), formula_json(g))
+    _emit(args, syntax.format_formula(g), tree_json(g))
     return OK
 
 
@@ -230,7 +189,7 @@ def _triple_from_args(args):
 def cmd_vc(args):
     t = _triple_from_args(args)
     f = alpha.vc(t)
-    _emit(args, syntax.format_formula(f), formula_json(f))
+    _emit(args, syntax.format_formula(f), tree_json(f))
     return OK
 
 
@@ -256,6 +215,8 @@ def cmd_xrec(args):
     h = syntax.parse_schema(_read_file(args.schema))
     if args.action == "eval":
         vals = [int(x) for x in args.args.split(",")] if args.args else []
+        if any(v < 0 for v in vals):
+            raise CliError(f"bad --args {args.args!r}: values are naturals")
         r = xrec.xrec_eval(h, vals, fuel=args.fuel)
         if r.diverged:
             _emit(args, f"no value within fuel {args.fuel}",
@@ -269,14 +230,14 @@ def cmd_xrec(args):
         f, xs, y = xrec.gamma(h)
         human = (f"inputs: {', '.join(v.name for v in xs) or '(none)'}\n"
                  f"result: {y.name}\n{f}")
-        _emit(args, human, {"kind": "gamma", "formula": formula_json(f),
+        _emit(args, human, {"kind": "gamma", "formula": tree_json(f),
                             "inputs": [v.name for v in xs], "result": y.name})
         return OK
     # compile
     prog, res, ps = xrec.compile_to_while(h)
     human = (f"inputs: {', '.join(v.name for v in ps) or '(none)'}\n"
              f"result: {res.name}\n{prog}")
-    _emit(args, human, {"kind": "compiled", "program": program_json(prog),
+    _emit(args, human, {"kind": "compiled", "program": tree_json(prog),
                         "inputs": [v.name for v in ps], "result": res.name})
     return OK
 
@@ -288,7 +249,7 @@ def cmd_sigma1_compile(args):
              f"program inputs: {', '.join(v.name for v in ps) or '(none)'}\n"
              f"result: {res.name}\n{prog}")
     _emit(args, human,
-          {"kind": "compiled", "program": program_json(prog),
+          {"kind": "compiled", "program": tree_json(prog),
            "formula_inputs": [v.name for v in xs],
            "inputs": [v.name for v in ps], "result": res.name})
     return OK
@@ -299,7 +260,7 @@ def cmd_pi1_program(args):
     prog, res, ps, _ = xrec.pi1_counterexample_program(psi, Var(args.var))
     human = (f"program inputs: {', '.join(v.name for v in ps)}\n"
              f"result: {res.name}\n{prog}")
-    _emit(args, human, {"kind": "compiled", "program": program_json(prog),
+    _emit(args, human, {"kind": "compiled", "program": tree_json(prog),
                         "inputs": [v.name for v in ps], "result": res.name})
     return OK
 

@@ -62,12 +62,12 @@ def beta_index(w, i):
     return beta(b, c, i)
 
 
-def _check_coprime(moduli, rng=None):
+def _check_coprime(moduli):
     n = len(moduli)
     if n <= 50:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     else:
-        rng = rng or random.Random(0)
+        rng = random.Random(0)
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(200)]
         pairs = [(i, j) for i, j in pairs if i != j]
     for i, j in pairs:

@@ -27,7 +27,7 @@ end of line.  All parse errors carry a SourceSpan of byte offsets.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import xrec
 from .terms import (Add, And, BExists, BForall, Eq, Exists, FalseC, Forall,
@@ -35,6 +35,15 @@ from .terms import (Add, And, BExists, BForall, Eq, Exists, FalseC, Forall,
 from .whilelang import Assign, If, ImpliesB, Less, NotB, Seq as SeqP, While
 from .alpha import HoareTriple
 from .proofs import AssignAxiom, CondRule, ConseqRule, SeqRule, WhileRule
+
+
+# each proof rule's keyword and the labels of its premises, in field
+# order; every rule ends with a `conclusion:` triple
+_RULES = {AssignAxiom: ("assign", ()), SeqRule: ("seq", ("left", "right")),
+          CondRule: ("cond", ("then", "else")),
+          WhileRule: ("loop", ("invariant", "body")),
+          ConseqRule: ("conseq", ("inner",))}
+_RULE_NAMED = {kw: ctor for ctor, (kw, _) in _RULES.items()}
 
 
 @dataclass(frozen=True)
@@ -406,52 +415,23 @@ class _Parser:
         self.expect("}")
         return HoareTriple(pre, prog, post)
 
-    def _field(self, name):
-        self.expect_word(name)
-        self.expect(":")
-
     def proof(self):
         t = self.expect("ident")
-        rule = t.text
         self.expect("{")
-        if rule == "assign":
-            self._field("conclusion")
-            node = AssignAxiom(self.triple())
-        elif rule == "seq":
-            self._field("left")
-            left = self.proof()
-            self._field("right")
-            right = self.proof()
-            self._field("conclusion")
-            node = SeqRule(left, right, self.triple())
-        elif rule == "cond":
-            self._field("then")
-            then = self.proof()
-            self._field("else")
-            els = self.proof()
-            self._field("conclusion")
-            node = CondRule(then, els, self.triple())
-        elif rule == "loop":
-            self._field("invariant")
-            inv = self.formula_for_field()
-            self._field("body")
-            body = self.proof()
-            self._field("conclusion")
-            node = WhileRule(inv, body, self.triple())
-        elif rule == "conseq":
-            self._field("inner")
-            inner = self.proof()
-            self._field("conclusion")
-            node = ConseqRule(inner, self.triple())
-        else:
-            raise ParseError(f"unknown proof rule {rule!r}", t.span)
+        ctor = _RULE_NAMED.get(t.text)
+        if ctor is None:
+            raise ParseError(f"unknown proof rule {t.text!r}", t.span)
+        args = []
+        for label in _RULES[ctor][1] + ("conclusion",):
+            self.expect_word(label)
+            self.expect(":")
+            # an invariant ends where the next label begins; formulas never
+            # contain 'body', so parsing it greedily is safe
+            args.append(self.formula() if label == "invariant"
+                        else self.triple() if label == "conclusion"
+                        else self.proof())
         self.expect("}")
-        return node
-
-    def formula_for_field(self):
-        # an invariant field ends where the next field name begins; since
-        # formulas never contain 'body', parsing greedily is safe
-        return self.formula()
+        return ctor(*args)
 
 
 def _parse(text, production):
@@ -492,10 +472,6 @@ def parse_triple(text):
 # -- printers (the ASTs' str forms are already in the grammar) ----------
 
 
-def format_term(t):
-    return str(t)
-
-
 def format_formula(f):
     return str(f)
 
@@ -527,26 +503,17 @@ def format_triple(t):
 
 
 def format_proof(p, indent=0):
+    if type(p) not in _RULES:
+        raise TypeError(f"not a proof node: {p!r}")
     pad = "  " * indent
-    if isinstance(p, AssignAxiom):
-        return f"{pad}assign {{ conclusion: {format_triple(p.conclusion)} }}"
-    if isinstance(p, SeqRule):
-        return (f"{pad}seq {{\n"
-                f"{pad}  left: {format_proof(p.left, indent + 1).lstrip()}\n"
-                f"{pad}  right: {format_proof(p.right, indent + 1).lstrip()}\n"
-                f"{pad}  conclusion: {format_triple(p.conclusion)}\n{pad}}}")
-    if isinstance(p, CondRule):
-        return (f"{pad}cond {{\n"
-                f"{pad}  then: {format_proof(p.then_pf, indent + 1).lstrip()}\n"
-                f"{pad}  else: {format_proof(p.else_pf, indent + 1).lstrip()}\n"
-                f"{pad}  conclusion: {format_triple(p.conclusion)}\n{pad}}}")
-    if isinstance(p, WhileRule):
-        return (f"{pad}loop {{\n"
-                f"{pad}  invariant: {p.invariant}\n"
-                f"{pad}  body: {format_proof(p.body_pf, indent + 1).lstrip()}\n"
-                f"{pad}  conclusion: {format_triple(p.conclusion)}\n{pad}}}")
-    if isinstance(p, ConseqRule):
-        return (f"{pad}conseq {{\n"
-                f"{pad}  inner: {format_proof(p.inner, indent + 1).lstrip()}\n"
-                f"{pad}  conclusion: {format_triple(p.conclusion)}\n{pad}}}")
-    raise TypeError(f"not a proof node: {p!r}")
+    kw, labels = _RULES[type(p)]
+    conclusion = f"conclusion: {format_triple(p.conclusion)}"
+    if not labels:
+        return f"{pad}{kw} {{ {conclusion} }}"
+    lines = [f"{pad}{kw} {{"]
+    for label, field in zip(labels, fields(p)):
+        v = getattr(p, field.name)
+        text = str(v) if label == "invariant" else format_proof(v, indent + 1).lstrip()
+        lines.append(f"{pad}  {label}: {text}")
+    lines += [f"{pad}  {conclusion}", f"{pad}}}"]
+    return "\n".join(lines)

@@ -213,10 +213,8 @@ def expand_to_core(t):
     """Replace every Lit node by its expansion over {0, 1, +}."""
     if isinstance(t, Lit):
         return _ones_sum(t.n)
-    if isinstance(t, Add):
-        return Add(expand_to_core(t.left), expand_to_core(t.right))
-    if isinstance(t, Mul):
-        return Mul(expand_to_core(t.left), expand_to_core(t.right))
+    if isinstance(t, (Add, Mul)):
+        return type(t)(expand_to_core(t.left), expand_to_core(t.right))
     return t
 
 
@@ -299,10 +297,8 @@ def subst_term(t, env):
     """Substitute env (Var -> Term) into a term."""
     if isinstance(t, Var):
         return env.get(t, t)
-    if isinstance(t, Add):
-        return Add(subst_term(t.left, env), subst_term(t.right, env))
-    if isinstance(t, Mul):
-        return Mul(subst_term(t.left, env), subst_term(t.right, env))
+    if isinstance(t, (Add, Mul)):
+        return type(t)(subst_term(t.left, env), subst_term(t.right, env))
     return t
 
 
@@ -324,10 +320,8 @@ def _subst(f, env):
         return f
     if isinstance(f, (TrueC, FalseC)):
         return f
-    if isinstance(f, Eq):
-        return Eq(subst_term(f.left, env), subst_term(f.right, env))
-    if isinstance(f, Lt):
-        return Lt(subst_term(f.left, env), subst_term(f.right, env))
+    if isinstance(f, (Eq, Lt)):
+        return type(f)(subst_term(f.left, env), subst_term(f.right, env))
     if isinstance(f, Not):
         return Not(_subst(f.body, env))
     if isinstance(f, (And, Or, Implies, Iff)):
@@ -388,11 +382,9 @@ def alpha_key(f, depth=0, bound=None):
         inner[f.var] = depth
         return (type(f).__name__, alpha_key(f.body, depth + 1, inner))
     if isinstance(f, (BForall, BExists)):
-        def term_key_outer(t):
-            return alpha_key(Eq(t, Zero()), depth, bound)[1]
         inner = dict(bound)
         inner[f.var] = depth
-        return (type(f).__name__, term_key_outer(f.bound),
+        return (type(f).__name__, term_key(f.bound),
                 alpha_key(f.body, depth + 1, inner))
     raise TypeError(f"not a formula: {f!r}")
 

@@ -101,9 +101,6 @@ class EvalResult:
     diverged: bool = False
     fuel_spent: int = 0
 
-    def is_value(self):
-        return not self.diverged
-
 
 class _Fuel:
     def __init__(self, amount):
@@ -123,6 +120,8 @@ def xrec_eval(h, args, fuel=10 ** 6):
     """Call-by-value evaluation; Mn burns fuel per probe and may diverge."""
     if len(args) != h.arity:
         raise ValueError(f"arity mismatch: {h.arity} expected, got {len(args)}")
+    if any(a < 0 for a in args):
+        raise ValueError(f"arguments must be naturals, got {list(args)}")
     if fuel < 1:
         raise ValueError("fuel must be >= 1")
     tank = _Fuel(fuel)
@@ -230,51 +229,50 @@ def gamma_instance(h, args, value):
     r = xrec_eval(h, list(args), fuel=10 ** 7)
     if r.diverged or r.value != value:
         raise ValueError("gamma_instance needs the true value of h(args)")
-    return _gamma_inst(h, list(args), value)
+    return _gamma_inst(h, list(args))[0]
 
 
-def _val(h, args):
-    r = xrec_eval(h, args, fuel=10 ** 7)
-    if r.diverged:
-        raise ValueError("subcomputation diverged")
-    return r.value
-
-
-def _gamma_inst(h, args, value):
+def _gamma_inst(h, args):
+    # (instance, value), built bottom-up; gamma_instance has already seen
+    # h(args) halt, so every subcomputation replayed here halts too
     if isinstance(h, Const):
-        return Eq(Lit(value), mk_numeral(h.value))
+        return Eq(Lit(h.value), mk_numeral(h.value)), h.value
     if isinstance(h, Proj):
-        return Eq(Lit(value), Lit(args[h.index - 1]))
+        v = args[h.index - 1]
+        return Eq(Lit(v), Lit(v)), v
     if isinstance(h, AddF):
-        return Eq(Lit(value), AddT(Lit(args[0]), Lit(args[1])))
+        v = args[0] + args[1]
+        return Eq(Lit(v), AddT(Lit(args[0]), Lit(args[1]))), v
     if isinstance(h, MulF):
-        return Eq(Lit(value), MulT(Lit(args[0]), Lit(args[1])))
+        v = args[0] * args[1]
+        return Eq(Lit(v), MulT(Lit(args[0]), Lit(args[1]))), v
     if isinstance(h, Cn):
-        mids = [_val(g, args) for g in h.gs]
-        parts = [_gamma_inst(g, args, m) for g, m in zip(h.gs, mids)]
-        parts.append(_gamma_inst(h.f, mids, value))
-        return conj(parts)
+        inner = [_gamma_inst(g, args) for g in h.gs]
+        outer, v = _gamma_inst(h.f, [m for _, m in inner])
+        return conj([i for i, _ in inner] + [outer]), v
     if isinstance(h, Pr):
         vec, count = args[:-1], args[-1]
-        trace = [_val(h.f, vec)]
+        base, acc = _gamma_inst(h.f, vec)
+        trace, steps = [acc], []
         for i in range(count):
-            trace.append(_val(h.g, vec + [i, trace[-1]]))
+            step, acc = _gamma_inst(h.g, vec + [i, acc])
+            trace.append(acc)
+            steps.append(step)
         w = coding.seq_encode(trace)
-        parts = [And(beta_inst(w, 0, trace[0]), _gamma_inst(h.f, vec, trace[0]))]
-        for i in range(count):
+        parts = [And(beta_inst(w, 0, trace[0]), base)]
+        for i, step in enumerate(steps):
             parts.append(conj([beta_inst(w, i, trace[i]),
-                               beta_inst(w, i + 1, trace[i + 1]),
-                               _gamma_inst(h.g, vec + [i, trace[i]], trace[i + 1])]))
-        parts.append(And(beta_inst(w, count, trace[count]),
-                         Eq(Lit(trace[count]), Lit(value))))
-        return conj(parts)
+                               beta_inst(w, i + 1, trace[i + 1]), step]))
+        parts.append(And(beta_inst(w, count, acc), Eq(Lit(acc), Lit(acc))))
+        return conj(parts), acc
     if isinstance(h, Mn):
-        parts = [_gamma_inst(h.f, args + [value], 0)]
-        for i in range(value):
-            z = _val(h.f, args + [i])
-            parts.append(And(_gamma_inst(h.f, args + [i], z),
-                             Not(Eq(Lit(z), Lit(0)))))
-        return conj(parts)
+        prior, y = [], 0
+        while True:
+            inst, z = _gamma_inst(h.f, args + [y])
+            if z == 0:
+                return conj([inst] + prior), y
+            prior.append(And(inst, Not(Eq(Lit(z), Lit(0)))))
+            y += 1
     raise TypeError(f"not a schema: {h!r}")
 
 

@@ -7,7 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from arithver.cli import main
+from arithver.cli import main, tree_json
+from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, FalseC,
+                            Forall, Iff, Implies, Lit, Lt, Mul, Not, One, Or,
+                            TrueC, Var, Zero)
+from arithver.whilelang import Assign, If, ImpliesB, Less, NotB, Seq, While
 
 COUNT = "y:=0; while y<x do y:=y+1 od"
 
@@ -35,6 +39,77 @@ def test_parse_formula_json(capsys):
     assert tree["kind"] == "implies"
     assert tree["left"] == {"kind": "lt", "left": {"kind": "var", "name": "x"},
                             "right": {"kind": "lit", "value": 3}}
+
+
+def _v(name):
+    return {"kind": "var", "name": name}
+
+
+def test_tree_json_every_kind():
+    x, y, z, w = Var("x"), Var("y"), Var("z"), Var("w")
+    f = And(Or(TrueC(), FalseC()),
+            Implies(Not(Eq(Zero(), One())),
+                    Iff(Forall(x, Lt(x, Lit(2))),
+                        Exists(y, BForall(z, Add(x, Mul(y, Lit(3))),
+                                          BExists(w, z, Eq(w, z)))))))
+    p = Seq(Assign(x, Add(Zero(), One())),
+            If(ImpliesB(Less(x, Lit(1)), NotB(Less(y, Lit(2)))),
+               Assign(x, Lit(0)),
+               While(Less(y, x), Assign(y, Mul(y, Lit(1))))))
+    want_f = {"kind": "and",
+              "left": {"kind": "or", "left": {"kind": "true"},
+                       "right": {"kind": "false"}},
+              "right": {"kind": "implies",
+                        "left": {"kind": "not",
+                                 "body": {"kind": "eq",
+                                          "left": {"kind": "zero"},
+                                          "right": {"kind": "one"}}},
+                        "right": {
+                            "kind": "iff",
+                            "left": {"kind": "forall", "var": "x",
+                                     "body": {"kind": "lt", "left": _v("x"),
+                                              "right": {"kind": "lit",
+                                                        "value": 2}}},
+                            "right": {
+                                "kind": "exists", "var": "y",
+                                "body": {
+                                    "kind": "bforall", "var": "z",
+                                    "bound": {"kind": "add", "left": _v("x"),
+                                              "right": {"kind": "mul",
+                                                        "left": _v("y"),
+                                                        "right": {"kind": "lit",
+                                                                  "value": 3}}},
+                                    "body": {"kind": "bexists", "var": "w",
+                                             "bound": _v("z"),
+                                             "body": {"kind": "eq",
+                                                      "left": _v("w"),
+                                                      "right": _v("z")}}}}}}}
+    want_p = {"kind": "seq",
+              "first": {"kind": "assign", "var": "x",
+                        "expr": {"kind": "add", "left": {"kind": "zero"},
+                                 "right": {"kind": "one"}}},
+              "second": {
+                  "kind": "if",
+                  "guard": {"kind": "implies",
+                            "left": {"kind": "less", "left": _v("x"),
+                                     "right": {"kind": "lit", "value": 1}},
+                            "right": {"kind": "not",
+                                      "body": {"kind": "less",
+                                               "left": _v("y"),
+                                               "right": {"kind": "lit",
+                                                         "value": 2}}}},
+                  "then": {"kind": "assign", "var": "x",
+                           "expr": {"kind": "lit", "value": 0}},
+                  "else": {"kind": "while",
+                           "guard": {"kind": "less", "left": _v("y"),
+                                     "right": _v("x")},
+                           "body": {"kind": "assign", "var": "y",
+                                    "expr": {"kind": "mul", "left": _v("y"),
+                                             "right": {"kind": "lit",
+                                                       "value": 1}}}}}}
+    # dumps compares key order too: kind first, then the fields in order
+    assert json.dumps(tree_json(f)) == json.dumps(want_f)
+    assert json.dumps(tree_json(p)) == json.dumps(want_p)
 
 
 def test_parse_error_exit_code(capsys):
@@ -70,6 +145,21 @@ def test_run_fuel_exhaustion_exit_2(capsys):
 def test_run_bad_input_assignment(capsys):
     code, _, err = run_cli(capsys, "run", COUNT, "--input", "x:oops")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "x < 0", "--assign", "x=-1"],
+    ["run", COUNT, "--input", "x=-4"],
+    ["xrec", "eval", "--schema", "SCHEMA", "--args=-3,-2"],
+], ids=["eval", "run", "xrec-eval"])
+def test_negative_input_rejected(argv, tmp_path, capsys):
+    # values range over N: a negative one is a usage error, not a verdict
+    sch = tmp_path / "monus.sch"
+    sch.write_text("monus")
+    code, out, err = run_cli(capsys, *[str(sch) if a == "SCHEMA" else a
+                                       for a in argv])
+    assert (code, out) == (3, "")
+    assert "naturals" in err
 
 
 def test_encode_alpha(capsys):

@@ -6,7 +6,8 @@ from arithver.terms import (Add, And, BForall, Eq, Exists, Implies, Iff, Lit,
                             Lt, Mul, Not, Or, Var, alpha_equal)
 from arithver.whilelang import Assign, If, NotB, Seq, While
 from arithver.xrec import Cn, Const, Mn, Pr, Proj, xrec_eval
-from arithver.proofs import AssignAxiom, ConseqRule, check_proof
+from arithver.proofs import (AssignAxiom, CondRule, ConseqRule, SeqRule,
+                             WhileRule, check_proof)
 from arithver.syntax import (ParseError, SourceSpan, format_formula,
                              format_program, format_proof, format_schema,
                              parse_bool, parse_formula, parse_program,
@@ -179,3 +180,58 @@ def test_program_round_trip_500_random():
         p = random_program(rng)
         q = parse_program(format_program(p))
         assert p == q, format_program(p)
+
+
+_COND = """cond {
+  then: assign { conclusion: {(x = 0 /\\ x < 1)} y := 1 {y = 1} }
+  else: assign { conclusion: {(x = 0 /\\ ~(x < 1))} y := 1 {y = 1} }
+  conclusion: {x = 0} if x < 1 then y := 1 else y := 1 fi {y = 1}
+}"""
+_LOOP = """loop {
+  invariant: y < (x + 1)
+  body: assign { conclusion: {(y < (x + 1) /\\ y < x)} y := (y + 1) {y < (x + 1)} }
+  conclusion: {y < (x + 1)} while y < x do y := (y + 1) od {(y < (x + 1) /\\ ~(y < x))}
+}"""
+
+
+def test_format_proof_exact_cond_and_loop():
+    for text in (_COND, _LOOP):
+        assert format_proof(parse_proof(text)) == text
+    indented = format_proof(parse_proof(_LOOP), 1)
+    assert indented == "\n".join("  " + line for line in _LOOP.splitlines())
+
+
+def test_proof_round_trip_all_five_rules():
+    pf = parse_proof(f"""
+    conseq {{
+      inner: seq {{
+        left: {_COND}
+        right: {_LOOP}
+        conclusion: {{x = 0}} if x < 1 then y := 1 else y := 1 fi;
+                    while y < x do y := y + 1 od {{~(y < x)}}
+      }}
+      conclusion: {{true}} if x < 1 then y := 1 else y := 1 fi;
+                  while y < x do y := y + 1 od {{~(y < x)}}
+    }}""")
+    kinds = {type(pf), type(pf.inner), type(pf.inner.left),
+             type(pf.inner.right), type(pf.inner.left.then_pf)}
+    assert kinds == {ConseqRule, SeqRule, CondRule, WhileRule, AssignAxiom}
+    text = format_proof(pf)
+    assert parse_proof(text) == pf
+    assert format_proof(parse_proof(text)) == text
+
+
+def test_proof_parse_error_messages():
+    with pytest.raises(ParseError) as e:
+        parse_proof("frob { conclusion: {true} x := 0 {true} }")
+    assert (e.value.message, e.value.span) == ("unknown proof rule 'frob'",
+                                               SourceSpan(0, 4))
+    # the brace is expected before the rule is looked up
+    with pytest.raises(ParseError) as e:
+        parse_proof("frob x")
+    assert e.value.message == "expected '{', found 'x'"
+    with pytest.raises(ParseError) as e:
+        parse_proof("seq { left: assign { conclusion: {true} x := 0 {true} } "
+                    "conclusion: {true} x := 0 {true} }")
+    assert e.value.message == "expected 'right', found 'conclusion'"
+    assert e.value.span == SourceSpan(56, 66)

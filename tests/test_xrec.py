@@ -1,7 +1,8 @@
 import pytest
 
+from arithver.coding import beta_inst, seq_encode
 from arithver.terms import (Add, And, Eq, Exists, Lit, Lt, Mul, Not, Or, Var,
-                            free_vars)
+                            conj, free_vars)
 from arithver.evaluator import Budget, eval_formula
 from arithver.hierarchy import SIGMA, classify
 from arithver.whilelang import program_vars, run
@@ -324,3 +325,49 @@ def test_pi1_searcher_input_validation():
         pi1_counterexample_program(Exists(z, Eq(z, y)), y)
     with pytest.raises(ShapeError):
         pi1_counterexample_program(Lt(x, y), y)  # stray free variable
+
+
+def test_xrec_eval_rejects_negative_arguments():
+    with pytest.raises(ValueError, match="naturals"):
+        xrec_eval(monus_schema(), [-3, -2])
+
+
+def _eq(a):
+    return Eq(Lit(a), Lit(a))
+
+
+def _pr_inst(trace, base, steps):
+    # the shape of gamma for Pr, filled in: the trace code w, then
+    # (w)_0 = f(vec), each step (w)_i -> (w)_{i+1}, and (w)_count = result
+    w, n = seq_encode(trace), len(trace) - 1
+    return conj([And(beta_inst(w, 0, trace[0]), base)]
+                + [conj([beta_inst(w, i, trace[i]),
+                         beta_inst(w, i + 1, trace[i + 1]), s])
+                   for i, s in enumerate(steps)]
+                + [And(beta_inst(w, n, trace[n]), _eq(trace[n]))])
+
+
+def _pred_inst(k):
+    # pred = pr(const(0,0); proj(1,2)): trace 0, 0, 1, ..., k-1
+    return _pr_inst([0] + list(range(k)), _eq(0), [_eq(i) for i in range(k)])
+
+
+def test_gamma_instance_nested_pr_by_hand():
+    # monus = pr(proj(1,1); cn(pred; proj(3,3))), with pred a Pr inside
+    # the step; monus(3, 2) runs the trace 3, 2, 1
+    want = _pr_inst([3, 2, 1], _eq(3),
+                    [conj([_eq(3), _pred_inst(3)]),
+                     conj([_eq(2), _pred_inst(2)])])
+    inst = gamma_instance(monus_schema(), [3, 2], 1)
+    assert inst == want
+    assert eval_formula(inst, {}).is_true()
+
+
+def test_gamma_instance_mn_by_hand():
+    # f(0) = 1, f(y+1) = 0, so mn(f) = 1 after one nonzero probe
+    f = Pr(Const(1, 0), Const(0, 2))
+    want = conj([_pr_inst([1, 0], _eq(1), [_eq(0)]),
+                 And(_pr_inst([1], _eq(1), []), Not(Eq(Lit(1), Lit(0))))])
+    inst = gamma_instance(Mn(f), [], 1)
+    assert inst == want
+    assert eval_formula(inst, {}).is_true()
