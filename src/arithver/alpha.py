@@ -14,7 +14,7 @@ run, so the instance is quantifier-free and evaluates exactly.
 from dataclasses import dataclass
 
 from . import coding
-from .coding import beta_graph, beta_inst, tuple_graph, tuple_inst
+from .coding import beta_graph, tuple_graph, tuple_inst
 from .terms import (Add, And, BExists, BForall, Eq, Exists, Forall, Implies,
                     Lit, Names, Not, Or, conj, free_vars, subst_term,
                     substitute_simultaneous)
@@ -151,11 +151,6 @@ def _num_state(xs, st):
     return [st.get(x, 0) for x in xs]
 
 
-def _state_inst(w, i, vals):
-    t = coding.beta_index(w, i)
-    return And(beta_inst(w, i, t), tuple_inst(t, vals))
-
-
 def _guard_inst(guard, xs, st):
     return _guard_at(guard, xs, [Lit(v) for v in _num_state(xs, st)])
 
@@ -204,13 +199,16 @@ def _inst(prog, xs, st, fuel):
             parts.append(And(g, a))
             heads.append(_num_state(xs, st))
         k = len(heads) - 1
-        w = coding.seq_encode([coding.tuple_encode(h) for h in heads])
-        pieces = [_state_inst(w, 0, heads[0])]
+        codes = [coding.tuple_encode(h) for h in heads]
+        betas = coding.seq_inst(codes)
+        # each loop-head state is built once; alpha's shape still puts
+        # states j and j+1 beside step j
+        states = [And(beta, tuple_inst(t, h))
+                  for beta, t, h in zip(betas, codes, heads)]
+        pieces = [states[0]]
         for j in range(k):
-            pieces.append(_state_inst(w, j, heads[j]))
-            pieces.append(_state_inst(w, j + 1, heads[j + 1]))
-            pieces.append(parts[j])
-        pieces.append(_state_inst(w, k, heads[k]))
+            pieces += [states[j], states[j + 1], parts[j]]
+        pieces.append(states[k])
         pieces.append(Not(_guard_inst(prog.guard, xs, st)))
         return st, conj(pieces), fuel
     raise TypeError(f"not a program: {prog!r}")

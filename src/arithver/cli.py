@@ -78,6 +78,8 @@ def _parse_assignment(text):
             raise CliError(f"bad assignment {piece!r}: {e}")
         if n < 0:
             raise CliError(f"bad assignment {piece!r}: values are naturals")
+        if v in env:
+            raise CliError(f"bad assignment {piece!r}: {v.name} is repeated")
         env[v] = n
     return env
 
@@ -368,6 +370,19 @@ def build_parser():
 
 
 def main(argv=None):
+    # values outgrow int's 4,300-digit str conversion limit (Python >=
+    # 3.10.7), whose ValueError would otherwise read as a usage error
+    old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
+
+
+def _main(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

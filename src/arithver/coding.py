@@ -147,10 +147,24 @@ def mod_inst(v, b, m):
                Eq(Lit(b), Add(Mul(Lit(q), Lit(m)), Lit(v))))
 
 
+def _beta_at(w, b, c, i, v):
+    return And(pair_inst(w, b, c), mod_inst(v, b, 1 + (i + 1) * c))
+
+
 def beta_inst(w, i, v):
     b, c = split(w)
-    m = 1 + (i + 1) * c
-    return And(pair_inst(w, b, c), mod_inst(v, b, m))
+    return _beta_at(w, b, c, i, v)
+
+
+def seq_inst(xs):
+    """[beta_inst(w, i, x) for each position i, x] with w = seq_encode(xs).
+
+    w is split into <b,c> once, not once per position: for a long trace
+    the isqrt of the split dominates the cost of the instances.
+    """
+    w = seq_encode(xs)
+    b, c = split(w)
+    return [_beta_at(w, b, c, i, x) for i, x in enumerate(xs)]
 
 
 def tuple_inst(t, vals):

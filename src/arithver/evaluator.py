@@ -80,14 +80,6 @@ def _neg(r):
     return r
 
 
-def _conj(a, b):
-    if a.is_false() or b.is_false():
-        return FALSE
-    if a.is_true() and b.is_true():
-        return TRUE
-    return a if not a.is_exact() else b
-
-
 def _disj(a, b):
     if a.is_true() or b.is_true():
         return TRUE
@@ -108,12 +100,22 @@ def eval_formula(f, v, budget=Budget(), _depth=0):
     if isinstance(f, Not):
         return _neg(eval_formula(f.body, v, budget, _depth))
     if isinstance(f, And):
-        # short-circuit: And(False, _) is False in strong Kleene, so the
-        # right side need not be evaluated at all
-        a = eval_formula(f.left, v, budget, _depth)
+        # conj builds right-nested chains thousands long, so the right
+        # spine is walked by a loop, not by recursion.  Strong Kleene with
+        # short-circuit: False at the first false conjunct, evaluating
+        # nothing after it; otherwise the first Unknown; otherwise True.
+        pending = None
+        while isinstance(f, And):
+            a = eval_formula(f.left, v, budget, _depth)
+            if a.is_false():
+                return FALSE
+            if pending is None and not a.is_exact():
+                pending = a
+            f = f.right
+        a = eval_formula(f, v, budget, _depth)
         if a.is_false():
             return FALSE
-        return _conj(a, eval_formula(f.right, v, budget, _depth))
+        return pending if pending is not None else a
     if isinstance(f, Or):
         a = eval_formula(f.left, v, budget, _depth)
         if a.is_true():

@@ -6,7 +6,7 @@ functions of level-0 formulas, and compilation to while-programs.
 from dataclasses import dataclass
 
 from . import coding
-from .coding import beta_graph, beta_inst
+from .coding import beta_graph
 from .terms import (Add as AddT, And, BExists, BForall, Eq, Exists, FalseC,
                     Lit, Lt, Mul as MulT, Names, Not, One, Or, TrueC, Var,
                     Zero, conj, free_vars, mk_numeral, strip_exists,
@@ -258,12 +258,11 @@ def _gamma_inst(h, args):
             step, acc = _gamma_inst(h.g, vec + [i, acc])
             trace.append(acc)
             steps.append(step)
-        w = coding.seq_encode(trace)
-        parts = [And(beta_inst(w, 0, trace[0]), base)]
+        betas = coding.seq_inst(trace)
+        parts = [And(betas[0], base)]
         for i, step in enumerate(steps):
-            parts.append(conj([beta_inst(w, i, trace[i]),
-                               beta_inst(w, i + 1, trace[i + 1]), step]))
-        parts.append(And(beta_inst(w, count, acc), Eq(Lit(acc), Lit(acc))))
+            parts.append(conj([betas[i], betas[i + 1], step]))
+        parts.append(And(betas[count], Eq(Lit(acc), Lit(acc))))
         return conj(parts), acc
     if isinstance(h, Mn):
         prior, y = [], 0

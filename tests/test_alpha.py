@@ -2,8 +2,11 @@ import random
 
 import pytest
 
+from arithver import coding
+from arithver.coding import (beta_index, beta_inst, seq_encode, tuple_encode,
+                             tuple_inst)
 from arithver.terms import (Add, And, Eq, FalseC, Lit, Lt, Mul, Not, TrueC,
-                            Var, free_vars)
+                            Var, conj, free_vars)
 from arithver.evaluator import Budget, eval_formula
 from arithver.hierarchy import SIGMA, classify
 from arithver.whilelang import (Assign, If, Less, NotB, Seq, While,
@@ -11,6 +14,7 @@ from arithver.whilelang import (Assign, If, Less, NotB, Seq, While,
 from arithver.alpha import (HoareTriple, check_triple, encode_alpha,
                             encode_alpha_out, instantiate_alpha, vc,
                             vc_instance)
+from arithver.xrec import gamma_instance, monus_schema
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -70,6 +74,45 @@ def test_instantiate_alpha_counting_loop():
         inst = instantiate_alpha(COUNT, {x: n}, 1000)
         assert free_vars(inst) == set()
         assert eval_formula(inst, {}).is_true()
+
+
+def test_instantiate_alpha_counting_loop_by_hand():
+    # COUNT at x=2 over (y, x): the loop heads are (0,2), (1,2), (2,2), and
+    # each head's state is built from its code read back out of w
+    heads = [[0, 2], [1, 2], [2, 2]]
+    w = seq_encode([tuple_encode(h) for h in heads])
+
+    def state(j):
+        t = beta_index(w, j)
+        return And(beta_inst(w, j, t), tuple_inst(t, heads[j]))
+
+    def step(j):
+        return And(Lt(Lit(j), Lit(2)),
+                   conj([Eq(Lit(j + 1), Add(Lit(j), Lit(1))), Eq(Lit(2), Lit(2))]))
+
+    loop = conj([state(0)]
+                + [p for j in range(2) for p in (state(j), state(j + 1), step(j))]
+                + [state(2), Not(Lt(Lit(2), Lit(2)))])
+    want = And(conj([Eq(Lit(0), Lit(0)), Eq(Lit(2), Lit(2))]), loop)
+    assert instantiate_alpha(COUNT, {x: 2}, 1000) == want
+
+
+@pytest.mark.parametrize("build", [
+    lambda: instantiate_alpha(COUNT, {x: 20}, 1000),
+    lambda: vc_instance(HoareTriple(TrueC(), COUNT, Not(Lt(y, x))), {x: 5}, 1000),
+    lambda: gamma_instance(monus_schema(), [3, 2], 1),
+], ids=["instantiate_alpha", "vc_instance", "gamma_instance-nested-pr"])
+def test_each_trace_code_split_once(build, monkeypatch):
+    # the instance builders split each trace code where it is made, not
+    # once per position that reads it
+    calls = {"split": 0, "seq_encode": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(coding, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(coding, name, counted)
+    build()
+    assert calls["split"] == calls["seq_encode"] > 0
 
 
 def test_instantiate_alpha_nested_loop():

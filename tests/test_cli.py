@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -160,6 +161,42 @@ def test_negative_input_rejected(argv, tmp_path, capsys):
                                        for a in argv])
     assert (code, out) == (3, "")
     assert "naturals" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "x = 1", "--assign", "x=1,x=2"],
+    ["run", COUNT, "--input", "x=1,x=5"],
+], ids=["eval", "run"])
+def test_repeated_variable_rejected(argv, capsys):
+    # an input that names a variable twice is ambiguous: a usage error
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "repeated" in err
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_run_prints_result_past_str_digit_limit(as_json, capsys):
+    # x = 2^(2^14) has 4,933 digits, past int's default 4,300-digit limit
+    # on str conversion; main lifts the limit and restores it afterwards
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    prog = "x := 2; while y < 14 do x := x * x; y := y + 1 od"
+    code, out, err = run_cli(capsys, "run", prog, *(["--json"] * as_json))
+    assert (code, err) == (0, "")
+    if as_json:
+        digits = json.loads(out, parse_int=str)["state"]["x"]
+    else:
+        digits = re.search(r"x=(\d+)", out).group(1)
+    assert len(digits) == 4933
+    assert digits.startswith("118973149535723176")
+    assert int(digits[-30:]) == pow(2, 2 ** 14, 10 ** 30)
+    assert limit() == before
+
+
+def test_eval_literal_past_str_digit_limit(capsys):
+    big = "7" * 5000
+    code, out, _ = run_cli(capsys, "eval", f"{big} = {big}")
+    assert (code, out.strip()) == (0, "true")
 
 
 def test_encode_alpha(capsys):

@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from arithver.coding import (beta, beta_graph, beta_index, beta_inst, mod_graph,
                              mod_inst, pair, pair_graph, pair_inst, seq_encode,
-                             split, tuple_decode, tuple_encode, tuple_graph,
-                             tuple_inst)
+                             seq_inst, split, tuple_decode, tuple_encode,
+                             tuple_graph, tuple_inst)
 from arithver.evaluator import eval_formula
 from arithver.terms import Names, Var
 
@@ -105,6 +105,12 @@ def test_many_random_sequences_decode():
 def test_seq_encode_random(xs):
     w = seq_encode(xs)
     assert [beta_index(w, i) for i in range(len(xs))] == xs
+
+
+@given(st.lists(st.integers(0, 10 ** 9), min_size=1, max_size=10))
+def test_seq_inst_is_beta_inst_at_every_position(xs):
+    w = seq_encode(xs)
+    assert seq_inst(xs) == [beta_inst(w, i, x) for i, x in enumerate(xs)]
 
 
 # -- defining formulas against the numeric decoders -------------------------

@@ -2,7 +2,7 @@ import pytest
 
 from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, FalseC,
                             Forall, Iff, Implies, Lit, Lt, Mul, Not, Or,
-                            TrueC, Var)
+                            TrueC, Var, conj)
 from arithver.evaluator import (FALSE, TRUE, Budget, TriState,
                                 WitnessSearchError, assignments, eval_formula,
                                 eval_term, find_witnesses, format_assignment,
@@ -47,6 +47,38 @@ def test_strong_kleene_short_circuits_through_unknown():
     assert eval_formula(Or(u, TrueC()), {}, b).is_true()
     assert not eval_formula(And(TrueC(), u), {}, b).is_exact()
     assert not eval_formula(Not(u), {}, b).is_exact()
+
+
+def test_long_and_chain_at_default_recursion_limit():
+    # conj nests right, one level per conjunct
+    eqs = [Eq(Lit(n), Lit(n)) for n in range(20000)]
+    assert eval_formula(conj(eqs), {}).is_true()
+    assert eval_formula(conj(eqs + [FalseC()]), {}).is_false()
+
+
+def test_and_chain_unknown_then_false_is_false():
+    u = Exists(z, Eq(Mul(z, z), Lit(7)))
+    b = Budget(q_bound=5)
+    assert eval_formula(conj([u, TrueC(), FalseC()]), {}, b).is_false()
+    assert eval_formula(conj([TrueC(), u, FalseC(), TrueC()]), {}, b).is_false()
+
+
+def test_and_chain_reports_first_unknown():
+    u1 = Exists(z, Eq(Mul(z, z), Lit(7)))
+    u2 = Forall(z, Lt(z, Lit(100)))
+    b = Budget(q_bound=5)
+    assert eval_formula(conj([u1, TrueC(), u2]), {}, b) == unknown("no witness <= 5")
+    assert eval_formula(conj([u2, TrueC(), u1]), {}, b) == unknown(
+        "no counterexample <= 5")
+
+
+def test_and_chain_stops_at_first_false():
+    # a non-formula raises TypeError if it is ever evaluated
+    never = "never evaluated"
+    assert eval_formula(conj([TrueC(), FalseC(), never, never]), {}).is_false()
+    assert eval_formula(And(And(TrueC(), FalseC()), never), {}).is_false()
+    with pytest.raises(TypeError):
+        eval_formula(conj([TrueC(), never, FalseC()]), {})
 
 
 def test_bounded_quantifiers_are_exact():
