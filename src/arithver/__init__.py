@@ -12,7 +12,7 @@ from .coding import beta, beta_index, pair, seq_encode, split, tuple_decode, tup
 from .evaluator import (FALSE, TRUE, Budget, TriState, WitnessSearchError,
                         eval_formula, eval_term, find_witnesses, unknown)
 from .whilelang import (Assign, If, ImpliesB, Less, NotB, RunOutcome, Seq,
-                        While, bool_to_formula, program_vars, run)
+                        While, program_vars, run)
 from .hierarchy import HierarchyLevel, classify, prenexify
 from .alpha import (HoareTriple, Verdict, check_triple, encode_alpha,
                     encode_alpha_out, instantiate_alpha, vc, vc_instance)

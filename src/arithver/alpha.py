@@ -20,8 +20,8 @@ from .terms import (Add, And, BExists, BForall, Eq, Exists, Forall, Implies,
                     substitute_simultaneous)
 from .evaluator import (Budget, assignments, eval_formula, eval_term,
                         format_assignment)
-from .whilelang import (Assign, If, Program, Seq, While, bool_to_formula,
-                        eval_bool, program_vars, run)
+from .whilelang import (Assign, If, OutOfFuel, Program, Seq, While, holds,
+                        program_vars, run)
 
 
 def _state_graph(w, i, terms, names):
@@ -43,9 +43,8 @@ def encode_alpha(prog):
 
 
 def _guard_at(guard, xs, at):
-    """The guard as a formula, with program variables replaced by terms."""
-    g = bool_to_formula(guard)
-    return substitute_simultaneous(g, list(zip(xs, at)))
+    """The guard with program variables replaced by terms."""
+    return substitute_simultaneous(guard, list(zip(xs, at)))
 
 
 def _alpha(prog, xs, invars, outvars, names):
@@ -128,10 +127,6 @@ def encode_alpha_out(prog, index, inputs):
     return out, list(inputs), y
 
 
-class FuelExhausted(Exception):
-    pass
-
-
 def instantiate_alpha(prog, state, fuel):
     """A closed, quantifier-free instance of alpha_S for an actual run.
 
@@ -142,7 +137,7 @@ def instantiate_alpha(prog, state, fuel):
     xs = program_vars(prog)
     try:
         final, inst, _ = _inst(prog, xs, dict(state), fuel)
-    except FuelExhausted:
+    except OutOfFuel:
         return None
     return inst
 
@@ -162,7 +157,7 @@ def _inst(prog, xs, st, fuel):
     """
     if isinstance(prog, Assign):
         if fuel < 1:
-            raise FuelExhausted
+            raise OutOfFuel(dict(st))
         before = [Lit(v) for v in _num_state(xs, st)]
         st[prog.var] = eval_term(prog.expr, st)
         after = _num_state(xs, st)
@@ -177,10 +172,10 @@ def _inst(prog, xs, st, fuel):
         return st, And(a1, a2), fuel
     if isinstance(prog, If):
         if fuel < 1:
-            raise FuelExhausted
+            raise OutOfFuel(dict(st))
         fuel -= 1
         g = _guard_inst(prog.guard, xs, st)
-        if eval_bool(prog.guard, st):
+        if holds(prog.guard, st):
             st, a, fuel = _inst(prog.then, xs, st, fuel)
             return st, And(g, a), fuel
         st, a, fuel = _inst(prog.els, xs, st, fuel)
@@ -190,9 +185,9 @@ def _inst(prog, xs, st, fuel):
         parts = []
         while True:
             if fuel < 1:
-                raise FuelExhausted
+                raise OutOfFuel(dict(st))
             fuel -= 1
-            if not eval_bool(prog.guard, st):
+            if not holds(prog.guard, st):
                 break
             g = _guard_inst(prog.guard, xs, st)
             st, a, fuel = _inst(prog.body, xs, st, fuel)
@@ -241,7 +236,7 @@ def vc_instance(triple, state, fuel):
     xs = program_vars(triple.prog)
     try:
         final, inst, _ = _inst(triple.prog, xs, dict(state), fuel)
-    except FuelExhausted:
+    except OutOfFuel:
         return None
     pre = substitute_simultaneous(
         triple.pre, [(x, Lit(state.get(x, 0))) for x in xs])

@@ -1,7 +1,8 @@
 """Command-line workbench tying the library together.
 
 Exit codes: 0 ok/verified/accepted, 1 counterexample/false/rejected,
-2 unknown/inconclusive, 3 usage or parse error.  Every command accepts
+2 unknown/inconclusive, 3 usage or parse error, 4 internal error (a
+crash, never read as a verdict).  Every command accepts
 --json for a machine-readable tree with a "kind" discriminator per node.
 """
 
@@ -15,7 +16,7 @@ from . import alpha, hierarchy, proofs, syntax, whilelang, xrec
 from .evaluator import Budget, eval_formula
 from .terms import FalseC, TrueC, Var
 
-OK, FALSIFIED, UNKNOWN, USAGE = 0, 1, 2, 3
+OK, FALSIFIED, UNKNOWN, USAGE, INTERNAL = 0, 1, 2, 3, 4
 
 
 # ---------------------------------------------------------------------------
@@ -23,8 +24,7 @@ OK, FALSIFIED, UNKNOWN, USAGE = 0, 1, 2, 3
 
 
 # kinds are class names in lower case, keys are field names, except:
-_KINDS = {TrueC: "true", FalseC: "false", whilelang.NotB: "not",
-          whilelang.ImpliesB: "implies"}
+_KINDS = {TrueC: "true", FalseC: "false"}
 _KEYS = {"n": "value", "els": "else"}
 
 
@@ -35,7 +35,7 @@ def _shape(cls):
 
 
 def tree_json(node):
-    """The --json tree of a term, formula, boolean guard or program."""
+    """The --json tree of a term, formula (guards included) or program."""
     kind, keys = _shape(type(node))
     out = {"kind": kind}
     for field, key in keys:
@@ -399,6 +399,9 @@ def _main(argv):
             xrec.NotLevelZero) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .terms import And, Implies, Not, alpha_equal, free_vars, substitute
 from .evaluator import Budget, assignments, eval_formula, format_assignment
-from .whilelang import Assign, If, Seq, While, bool_to_formula
+from .whilelang import Assign, If, Seq, While
 from .alpha import HoareTriple
 
 
@@ -150,7 +150,7 @@ def _check(p, loc, grid, budget, nodes):
         if not isinstance(c.prog, If):
             _reject(nodes, loc, "conditional rule applied to a non-conditional")
             return
-        b = bool_to_formula(c.prog.guard)
+        b = c.prog.guard
         tc, ec = p.then_pf.conclusion, p.else_pf.conclusion
         if tc.prog != c.prog.then or ec.prog != c.prog.els:
             _reject(nodes, loc, "premise programs do not match the branches")
@@ -175,7 +175,7 @@ def _check(p, loc, grid, budget, nodes):
         if not isinstance(c.prog, While):
             _reject(nodes, loc, "loop rule applied to a non-loop")
             return
-        b = bool_to_formula(c.prog.guard)
+        b = c.prog.guard
         inv = p.invariant
         if not alpha_equal(c.pre, inv):
             _reject(nodes, loc, "conclusion precondition is not the invariant")

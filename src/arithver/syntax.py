@@ -8,7 +8,8 @@ Grammar (operators listed loosest-first):
                    | forall IDENT [< t] . f | exists IDENT [< t] . f | ( f )
                (-> and <-> right-associative; quantifier bodies extend
                maximally to the right)
-    booleans   b ::= t < t | ~b | b -> b | ( b )
+    guards     b ::= t < t | ~b | b -> b | ( b )
+               (quantifier-free formulas; -> right-associative)
     programs   S ::= IDENT := t | S ; S | if b then S else S fi
                    | while b do S od          (; right-associative)
     schemas    const(m,n) | proj(i,n) | add | mul | cn(f; g1,...,gm)
@@ -32,7 +33,7 @@ from dataclasses import dataclass, fields
 from . import xrec
 from .terms import (Add, And, BExists, BForall, Eq, Exists, FalseC, Forall,
                     Iff, Implies, Lit, Lt, Mul, Not, Or, TrueC, Var)
-from .whilelang import Assign, If, ImpliesB, Less, NotB, Seq as SeqP, While
+from .whilelang import Assign, If, Seq as SeqP, While
 from .alpha import HoareTriple
 from .proofs import AssignAxiom, CondRule, ConseqRule, SeqRule, WhileRule
 
@@ -273,13 +274,13 @@ class _Parser:
         left = self.bool_unary()
         if self.at("->"):
             self.next()
-            return ImpliesB(left, self.boolexpr())
+            return Implies(left, self.boolexpr())
         return left
 
     def bool_unary(self):
         if self.at("~"):
             self.next()
-            return NotB(self.bool_unary())
+            return Not(self.bool_unary())
         if self.at("("):
             mark = self.pos
             try:
@@ -295,16 +296,20 @@ class _Parser:
                     return inner
         left = self.term()
         self.expect("<")
-        return Less(left, self.term())
+        return Lt(left, self.term())
 
     # -- programs -------------------------------------------------------
 
     def program(self):
-        first = self.statement()
-        if self.at(";"):
+        # read iteratively, nested to the right
+        stmts = [self.statement()]
+        while self.at(";"):
             self.next()
-            return SeqP(first, self.program())
-        return first
+            stmts.append(self.statement())
+        out = stmts.pop()
+        for s in reversed(stmts):
+            out = SeqP(s, out)
+        return out
 
     def statement(self):
         if self.at_word("if"):

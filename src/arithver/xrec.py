@@ -13,7 +13,7 @@ from .terms import (Add as AddT, And, BExists, BForall, Eq, Exists, FalseC,
                     substitute)
 from .evaluator import assignments, eval_formula
 from .hierarchy import classify, prenexify, desugar
-from .whilelang import Assign, Less, Seq, While
+from .whilelang import Assign, Seq, While
 
 
 class XRecSchema:
@@ -608,7 +608,7 @@ def _emit(h, args, target, names):
         body = _seq([_emit(h.g, vec + [i, acc], tmp, names),
                      Assign(acc, tmp),
                      Assign(i, AddT(i, Lit(1)))])
-        parts.append(While(Less(i, count), body))
+        parts.append(While(Lt(i, count), body))
         parts.append(Assign(target, acc))
         return _seq(parts)
     if isinstance(h, Mn):
@@ -616,7 +616,7 @@ def _emit(h, args, target, names):
         probe = names.fresh("m")
         parts = [Assign(y, Lit(0)),
                  _emit(h.f, args + [y], probe, names),
-                 While(Less(Lit(0), probe),
+                 While(Lt(Lit(0), probe),
                        _seq([Assign(y, AddT(y, Lit(1))),
                              _emit(h.f, args + [y], probe, names)])),
                  Assign(target, y)]

@@ -12,7 +12,7 @@ import random
 from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, FalseC,
                             Forall, Iff, Implies, Lit, Lt, Mul, Not, One, Or,
                             TrueC, Var, Zero)
-from arithver.whilelang import Assign, If, ImpliesB, Less, NotB, Seq, While
+from arithver.whilelang import Assign, If, Seq, While
 
 VARS = [Var("x"), Var("y"), Var("z")]
 
@@ -60,12 +60,12 @@ def random_formula(rng, depth=3, vars=VARS):
 
 def random_bool(rng, depth=1, vars=VARS, in_loop=False):
     if depth == 0 or rng.random() < 0.6:
-        return Less(random_term(rng, 1, vars, in_loop),
-                    random_term(rng, 1, vars, in_loop))
+        return Lt(random_term(rng, 1, vars, in_loop),
+                  random_term(rng, 1, vars, in_loop))
     if rng.random() < 0.6:
-        return NotB(random_bool(rng, depth - 1, vars, in_loop))
-    return ImpliesB(random_bool(rng, depth - 1, vars, in_loop),
-                    random_bool(rng, depth - 1, vars, in_loop))
+        return Not(random_bool(rng, depth - 1, vars, in_loop))
+    return Implies(random_bool(rng, depth - 1, vars, in_loop),
+                   random_bool(rng, depth - 1, vars, in_loop))
 
 
 def random_program(rng, depth=3, vars=None, in_loop=False):
@@ -91,7 +91,7 @@ def random_program(rng, depth=3, vars=None, in_loop=False):
                        + [w for w in vars if w != v])
     body = _append(random_program(rng, depth - 1, vars, True),
                    Assign(v, Add(v, Lit(1))))
-    return While(Less(v, bound), body)
+    return While(Lt(v, bound), body)
 
 
 def _append(p, stmt):

@@ -17,7 +17,7 @@ from arithver.terms import (Add, And, BForall, Eq, Exists, FalseC, Lit, Lt,
 from arithver.coding import beta_index, pair, seq_encode, split
 from arithver.evaluator import Budget, eval_formula, find_witnesses
 from arithver.hierarchy import classify, prenexify
-from arithver.whilelang import Assign, Less, Seq, While, program_vars, run
+from arithver.whilelang import Assign, Seq, While, program_vars, run
 from arithver.alpha import (HoareTriple, check_triple, encode_alpha,
                             instantiate_alpha, vc_instance)
 from arithver.xrec import (STDLIB, AddF, Cn, Const, Mn, Proj, cases, gamma,
@@ -34,7 +34,7 @@ from hierarchy_fixtures import FIXTURES
 x, y, z = Var("x"), Var("y"), Var("z")
 
 INC = Assign(y, Add(y, Lit(1)))
-LOOP = While(Less(y, x), INC)
+LOOP = While(Lt(y, x), INC)
 COUNT = Seq(Assign(y, Lit(0)), LOOP)
 
 

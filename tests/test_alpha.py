@@ -9,8 +9,7 @@ from arithver.terms import (Add, And, Eq, FalseC, Lit, Lt, Mul, Not, TrueC,
                             Var, conj, free_vars)
 from arithver.evaluator import Budget, eval_formula
 from arithver.hierarchy import SIGMA, classify
-from arithver.whilelang import (Assign, If, Less, NotB, Seq, While,
-                                program_vars, run)
+from arithver.whilelang import Assign, If, Seq, While, program_vars, run
 from arithver.alpha import (HoareTriple, check_triple, encode_alpha,
                             encode_alpha_out, instantiate_alpha, vc,
                             vc_instance)
@@ -18,8 +17,8 @@ from arithver.xrec import gamma_instance, monus_schema
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
-COUNT = Seq(Assign(y, Lit(0)), While(Less(y, x), Assign(y, Add(y, Lit(1)))))
-BRANCH = If(Less(x, Lit(3)), Assign(y, Lit(0)), Assign(y, Lit(1)))
+COUNT = Seq(Assign(y, Lit(0)), While(Lt(y, x), Assign(y, Add(y, Lit(1)))))
+BRANCH = If(Lt(x, Lit(3)), Assign(y, Lit(0)), Assign(y, Lit(1)))
 
 
 def test_encode_alpha_shapes():
@@ -116,14 +115,14 @@ def test_each_trace_code_split_once(build, monkeypatch):
 
 
 def test_instantiate_alpha_nested_loop():
-    inner = While(Less(z, y), Assign(z, Add(z, Lit(1))))
+    inner = While(Lt(z, y), Assign(z, Add(z, Lit(1))))
     prog = Seq(Assign(z, Lit(0)), Seq(COUNT, inner))
     inst = instantiate_alpha(prog, {x: 3}, 1000)
     assert eval_formula(inst, {}).is_true()
 
 
 def test_instantiate_alpha_fuel_exhaustion_returns_none():
-    diverge = While(Less(x, Lit(1)), Assign(x, x))
+    diverge = While(Lt(x, Lit(1)), Assign(x, x))
     assert instantiate_alpha(diverge, {x: 0}, 50) is None
 
 
@@ -175,7 +174,7 @@ def test_vc_instance_false_for_invalid_triple():
 
 
 def test_vc_instance_fuel_exhaustion():
-    diverge = While(Less(x, Lit(1)), Assign(x, x))
+    diverge = While(Lt(x, Lit(1)), Assign(x, x))
     t = HoareTriple(TrueC(), diverge, FalseC())
     assert vc_instance(t, {x: 0}, 20) is None
 
@@ -194,7 +193,7 @@ def test_check_triple_counterexample():
 
 
 def test_check_triple_divergence_caveat():
-    diverge = While(NotB(Less(x, Lit(0))), Assign(x, Add(x, Lit(1))))
+    diverge = While(Not(Lt(x, Lit(0))), Assign(x, Add(x, Lit(1))))
     t = HoareTriple(TrueC(), diverge, FalseC())
     v = check_triple(t, grid=2, fuel=50)
     assert v.is_verified()

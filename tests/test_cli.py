@@ -12,7 +12,7 @@ from arithver.cli import main, tree_json
 from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, FalseC,
                             Forall, Iff, Implies, Lit, Lt, Mul, Not, One, Or,
                             TrueC, Var, Zero)
-from arithver.whilelang import Assign, If, ImpliesB, Less, NotB, Seq, While
+from arithver.whilelang import Assign, If, Seq, While
 
 COUNT = "y:=0; while y<x do y:=y+1 od"
 
@@ -54,9 +54,9 @@ def test_tree_json_every_kind():
                         Exists(y, BForall(z, Add(x, Mul(y, Lit(3))),
                                           BExists(w, z, Eq(w, z)))))))
     p = Seq(Assign(x, Add(Zero(), One())),
-            If(ImpliesB(Less(x, Lit(1)), NotB(Less(y, Lit(2)))),
+            If(Implies(Lt(x, Lit(1)), Not(Lt(y, Lit(2)))),
                Assign(x, Lit(0)),
-               While(Less(y, x), Assign(y, Mul(y, Lit(1))))))
+               While(Lt(y, x), Assign(y, Mul(y, Lit(1))))))
     want_f = {"kind": "and",
               "left": {"kind": "or", "left": {"kind": "true"},
                        "right": {"kind": "false"}},
@@ -92,17 +92,17 @@ def test_tree_json_every_kind():
               "second": {
                   "kind": "if",
                   "guard": {"kind": "implies",
-                            "left": {"kind": "less", "left": _v("x"),
+                            "left": {"kind": "lt", "left": _v("x"),
                                      "right": {"kind": "lit", "value": 1}},
                             "right": {"kind": "not",
-                                      "body": {"kind": "less",
+                                      "body": {"kind": "lt",
                                                "left": _v("y"),
                                                "right": {"kind": "lit",
                                                          "value": 2}}}},
                   "then": {"kind": "assign", "var": "x",
                            "expr": {"kind": "lit", "value": 0}},
                   "else": {"kind": "while",
-                           "guard": {"kind": "less", "left": _v("y"),
+                           "guard": {"kind": "lt", "left": _v("y"),
                                      "right": _v("x")},
                            "body": {"kind": "assign", "var": "y",
                                     "expr": {"kind": "mul", "left": _v("y"),
@@ -128,6 +128,9 @@ def test_parse_program_json(capsys):
     assert code == 0
     assert tree["kind"] == "seq"
     assert tree["second"]["kind"] == "while"
+    # a guard is a formula, so it prints with the formula kinds
+    assert tree["second"]["guard"] == {"kind": "lt", "left": _v("y"),
+                                       "right": _v("x")}
 
 
 def test_run(capsys):
@@ -141,6 +144,26 @@ def test_run_fuel_exhaustion_exit_2(capsys):
                           "--input", "", "--fuel", "9")
     assert code == 2
     assert tree["terminated"] is False and tree["steps"] == 9
+
+
+def test_run_deep_sequence(capsys):
+    # the parser reads `;` chains with a loop and the interpreter walks
+    # their right spine with one, so 3,000 statements do not recurse
+    prog = "; ".join(["y:=y+1"] * 3000)
+    code, tree = run_json(capsys, "run", prog, "--fuel", "10000")
+    assert code == 0
+    assert tree["terminated"] is True and tree["steps"] == 3000
+    assert tree["state"] == {"y": 3000}
+
+
+def test_crash_is_internal_error_not_verdict(capsys):
+    # `/\` nests to the left, and evaluation still recurses on the left
+    # operand: the crash must not read as the verdict "false" (exit 1)
+    f = " /\\ ".join(["x = 1"] * 3000)
+    code, out, err = run_cli(capsys, "eval", f, "--assign", "x=1")
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: RecursionError: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_run_bad_input_assignment(capsys):

@@ -1,10 +1,15 @@
-"""Source hygiene: no module imports a name it never uses, and none imports
-another module's private (underscored) name."""
+"""Source hygiene: no module imports a name it never uses, none imports
+another module's private (underscored) name, and the while language has
+one syntax tree, whose guards are formulas."""
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
+
+from arithver import whilelang
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "arithver"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -56,3 +61,13 @@ def test_coding_needs_only_terms():
 
 def test_xrec_does_not_import_alpha():
     assert "alpha" not in _sibling_imports(SRC / "xrec.py")
+
+
+def test_whilelang_nodes_are_programs():
+    # guards are formulas from terms, so every syntax node that whilelang
+    # itself defines is a statement; RunOutcome is a result record
+    nodes = [c for _, c in inspect.getmembers(whilelang, inspect.isclass)
+             if c.__module__ == whilelang.__name__
+             and dataclasses.is_dataclass(c) and c is not whilelang.RunOutcome]
+    assert nodes
+    assert all(issubclass(c, whilelang.Program) for c in nodes), nodes

@@ -3,7 +3,7 @@ import pytest
 from arithver.terms import (Add, And, Eq, Exists, FalseC, Lit, Lt, Not,
                             TrueC, Var)
 from arithver.evaluator import Budget
-from arithver.whilelang import Assign, If, Less, Seq, While
+from arithver.whilelang import Assign, If, Seq, While
 from arithver.alpha import HoareTriple, check_triple
 from arithver.proofs import (AssignAxiom, CheckReport, CondRule, ConseqRule,
                              SeqRule, WhileRule, check_proof)
@@ -11,7 +11,7 @@ from arithver.proofs import (AssignAxiom, CheckReport, CondRule, ConseqRule,
 x, y, z = Var("x"), Var("y"), Var("z")
 
 INC = Assign(y, Add(y, Lit(1)))
-LOOP = While(Less(y, x), INC)
+LOOP = While(Lt(y, x), INC)
 COUNT = Seq(Assign(y, Lit(0)), LOOP)
 
 
@@ -86,7 +86,7 @@ def test_seq_midpoint_mismatch():
 
 
 def test_cond_rule():
-    prog = If(Less(x, Lit(3)), Assign(y, Lit(0)), Assign(y, Lit(1)))
+    prog = If(Lt(x, Lit(3)), Assign(y, Lit(0)), Assign(y, Lit(1)))
     b = Lt(x, Lit(3))
     post = Lt(y, Lit(2))
     thn = ConseqRule(
@@ -101,7 +101,7 @@ def test_cond_rule():
 
 
 def test_cond_rule_wrong_guard_shape():
-    prog = If(Less(x, Lit(3)), Assign(y, Lit(0)), Assign(y, Lit(1)))
+    prog = If(Lt(x, Lit(3)), Assign(y, Lit(0)), Assign(y, Lit(1)))
     thn = AssignAxiom(HoareTriple(TrueC(), Assign(y, Lit(0)), TrueC()))
     els = AssignAxiom(HoareTriple(TrueC(), Assign(y, Lit(1)), TrueC()))
     p = CondRule(thn, els, HoareTriple(TrueC(), prog, TrueC()))

@@ -4,7 +4,7 @@ import pytest
 
 from arithver.terms import (Add, And, BForall, Eq, Exists, Implies, Iff, Lit,
                             Lt, Mul, Not, Or, Var, alpha_equal)
-from arithver.whilelang import Assign, If, NotB, Seq, While
+from arithver.whilelang import Assign, If, Seq, While
 from arithver.xrec import Cn, Const, Mn, Pr, Proj, xrec_eval
 from arithver.proofs import (AssignAxiom, CondRule, ConseqRule, SeqRule,
                              WhileRule, check_proof)
@@ -65,7 +65,7 @@ def test_program_examples():
     q = parse_program("if x<1 then y:=0 else y:=1 fi")
     assert isinstance(q, If)
     r = parse_program("while ~(x<1) do x:=x od")
-    assert isinstance(r.guard, NotB)
+    assert isinstance(r.guard, Not)
 
 
 def test_seq_right_associates():

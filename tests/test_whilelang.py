@@ -1,13 +1,18 @@
+import random
+
 import pytest
 
-from arithver.terms import Add, Implies, Lit, Lt, Mul, Not, Var
-from arithver.whilelang import (Assign, If, ImpliesB, Less, NotB, Seq, While,
-                                bool_to_formula, eval_bool, node_ids,
-                                program_vars, run)
+from arithver import whilelang
+from arithver.evaluator import eval_formula
+from arithver.terms import Add, Eq, Implies, Lit, Lt, Not, Var
+from arithver.whilelang import (Assign, If, Seq, While, holds, program_vars,
+                                run)
+
+from generators import VARS, random_bool
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
-COUNT = Seq(Assign(y, Lit(0)), While(Less(y, x), Assign(y, Add(y, Lit(1)))))
+COUNT = Seq(Assign(y, Lit(0)), While(Lt(y, x), Assign(y, Add(y, Lit(1)))))
 
 
 def test_assign():
@@ -23,7 +28,7 @@ def test_input_state_not_mutated():
 
 def test_seq_and_if():
     p = Seq(Assign(y, Lit(3)),
-            If(Less(x, y), Assign(z, Lit(1)), Assign(z, Lit(2))))
+            If(Lt(x, y), Assign(z, Lit(1)), Assign(z, Lit(2))))
     assert run(p, {x: 0}, 10).state[z] == 1
     assert run(p, {x: 5}, 10).state[z] == 2
 
@@ -38,7 +43,7 @@ def test_counting_loop():
 
 
 def test_fuel_exhaustion_reports_steps_equal_fuel():
-    diverge = While(Less(x, Lit(1)), Assign(x, x))
+    diverge = While(Lt(x, Lit(1)), Assign(x, x))
     out = run(diverge, {x: 0}, 37)
     assert not out.terminated
     assert out.steps == 37
@@ -61,17 +66,30 @@ def test_missing_vars_read_zero():
     assert out.terminated and out.state[y] == 0
 
 
-def test_eval_bool():
-    assert eval_bool(Less(x, y), {x: 1, y: 2})
-    assert eval_bool(NotB(Less(y, x)), {x: 1, y: 2})
-    assert eval_bool(ImpliesB(Less(y, x), Less(x, x)), {x: 1, y: 2})
-    assert not eval_bool(ImpliesB(Less(x, y), Less(x, x)), {x: 1, y: 2})
+def test_holds():
+    assert holds(Lt(x, y), {x: 1, y: 2})
+    assert holds(Not(Lt(y, x)), {x: 1, y: 2})
+    assert holds(Implies(Lt(y, x), Lt(x, x)), {x: 1, y: 2})
+    assert not holds(Implies(Lt(x, y), Lt(x, x)), {x: 1, y: 2})
+    with pytest.raises(TypeError):
+        holds(Eq(x, y), {})
 
 
-def test_bool_to_formula():
-    b = ImpliesB(NotB(Less(x, y)), Less(y, x))
-    f = bool_to_formula(b)
-    assert f == Implies(Not(Lt(x, y)), Lt(y, x))
+def test_holds_agrees_with_evaluator():
+    # holds is the interpreter's fast path; eval_formula is the reference
+    rng = random.Random(6)
+    for _ in range(500):
+        g = random_bool(rng, 3)
+        v = {w: rng.randrange(6) for w in VARS}
+        ref = eval_formula(g, v)
+        assert ref.is_exact()
+        assert holds(g, v) == ref.is_true()
+
+
+def test_guard_classes_are_formula_classes():
+    assert whilelang.Less is Lt
+    assert whilelang.NotB is Not
+    assert whilelang.ImpliesB is Implies
 
 
 def test_program_vars_first_occurrence_order():
@@ -81,22 +99,23 @@ def test_program_vars_first_occurrence_order():
 
 
 def test_program_vars_guards_counted():
-    p = While(Less(x, y), Assign(z, Lit(0)))
+    p = While(Lt(x, y), Assign(z, Lit(0)))
     assert program_vars(p) == [x, y, z]
 
 
-def test_node_ids_preorder():
-    ids = node_ids(COUNT)
-    assert ids[id(COUNT)] == 0
-    assert ids[id(COUNT.first)] == 1
-    assert ids[id(COUNT.second)] == 2
-    assert ids[id(COUNT.second.body)] == 3
-
-
 def test_nested_loop_terminates():
-    inner = While(Less(z, y), Assign(z, Add(z, Lit(1))))
+    inner = While(Lt(z, y), Assign(z, Add(z, Lit(1))))
     p = Seq(Assign(y, Lit(0)),
-            While(Less(y, x), Seq(Seq(Assign(z, Lit(0)), inner),
-                                  Assign(y, Add(y, Lit(1))))))
+            While(Lt(y, x), Seq(Seq(Assign(z, Lit(0)), inner),
+                                Assign(y, Add(y, Lit(1))))))
     out = run(p, {x: 4}, 10 ** 4)
     assert out.terminated and out.state[y] == 4
+
+
+def test_deep_sequence_runs():
+    p = Assign(y, Add(y, Lit(1)))
+    for _ in range(2999):
+        p = Seq(Assign(y, Add(y, Lit(1))), p)
+    out = run(p, {}, 10 ** 4)
+    assert out.terminated and out.steps == 3000 and out.state[y] == 3000
+    assert program_vars(p) == [y]
