@@ -167,9 +167,15 @@ def _inst(prog, xs, st, fuel):
                for j in range(len(xs))]
         return st, conj(eqs), fuel - 1
     if isinstance(prog, Seq):
-        st, a1, fuel = _inst(prog.first, xs, st, fuel)
-        st, a2, fuel = _inst(prog.second, xs, st, fuel)
-        return st, And(a1, a2), fuel
+        # the right spine by a loop, as in _exec; conj nests the parts to
+        # the right again, as the recursion did
+        parts = []
+        while isinstance(prog, Seq):
+            st, a, fuel = _inst(prog.first, xs, st, fuel)
+            parts.append(a)
+            prog = prog.second
+        st, a, fuel = _inst(prog, xs, st, fuel)
+        return st, conj(parts + [a]), fuel
     if isinstance(prog, If):
         if fuel < 1:
             raise OutOfFuel(dict(st))

@@ -55,6 +55,13 @@ def _emit(args, human, payload):
         print(human)
 
 
+def _emit_tree(args, node, fmt):
+    # only the form printed is built: a `;` chain too deep for the
+    # recursive --json walk still prints as text
+    _emit(args, None if args.json else fmt(node),
+          tree_json(node) if args.json else None)
+
+
 # ---------------------------------------------------------------------------
 # Argument helpers
 
@@ -112,13 +119,13 @@ def _read_file(path):
 
 def cmd_parse_formula(args):
     f = syntax.parse_formula(args.text)
-    _emit(args, syntax.format_formula(f), tree_json(f))
+    _emit_tree(args, f, syntax.format_formula)
     return OK
 
 
 def cmd_parse_program(args):
     p = syntax.parse_program(args.text)
-    _emit(args, syntax.format_program(p), tree_json(p))
+    _emit_tree(args, p, syntax.format_program)
     return OK
 
 
@@ -167,7 +174,7 @@ def cmd_classify(args):
 def cmd_prenex(args):
     f = syntax.parse_formula(args.text)
     g = hierarchy.prenexify(f)
-    _emit(args, syntax.format_formula(g), tree_json(g))
+    _emit_tree(args, g, syntax.format_formula)
     return OK
 
 
@@ -191,7 +198,7 @@ def _triple_from_args(args):
 def cmd_vc(args):
     t = _triple_from_args(args)
     f = alpha.vc(t)
-    _emit(args, syntax.format_formula(f), tree_json(f))
+    _emit_tree(args, f, syntax.format_formula)
     return OK
 
 

@@ -147,24 +147,28 @@ def mod_inst(v, b, m):
                Eq(Lit(b), Add(Mul(Lit(q), Lit(m)), Lit(v))))
 
 
-def _beta_at(w, b, c, i, v):
-    return And(pair_inst(w, b, c), mod_inst(v, b, 1 + (i + 1) * c))
+def _beta_at(pair, b, c, i, v):
+    return And(pair, mod_inst(v, b, 1 + (i + 1) * c))
 
 
 def beta_inst(w, i, v):
     b, c = split(w)
-    return _beta_at(w, b, c, i, v)
+    return _beta_at(pair_inst(w, b, c), b, c, i, v)
 
 
 def seq_inst(xs):
     """[beta_inst(w, i, x) for each position i, x] with w = seq_encode(xs).
 
     w is split into <b,c> once, not once per position: for a long trace
-    the isqrt of the split dominates the cost of the instances.
+    the isqrt of the split dominates the cost of the instances.  Every
+    position holds the same pair-equation object, so an evaluation that
+    memoises by node (eval_formula) multiplies out the w-sized product
+    once per trace, not once per position.
     """
     w = seq_encode(xs)
     b, c = split(w)
-    return [_beta_at(w, b, c, i, x) for i, x in enumerate(xs)]
+    pair = pair_inst(w, b, c)
+    return [_beta_at(pair, b, c, i, x) for i, x in enumerate(xs)]
 
 
 def tuple_inst(t, vals):

@@ -88,47 +88,60 @@ def _disj(a, b):
     return a if not a.is_exact() else b
 
 
-def eval_formula(f, v, budget=Budget(), _depth=0):
+def eval_formula(f, v, budget=Budget()):
+    # a shared Eq node is evaluated once per call: its verdict is memoised
+    # by id, which stays valid because f keeps every node alive until the
+    # call returns and v is not changed.  Quantifier bodies run under other
+    # assignments, so they get no memo.
+    return _eval(f, v, budget, 0, {})
+
+
+def _eval(f, v, budget, depth, memo):
     if isinstance(f, TrueC):
         return TRUE
     if isinstance(f, FalseC):
         return FALSE
     if isinstance(f, Eq):
-        return TRUE if eval_term(f.left, v) == eval_term(f.right, v) else FALSE
+        r = memo.get(id(f)) if memo is not None else None
+        if r is None:
+            r = TRUE if eval_term(f.left, v) == eval_term(f.right, v) else FALSE
+            if memo is not None:
+                memo[id(f)] = r
+        return r
     if isinstance(f, Lt):
         return TRUE if eval_term(f.left, v) < eval_term(f.right, v) else FALSE
     if isinstance(f, Not):
-        return _neg(eval_formula(f.body, v, budget, _depth))
-    if isinstance(f, And):
-        # conj builds right-nested chains thousands long, so the right
-        # spine is walked by a loop, not by recursion.  Strong Kleene with
-        # short-circuit: False at the first false conjunct, evaluating
-        # nothing after it; otherwise the first Unknown; otherwise True.
+        return _neg(_eval(f.body, v, budget, depth, memo))
+    if isinstance(f, (And, Or)):
+        # the parser nests chains to the left and conj to the right, both
+        # thousands long, so the operands are walked by an explicit stack
+        # over both spines, left to right.  Strong Kleene with
+        # short-circuit: And is False at the first false conjunct,
+        # evaluating nothing after it, otherwise the first Unknown,
+        # otherwise True; Or is the dual.
+        kind = type(f)
+        hit, out = (FALSE, TRUE) if kind is And else (TRUE, FALSE)
         pending = None
-        while isinstance(f, And):
-            a = eval_formula(f.left, v, budget, _depth)
-            if a.is_false():
-                return FALSE
-            if pending is None and not a.is_exact():
-                pending = a
-            f = f.right
-        a = eval_formula(f, v, budget, _depth)
-        if a.is_false():
-            return FALSE
-        return pending if pending is not None else a
-    if isinstance(f, Or):
-        a = eval_formula(f.left, v, budget, _depth)
-        if a.is_true():
-            return TRUE
-        return _disj(a, eval_formula(f.right, v, budget, _depth))
+        todo = [f]
+        while todo:
+            g = todo.pop()
+            if isinstance(g, kind):
+                todo += (g.right, g.left)
+                continue
+            r = _eval(g, v, budget, depth, memo)
+            if r.value == hit.value:
+                return hit
+            if pending is None and not r.is_exact():
+                pending = r
+        return pending if pending is not None else out
     if isinstance(f, Implies):
-        a = eval_formula(f.left, v, budget, _depth)
+        a = _eval(f.left, v, budget, depth, memo)
         if a.is_false():
             return TRUE
-        return _disj(_neg(a), eval_formula(f.right, v, budget, _depth))
+        return _disj(_neg(a), _eval(f.right, v, budget, depth, memo))
     if isinstance(f, Iff):
-        a = eval_formula(f.left, v, budget, _depth)
-        b = eval_formula(f.right, v, budget, _depth)
+        a = _eval(f.left, v, budget, depth, memo)
+        b = _eval(f.right, v, budget, depth, memo)
         if a.is_exact() and b.is_exact():
             return TRUE if a.value == b.value else FALSE
         return a if not a.is_exact() else b
@@ -140,19 +153,19 @@ def eval_formula(f, v, budget=Budget(), _depth=0):
         out = FALSE if isinstance(f, BExists) else TRUE
         pending = None
         for i in range(n):
-            r = eval_formula(f.body, _bind(v, f.var, i), budget, _depth)
+            r = _eval(f.body, _bind(v, f.var, i), budget, depth, None)
             if r == hit:
                 return hit
             if not r.is_exact():
                 pending = r
         return pending if pending is not None else out
     if isinstance(f, (Forall, Exists)):
-        if _depth >= budget.depth:
+        if depth >= budget.depth:
             return unknown("unbounded-quantifier depth guard exceeded")
         hit = TRUE if isinstance(f, Exists) else FALSE
         pending = None
         for i in range(budget.q_bound + 1):
-            r = eval_formula(f.body, _bind(v, f.var, i), budget, _depth + 1)
+            r = _eval(f.body, _bind(v, f.var, i), budget, depth + 1, None)
             if r == hit:
                 return hit
             if not r.is_exact():

@@ -21,6 +21,16 @@ class Var(Term):
     def __post_init__(self):
         if not _IDENT_RE.match(self.name):
             raise ValueError(f"bad variable name: {self.name!r}")
+        # variables key every assignment, so the hash is computed once; it
+        # is the dataclass's own, hash((name,)), so set order is unchanged
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__: a string's hash differs between processes
+        return Var, (self.name,)
 
     def __str__(self):
         return self.name

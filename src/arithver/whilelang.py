@@ -32,7 +32,14 @@ class Seq(Program):
     second: Program
 
     def __str__(self):
-        return f"{self.first}; {self.second}"
+        # the right spine by a loop: `;` chains run thousands long
+        parts = []
+        p = self
+        while isinstance(p, Seq):
+            parts.append(str(p.first))
+            p = p.second
+        parts.append(str(p))
+        return "; ".join(parts)
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,23 @@ def test_instantiate_alpha_counting_loop_by_hand():
     assert instantiate_alpha(COUNT, {x: 2}, 1000) == want
 
 
+def test_instantiate_alpha_counting_loop_at_200():
+    # 201 loop heads: the shared pair equation of w is evaluated once
+    inst = instantiate_alpha(COUNT, {x: 200}, 1000)
+    assert eval_formula(inst, {}).is_true()
+
+
+def test_instantiate_alpha_long_sequence():
+    # a `;` chain of 3,000 statements is walked by a loop, not recursion
+    step = Assign(y, Add(y, Lit(1)))
+    prog = step
+    for _ in range(2999):
+        prog = Seq(step, prog)
+    inst = instantiate_alpha(prog, {y: 0}, 10000)
+    assert eval_formula(inst, {}).is_true()
+    assert inst.left == Eq(Lit(1), Add(Lit(0), Lit(1)))
+
+
 @pytest.mark.parametrize("build", [
     lambda: instantiate_alpha(COUNT, {x: 20}, 1000),
     lambda: vc_instance(HoareTriple(TrueC(), COUNT, Not(Lt(y, x))), {x: 5}, 1000),

@@ -156,10 +156,26 @@ def test_run_deep_sequence(capsys):
     assert tree["state"] == {"y": 3000}
 
 
+def test_parse_program_deep_sequence(capsys):
+    # printing walks the right spine of `;` with a loop
+    prog = "; ".join(["y:=y+1"] * 3000)
+    code, out, _ = run_cli(capsys, "parse-program", prog)
+    assert code == 0
+    assert out.strip() == "; ".join(["y := (y + 1)"] * 3000)
+
+
+@pytest.mark.parametrize("op", ["/\\", "\\/"], ids=["and", "or"])
+def test_eval_deep_chain(op, capsys):
+    # the parser nests the chain to the left; evaluation walks it by a stack
+    f = f" {op} ".join(["x = 1"] * 3000)
+    code, out, _ = run_cli(capsys, "eval", f, "--assign", "x=1")
+    assert (code, out.strip()) == (0, "true")
+
+
 def test_crash_is_internal_error_not_verdict(capsys):
-    # `/\` nests to the left, and evaluation still recurses on the left
-    # operand: the crash must not read as the verdict "false" (exit 1)
-    f = " /\\ ".join(["x = 1"] * 3000)
+    # the parser still recurses once per `~`: the crash must not read as
+    # the verdict "false" (exit 1)
+    f = "~" * 3000 + "x = 1"
     code, out, err = run_cli(capsys, "eval", f, "--assign", "x=1")
     assert (code, out) == (4, "")
     assert err.startswith("internal error: RecursionError: ")

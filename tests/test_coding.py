@@ -113,6 +113,18 @@ def test_seq_inst_is_beta_inst_at_every_position(xs):
     assert seq_inst(xs) == [beta_inst(w, i, x) for i, x in enumerate(xs)]
 
 
+@given(st.lists(st.integers(0, 10 ** 9), min_size=1, max_size=10))
+def test_seq_inst_shares_one_pair_instance(xs):
+    # every position holds the same pair-equation object, and still equals
+    # the position's own beta_inst
+    w = seq_encode(xs)
+    insts = seq_inst(xs)
+    assert len({id(inst.left) for inst in insts}) == 1
+    for i, inst in enumerate(insts):
+        assert inst == beta_inst(w, i, xs[i])
+        assert inst.left is not beta_inst(w, i, xs[i]).left
+
+
 # -- defining formulas against the numeric decoders -------------------------
 
 z, a, b, w, i, v = (Var(n) for n in ("z", "a", "b", "w", "i", "v"))

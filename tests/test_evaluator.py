@@ -1,5 +1,9 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, strategies as st
+
+from arithver.syntax import format_formula, parse_formula
 from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, FalseC,
                             Forall, Iff, Implies, Lit, Lt, Mul, Not, Or,
                             TrueC, Var, conj)
@@ -7,6 +11,8 @@ from arithver.evaluator import (FALSE, TRUE, Budget, TriState,
                                 WitnessSearchError, assignments, eval_formula,
                                 eval_term, find_witnesses, format_assignment,
                                 unknown)
+
+from generators import random_formula
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -79,6 +85,71 @@ def test_and_chain_stops_at_first_false():
     assert eval_formula(And(And(TrueC(), FalseC()), never), {}).is_false()
     with pytest.raises(TypeError):
         eval_formula(conj([TrueC(), never, FalseC()]), {})
+
+
+def test_left_nested_chains_at_default_recursion_limit():
+    # the parser nests `/\` and `\/` to the left, one level per operand
+    f = g = Eq(x, Lit(1))
+    for _ in range(20000):
+        f, g = And(f, Eq(x, Lit(1))), Or(g, Eq(x, Lit(1)))
+    assert eval_formula(f, {x: 1}).is_true()
+    assert eval_formula(f, {x: 2}).is_false()
+    assert eval_formula(g, {x: 1}).is_true()
+    assert eval_formula(g, {x: 2}).is_false()
+
+
+def test_nested_chains_keep_kleene_order():
+    u1 = Exists(z, Eq(Mul(z, z), Lit(7)))
+    u2 = Forall(z, Lt(z, Lit(100)))
+    b = Budget(q_bound=5)
+    never = "never evaluated"
+    # And: False at the first false conjunct, else the first Unknown
+    assert eval_formula(And(And(u1, u2), TrueC()), {}, b) == unknown("no witness <= 5")
+    assert eval_formula(And(And(u2, TrueC()), u1), {}, b) == unknown(
+        "no counterexample <= 5")
+    assert eval_formula(And(And(u1, FalseC()), never), {}, b).is_false()
+    # Or is the dual: True at the first true disjunct, else the first Unknown
+    assert eval_formula(Or(Or(u1, FalseC()), u2), {}, b) == unknown("no witness <= 5")
+    assert eval_formula(Or(Or(FalseC(), u2), u1), {}, b) == unknown(
+        "no counterexample <= 5")
+    assert eval_formula(Or(Or(u1, TrueC()), never), {}, b).is_true()
+    assert eval_formula(Or(Or(FalseC(), FalseC()), FalseC()), {}, b).is_false()
+    with pytest.raises(TypeError):
+        eval_formula(Or(Or(FalseC(), never), TrueC()), {}, b)
+
+
+def test_shared_eq_is_not_reused_under_a_binder():
+    # one Eq object outside and inside a binder of its variable: the
+    # verdict outside says nothing about the body, and the reverse
+    e = Eq(x, Lit(0))
+
+    def fresh():
+        return Eq(x, Lit(0))
+
+    cases = [
+        (lambda p, q: And(p, BForall(x, Lit(3), q)), {x: 0}, False),
+        (lambda p, q: Or(p, BExists(x, Lit(3), q)), {x: 5}, True),
+        (lambda p, q: And(BExists(x, Lit(3), q), p), {x: 5}, False),
+        (lambda p, q: And(Exists(x, q), Not(p)), {x: 5}, True),
+        (lambda p, q: Or(Forall(x, q), p), {x: 0}, True),
+    ]
+    for build, v, want in cases:
+        got = eval_formula(build(e, e), v, Budget(q_bound=3))
+        assert got == eval_formula(build(fresh(), fresh()), v, Budget(q_bound=3))
+        assert got == (TRUE if want else FALSE)
+
+
+@given(st.integers(0, 2 ** 32), st.lists(st.integers(0, 4), min_size=3,
+                                         max_size=3))
+def test_shared_subformulas_evaluate_as_unshared(seed, vals):
+    # And(f, ~~f) holds every node of f twice; the rebuilt copy holds none
+    rng = random.Random(seed)
+    f = random_formula(rng)
+    shared = And(f, Not(Not(f)))
+    unshared = parse_formula(format_formula(shared))
+    v = dict(zip((x, y, z), vals))
+    b = Budget(q_bound=3)
+    assert eval_formula(shared, v, b) == eval_formula(unshared, v, b)
 
 
 def test_bounded_quantifiers_are_exact():

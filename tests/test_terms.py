@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -20,6 +21,16 @@ def test_var_name_validation():
         Var("1abc")
     with pytest.raises(ValueError):
         Var("")
+
+
+def test_var_hash_is_the_dataclass_hash():
+    # computed once, but the same value as before, so set order is unchanged
+    for name in ("x", "y'", "w_12"):
+        v = Var(name)
+        assert hash(v) == hash((name,))
+        copy = pickle.loads(pickle.dumps(v))
+        assert copy == v and hash(copy) == hash(v)
+    assert repr(Var("x")) == "Var(name='x')"
 
 
 def test_numeral_expansion():
