@@ -11,8 +11,8 @@ from .terms import (Add, And, BExists, BForall, Eq, Exists, FalseC, Forall,
 from .coding import beta, beta_index, pair, seq_encode, split, tuple_decode, tuple_encode
 from .evaluator import (FALSE, TRUE, Budget, TriState, WitnessSearchError,
                         eval_formula, eval_term, find_witnesses, unknown)
-from .whilelang import (Assign, If, ImpliesB, Less, NotB, RunOutcome, Seq,
-                        While, program_vars, run)
+from .whilelang import (Assign, If, RunOutcome, Seq, While, program_vars,
+                        run)
 from .hierarchy import HierarchyLevel, classify, prenexify
 from .alpha import (HoareTriple, Verdict, check_triple, encode_alpha,
                     encode_alpha_out, instantiate_alpha, vc, vc_instance)

@@ -8,7 +8,9 @@ the coding's own formulas for (w)_i = v and t = <c1,...,cm> (see coding).
 
 instantiate_alpha replaces every existential (including the bounded ones
 carrying huge trace codes) by concrete numerals computed from an actual
-run, so the instance is quantifier-free and evaluates exactly.
+run, so the instance is quantifier-free and evaluates exactly.  The
+instances replay a run that whilelang.run has checked halts: run owns the
+cost model, and the replay charges no fuel.
 """
 
 from dataclasses import dataclass
@@ -20,8 +22,8 @@ from .terms import (Add, And, BExists, BForall, Eq, Exists, Forall, Implies,
                     substitute_simultaneous)
 from .evaluator import (Budget, assignments, eval_formula, eval_term,
                         format_assignment)
-from .whilelang import (Assign, If, OutOfFuel, Program, Seq, While, holds,
-                        program_vars, run)
+from .whilelang import (Assign, If, Program, Seq, While, holds, program_vars,
+                        run)
 
 
 def _state_graph(w, i, terms, names):
@@ -134,12 +136,18 @@ def instantiate_alpha(prog, state, fuel):
     bounded coding witnesses) is replaced by numerals computed from the
     execution.  Returns None when fuel runs out before termination.
     """
-    xs = program_vars(prog)
-    try:
-        final, inst, _ = _inst(prog, xs, dict(state), fuel)
-    except OutOfFuel:
+    replay = _replay(prog, program_vars(prog), state, fuel)
+    return None if replay is None else replay[1]
+
+
+def _replay(prog, xs, state, fuel):
+    """(final state, alpha instance) of prog's run from state, or None
+    when the run does not halt within fuel (run decides that)."""
+    if fuel < 1 or not run(prog, state, fuel).terminated:
         return None
-    return inst
+    st = dict(state)
+    inst = _inst(prog, xs, st)
+    return st, inst
 
 
 def _num_state(xs, st):
@@ -150,54 +158,36 @@ def _guard_inst(guard, xs, st):
     return _guard_at(guard, xs, [Lit(v) for v in _num_state(xs, st)])
 
 
-def _inst(prog, xs, st, fuel):
-    """Mirror of run() that also builds the witnessed alpha instance.
-
-    Mutates st; returns (state, instance formula, remaining fuel).
-    """
+def _inst(prog, xs, st):
+    """The witnessed alpha instance of a run that halts; mutates st into
+    the final state."""
     if isinstance(prog, Assign):
-        if fuel < 1:
-            raise OutOfFuel(dict(st))
         before = [Lit(v) for v in _num_state(xs, st)]
         st[prog.var] = eval_term(prog.expr, st)
         after = _num_state(xs, st)
         i = xs.index(prog.var)
         rhs = subst_term(prog.expr, dict(zip(xs, before)))
-        eqs = [Eq(Lit(after[j]), rhs if j == i else before[j])
-               for j in range(len(xs))]
-        return st, conj(eqs), fuel - 1
+        return conj([Eq(Lit(after[j]), rhs if j == i else before[j])
+                     for j in range(len(xs))])
     if isinstance(prog, Seq):
         # the right spine by a loop, as in _exec; conj nests the parts to
         # the right again, as the recursion did
         parts = []
         while isinstance(prog, Seq):
-            st, a, fuel = _inst(prog.first, xs, st, fuel)
-            parts.append(a)
+            parts.append(_inst(prog.first, xs, st))
             prog = prog.second
-        st, a, fuel = _inst(prog, xs, st, fuel)
-        return st, conj(parts + [a]), fuel
+        return conj(parts + [_inst(prog, xs, st)])
     if isinstance(prog, If):
-        if fuel < 1:
-            raise OutOfFuel(dict(st))
-        fuel -= 1
         g = _guard_inst(prog.guard, xs, st)
         if holds(prog.guard, st):
-            st, a, fuel = _inst(prog.then, xs, st, fuel)
-            return st, And(g, a), fuel
-        st, a, fuel = _inst(prog.els, xs, st, fuel)
-        return st, And(Not(g), a), fuel
+            return And(g, _inst(prog.then, xs, st))
+        return And(Not(g), _inst(prog.els, xs, st))
     if isinstance(prog, While):
         heads = [_num_state(xs, st)]
         parts = []
-        while True:
-            if fuel < 1:
-                raise OutOfFuel(dict(st))
-            fuel -= 1
-            if not holds(prog.guard, st):
-                break
+        while holds(prog.guard, st):
             g = _guard_inst(prog.guard, xs, st)
-            st, a, fuel = _inst(prog.body, xs, st, fuel)
-            parts.append(And(g, a))
+            parts.append(And(g, _inst(prog.body, xs, st)))
             heads.append(_num_state(xs, st))
         k = len(heads) - 1
         codes = [coding.tuple_encode(h) for h in heads]
@@ -211,7 +201,7 @@ def _inst(prog, xs, st, fuel):
             pieces += [states[j], states[j + 1], parts[j]]
         pieces.append(states[k])
         pieces.append(Not(_guard_inst(prog.guard, xs, st)))
-        return st, conj(pieces), fuel
+        return conj(pieces)
     raise TypeError(f"not a program: {prog!r}")
 
 
@@ -240,10 +230,10 @@ def vc_instance(triple, state, fuel):
     Returns None when the run exhausts its fuel.
     """
     xs = program_vars(triple.prog)
-    try:
-        final, inst, _ = _inst(triple.prog, xs, dict(state), fuel)
-    except OutOfFuel:
+    replay = _replay(triple.prog, xs, state, fuel)
+    if replay is None:
         return None
+    final, inst = replay
     pre = substitute_simultaneous(
         triple.pre, [(x, Lit(state.get(x, 0))) for x in xs])
     post = substitute_simultaneous(

@@ -111,7 +111,12 @@ def _eval(f, v, budget, depth, memo):
     if isinstance(f, Lt):
         return TRUE if eval_term(f.left, v) < eval_term(f.right, v) else FALSE
     if isinstance(f, Not):
-        return _neg(_eval(f.body, v, budget, depth, memo))
+        # a `~` chain by a loop, keeping its parity: chains run long
+        odd = False
+        while isinstance(f, Not):
+            f, odd = f.body, not odd
+        r = _eval(f, v, budget, depth, memo)
+        return _neg(r) if odd else r
     if isinstance(f, (And, Or)):
         # the parser nests chains to the left and conj to the right, both
         # thousands long, so the operands are walked by an explicit stack

@@ -8,8 +8,8 @@ Grammar (operators listed loosest-first):
                    | forall IDENT [< t] . f | exists IDENT [< t] . f | ( f )
                (-> and <-> right-associative; quantifier bodies extend
                maximally to the right)
-    guards     b ::= t < t | ~b | b -> b | ( b )
-               (quantifier-free formulas; -> right-associative)
+    guards     b ::= f   built from t < t, ~ and -> only
+               (read as a formula, then its shape is checked)
     programs   S ::= IDENT := t | S ; S | if b then S else S fi
                    | while b do S od          (; right-associative)
     schemas    const(m,n) | proj(i,n) | add | mul | cn(f; g1,...,gm)
@@ -218,12 +218,18 @@ class _Parser:
         return f
 
     def formula_unary(self):
-        if self.at("~"):
+        # a run of `~` by a loop: chains run thousands long
+        nots = 0
+        while self.at("~"):
             self.next()
-            return Not(self.formula_unary())
+            nots += 1
         if self.at_word("forall") or self.at_word("exists"):
-            return self.quantifier()
-        return self.formula_atom()
+            f = self.quantifier()
+        else:
+            f = self.formula_atom()
+        for _ in range(nots):
+            f = Not(f)
+        return f
 
     def quantifier(self):
         kw = self.next().text
@@ -268,35 +274,25 @@ class _Parser:
             return Lt(left, self.term())
         self.fail("expected '=' or '<' after a term")
 
-    # -- boolean guards -------------------------------------------------
+    # -- guards -------------------------------------------------------
 
-    def boolexpr(self):
-        left = self.bool_unary()
-        if self.at("->"):
-            self.next()
-            return Implies(left, self.boolexpr())
-        return left
-
-    def bool_unary(self):
-        if self.at("~"):
-            self.next()
-            return Not(self.bool_unary())
-        if self.at("("):
-            mark = self.pos
-            try:
-                self.next()
-                inner = self.boolexpr()
-                self.expect(")")
-            except ParseError:
-                self.pos = mark
-            else:
-                if self.at("<") or self.at("+") or self.at("*"):
-                    self.pos = mark
-                else:
-                    return inner
-        left = self.term()
-        self.expect("<")
-        return Lt(left, self.term())
+    def guard(self):
+        # a guard is a formula built from Lt, Not and Implies only; the
+        # shape is checked once, by an explicit walk
+        start = self.peek().span.start
+        g = self.formula()
+        todo = [g]
+        while todo:
+            n = todo.pop()
+            if isinstance(n, Implies):
+                todo += (n.left, n.right)
+            elif isinstance(n, Not):
+                todo.append(n.body)
+            elif not isinstance(n, Lt):
+                raise ParseError(
+                    "a guard is built from '<', '~' and '->' only",
+                    SourceSpan(start, self.toks[self.pos - 1].span.end))
+        return g
 
     # -- programs -------------------------------------------------------
 
@@ -314,7 +310,7 @@ class _Parser:
     def statement(self):
         if self.at_word("if"):
             self.next()
-            guard = self.boolexpr()
+            guard = self.guard()
             self.expect_word("then")
             then = self.program()
             self.expect_word("else")
@@ -323,7 +319,7 @@ class _Parser:
             return If(guard, then, els)
         if self.at_word("while"):
             self.next()
-            guard = self.boolexpr()
+            guard = self.guard()
             self.expect_word("do")
             body = self.program()
             self.expect_word("od")
@@ -455,7 +451,7 @@ def parse_formula(text):
 
 
 def parse_bool(text):
-    return _parse(text, _Parser.boolexpr)
+    return _parse(text, _Parser.guard)
 
 
 def parse_program(text):

@@ -3,8 +3,8 @@
 A guard is a quantifier-free formula built from Lt, Not and Implies, so
 alpha, the VCs and the proof rules use it as it is.  The cost model
 charges one fuel unit per assignment, per conditional test and per
-loop-guard test.  Fuel exhaustion is a value, not an error, and never
-proves divergence.
+loop-guard test.  run is the only place fuel is charged.  Fuel
+exhaustion is a value, not an error, and never proves divergence.
 """
 
 from dataclasses import dataclass
@@ -61,8 +61,9 @@ class While(Program):
         return f"while {self.guard} do {self.body} od"
 
 
-# the while language's names for the guard connectives
-Less, NotB, ImpliesB = Lt, Not, Implies
+# the while language's names for two guard classes; bench/wl_witness.py
+# imports them
+Less, NotB = Lt, Not
 
 
 def program_vars(prog):
@@ -111,11 +112,8 @@ class RunOutcome:
     steps: int
 
 
-class OutOfFuel(Exception):
-    """The fuel ran out; state is the program state at that point."""
-
-    def __init__(self, state):
-        self.state = state
+class _OutOfFuel(Exception):
+    """The fuel ran out; run's working state is the state at that point."""
 
 
 def run(prog, state, fuel):
@@ -130,8 +128,8 @@ def run(prog, state, fuel):
     st = dict(state)
     try:
         left = _exec(prog, st, fuel)
-    except OutOfFuel as e:
-        return RunOutcome(False, e.state, fuel)
+    except _OutOfFuel:
+        return RunOutcome(False, st, fuel)
     return RunOutcome(True, st, fuel - left)
 
 
@@ -143,19 +141,19 @@ def _exec(prog, st, fuel):
         prog = prog.second
     if isinstance(prog, Assign):
         if fuel < 1:
-            raise OutOfFuel(dict(st))
+            raise _OutOfFuel
         st[prog.var] = eval_term(prog.expr, st)
         return fuel - 1
     if isinstance(prog, If):
         if fuel < 1:
-            raise OutOfFuel(dict(st))
+            raise _OutOfFuel
         fuel -= 1
         branch = prog.then if holds(prog.guard, st) else prog.els
         return _exec(branch, st, fuel)
     if isinstance(prog, While):
         while True:
             if fuel < 1:
-                raise OutOfFuel(dict(st))
+                raise _OutOfFuel
             fuel -= 1
             if not holds(prog.guard, st):
                 return fuel

@@ -1,0 +1,156 @@
+"""A deterministic differential dump of arithver's observable outputs.
+
+Prints one line per case: alpha and VC instances (hashed), gamma
+instances of the schema library, three-valued verdicts with their
+reasons, program print/parse round trips, and guard parses with their
+errors.  Run it against two trees and compare the outputs byte for byte:
+
+    PYTHONPATH=src python tests/dump_outputs.py > new.txt
+    PYTHONPATH=/path/to/other/src python tests/dump_outputs.py > old.txt
+    cmp old.txt new.txt
+
+It imports arithver from whatever is on PYTHONPATH, and the test
+generators from its own directory.  The file has no `test_` prefix, so
+pytest does not collect it.
+"""
+
+import hashlib
+import itertools
+import random
+from dataclasses import fields, is_dataclass
+
+from arithver.alpha import HoareTriple, instantiate_alpha, vc_instance
+from arithver.evaluator import Budget, eval_formula
+from arithver.syntax import ParseError, parse_bool, parse_formula, parse_program
+from arithver.terms import Add, Eq, Lit, Lt, TrueC, Var
+from arithver.whilelang import Assign, Seq, While, program_vars
+from arithver.xrec import STDLIB, gamma_instance, xrec_eval
+
+from generators import VARS, random_bool, random_formula, random_program
+
+FUELS = (-1, 0, 1, 2, 3, 5, 8, 13, 40, 200)
+X, Y = Var("x"), Var("y")
+COUNT = Seq(Assign(Y, Lit(0)), While(Lt(Y, X), Assign(Y, Add(Y, Lit(1)))))
+MALFORMED = ("x = 1", "x < 1 /\\ y < 2", "true", "exists y . y < x",
+             "x < 1 <-> y < 1", "x <", "~", "(x < 1", "x < 1 -> if")
+
+
+def _leaf(v):
+    # hex, because decimal conversion of huge ints is capped
+    if isinstance(v, int):
+        return f"i{v:x};".encode()
+    return f"{type(v).__name__}:{v};".encode()
+
+
+def digest(root):
+    """A short sha256 of a dataclass tree, by an explicit post-order walk;
+    a node shared by several parents is hashed once."""
+    if root is None:
+        return "None"
+    done = {}
+    todo = [root]
+    while todo:
+        n = todo[-1]
+        if id(n) in done:
+            todo.pop()
+            continue
+        kids = [getattr(n, f.name) for f in fields(n)]
+        pending = [k for k in kids if is_dataclass(k) and id(k) not in done]
+        if pending:
+            todo += pending
+            continue
+        todo.pop()
+        h = hashlib.sha256(type(n).__name__.encode())
+        for k in kids:
+            h.update(done[id(k)] if is_dataclass(k) else _leaf(k))
+        done[id(n)] = h.digest()
+    return done[id(root)].hex()[:16]
+
+
+def attempt(thunk):
+    """thunk's result, or its error as `!Class message`."""
+    try:
+        return thunk()
+    except ParseError as e:
+        return f"!ParseError {e}"
+    except RecursionError:
+        return "!RecursionError"
+
+
+def _state(point):
+    return ",".join(f"{v}={n}" for v, n in point.items())
+
+
+def dump_instances(rng):
+    post = Eq(Y, X)
+    for n in range(40):
+        st = {X: n}
+        for fuel in (2 * n + 1, 2 * n + 2, 1000):
+            a = instantiate_alpha(COUNT, st, fuel)
+            v = vc_instance(HoareTriple(TrueC(), COUNT, post), st, fuel)
+            ok = None if a is None else eval_formula(a, {}).value
+            print(f"count x={n} fuel={fuel} alpha={digest(a)} {ok} "
+                  f"vc={digest(v)}")
+    progs = []
+    for k in range(400):
+        p = random_program(rng)
+        progs.append(p)
+        st = {v: rng.randrange(5) for v in program_vars(p)}
+        t = HoareTriple(random_bool(rng, 1), p, random_formula(rng, 1))
+        for fuel in FUELS:
+            a = instantiate_alpha(p, st, fuel)
+            v = vc_instance(t, st, fuel)
+            print(f"prog {k} {_state(st)} fuel={fuel} alpha={digest(a)} "
+                  f"vc={digest(v)}")
+    return progs
+
+
+def dump_gamma():
+    for name in sorted(STDLIB):
+        h = STDLIB[name]()
+        for args in itertools.product(range(4), repeat=h.arity):
+            val = xrec_eval(h, list(args), fuel=10 ** 6).value
+            inst = gamma_instance(h, list(args), val)
+            print(f"gamma {name} {list(args)} = {val} {digest(inst)} "
+                  f"{eval_formula(inst, {}).value}")
+
+
+def dump_eval(rng):
+    for k in range(12000):
+        f = random_formula(rng, 3)
+        point = {v: rng.randrange(5) for v in VARS}
+        r = eval_formula(f, point, Budget(q_bound=k % 4))
+        print(f"eval {k} {r.value} {r.reason}")
+    for n in (0, 1, 2, 3000, 3001):
+        text = "~" * n + "x = 1"
+        r = attempt(lambda: eval_formula(parse_formula(text), {X: 1}).value)
+        print(f"eval-not-chain {n} {r}")
+
+
+def dump_parses(rng, progs):
+    for k, p in enumerate(progs):
+        q = attempt(lambda: parse_program(str(p)))
+        print(f"parse-program {k} {q == p} {q if isinstance(q, str) else ''}")
+    guards = [str(random_bool(rng, 3)) for _ in range(500)]
+    guards += [str(random_formula(rng, 2)) for _ in range(200)]
+    guards += MALFORMED
+    for k, text in enumerate(guards):
+        for wrap in ("{}", "if {} then x := 0 else x := 1 fi",
+                     "while {} do x := 0 od"):
+            src = wrap.format(text)
+            parse = parse_bool if wrap == "{}" else parse_program
+            r = attempt(lambda: parse(src))
+            shown = r if isinstance(r, str) else digest(r)
+            print(f"guard {k} {src!r} {shown}")
+
+
+def main():
+    rng = random.Random(2017)
+    progs = dump_instances(rng)
+    dump_gamma()
+    dump_eval(rng)
+    dump_parses(rng, progs)
+
+
+if __name__ == "__main__":
+    main()

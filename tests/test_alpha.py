@@ -15,6 +15,8 @@ from arithver.alpha import (HoareTriple, check_triple, encode_alpha,
                             vc_instance)
 from arithver.xrec import gamma_instance, monus_schema
 
+from generators import random_program
+
 x, y, z = Var("x"), Var("y"), Var("z")
 
 COUNT = Seq(Assign(y, Lit(0)), While(Lt(y, x), Assign(y, Add(y, Lit(1)))))
@@ -141,6 +143,20 @@ def test_instantiate_alpha_nested_loop():
 def test_instantiate_alpha_fuel_exhaustion_returns_none():
     diverge = While(Lt(x, Lit(1)), Assign(x, x))
     assert instantiate_alpha(diverge, {x: 0}, 50) is None
+
+
+def test_instances_none_exactly_when_run_exhausts_fuel():
+    # the instances replay a run that run has checked, so "None" follows
+    # run's cost model, including fuel below 1, which run itself rejects
+    rng = random.Random(8)
+    for _ in range(300):
+        p = random_program(rng)
+        st = {v: rng.randrange(4) for v in program_vars(p)}
+        t = HoareTriple(TrueC(), p, TrueC())
+        for fuel in (-1, 0, 1, 2, 3, 5, 40):
+            halts = fuel >= 1 and run(p, st, fuel).terminated
+            assert (instantiate_alpha(p, st, fuel) is None) == (not halts)
+            assert (vc_instance(t, st, fuel) is None) == (not halts)
 
 
 def test_alpha_no_false_positive_outputs():

@@ -173,13 +173,22 @@ def test_eval_deep_chain(op, capsys):
 
 
 def test_crash_is_internal_error_not_verdict(capsys):
-    # the parser still recurses once per `~`: the crash must not read as
-    # the verdict "false" (exit 1)
-    f = "~" * 3000 + "x = 1"
+    # the parser still recurses once per parenthesis: the crash must not
+    # read as the verdict "false" (exit 1)
+    f = "(" * 3000 + "x = 1" + ")" * 3000
     code, out, err = run_cli(capsys, "eval", f, "--assign", "x=1")
     assert (code, out) == (4, "")
     assert err.startswith("internal error: RecursionError: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n, code, out", [(3000, 0, "true\n"),
+                                          (3001, 1, "false\n")],
+                         ids=["3000", "3001"])
+def test_deep_not_chain_evaluates(capsys, n, code, out):
+    # a run of `~` is read and evaluated by loops
+    f = "~" * n + "x = 1"
+    assert run_cli(capsys, "eval", f, "--assign", "x=1") == (code, out, "")
 
 
 def test_run_bad_input_assignment(capsys):

@@ -14,7 +14,7 @@ from arithver.syntax import (ParseError, SourceSpan, format_formula,
                              parse_proof, parse_schema, parse_term,
                              parse_triple, tokenize)
 
-from generators import random_formula, random_program
+from generators import random_bool, random_formula, random_program
 
 x, y = Var("x"), Var("y")
 
@@ -66,6 +66,32 @@ def test_program_examples():
     assert isinstance(q, If)
     r = parse_program("while ~(x<1) do x:=x od")
     assert isinstance(r.guard, Not)
+
+
+def test_guard_round_trip_500_random():
+    rng = random.Random(13)
+    for _ in range(500):
+        g = random_bool(rng, 3)
+        assert parse_bool(str(g)) == g, str(g)
+        p = parse_program(f"if {g} then x := 0 else x := 1 fi")
+        q = parse_program(f"while {g} do x := 0 od")
+        assert p.guard == g and q.guard == g, str(g)
+
+
+@pytest.mark.parametrize("guard", [
+    "x = 1", "x < 1 /\\ y < 2", "true", "exists y . y < x",
+    "x < 1 <-> y < 1"])
+@pytest.mark.parametrize("wrap", [
+    "{}", "if {} then x := 0 else x := 1 fi", "while {} do x := 0 od"])
+def test_malformed_guard_span_inside_guard(guard, wrap):
+    # a guard is read as a formula, then refused if it is not built from
+    # `<`, `~` and `->`; the error points into the guard
+    text = wrap.format(guard)
+    start = wrap.index("{}")
+    with pytest.raises(ParseError) as e:
+        (parse_bool if wrap == "{}" else parse_program)(text)
+    span = e.value.span
+    assert start <= span.start <= span.end <= start + len(guard), text
 
 
 def test_seq_right_associates():

@@ -56,6 +56,13 @@ def test_fuel_exact_boundary():
     assert not out.terminated
 
 
+def test_state_at_exhaustion():
+    # init, guard, body, guard: the fourth unit is the last spent
+    out = run(COUNT, {x: 10}, 4)
+    assert not out.terminated and out.steps == 4
+    assert out.state == {x: 10, y: 1}
+
+
 def test_fuel_validation():
     with pytest.raises(ValueError):
         run(COUNT, {}, 0)
@@ -89,7 +96,6 @@ def test_holds_agrees_with_evaluator():
 def test_guard_classes_are_formula_classes():
     assert whilelang.Less is Lt
     assert whilelang.NotB is Not
-    assert whilelang.ImpliesB is Implies
 
 
 def test_program_vars_first_occurrence_order():
