@@ -95,9 +95,13 @@ def _parse_vars(text):
     if not text:
         return []
     try:
-        return [Var(v.strip()) for v in text.split(",")]
+        vs = [Var(v.strip()) for v in text.split(",")]
     except ValueError as e:
         raise CliError(str(e))
+    for i, v in enumerate(vs):
+        if v in vs[:i]:
+            raise CliError(f"bad variable list {text!r}: {v.name} is repeated")
+    return vs
 
 
 def _budget(args):

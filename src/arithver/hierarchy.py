@@ -5,9 +5,11 @@ conditionals and biconditionals are desugared and negation is pushed to
 atoms first.  Strictness is reported for prenex shapes, counting
 quantifier-block alternations.
 
-Prenexing keeps bounded quantifiers in the matrix.  An unbounded
-quantifier nested under a bounded one of the opposite kind is lifted with
-a fresh collection bound: over N,
+Prenexing first renames apart: every binder gets a name of its own, free
+nowhere in the formula, from one Names supply that also names the
+collection bounds below.  Bounded quantifiers stay in the matrix.  An
+unbounded quantifier nested under a bounded one of the opposite kind is
+lifted with a fresh collection bound: over N,
     forall x<t . exists y . p   iff   exists B . forall x<t . exists y<B . p
 and dually, both by finiteness of the bounded range.
 """
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .terms import (And, BExists, BForall, Eq, Exists, FalseC, Forall, Iff,
-                    Implies, Lt, Not, Or, TrueC, Var, free_vars, fresh_var,
-                    substitute)
+                    Implies, Lt, Names, Not, Or, TrueC, free_vars,
+                    rename_apart)
 
 SIGMA = "sigma"
 PI = "pi"
@@ -151,28 +153,6 @@ def classify(f):
     return HierarchyLevel(kind, n, strict, both)
 
 
-def _rename_apart(f, used):
-    """Give every binder a name unused so far; records names in used."""
-    if isinstance(f, (TrueC, FalseC, Eq, Lt)):
-        return f
-    if isinstance(f, Not):
-        return Not(_rename_apart(f.body, used))
-    if isinstance(f, (And, Or)):
-        return type(f)(_rename_apart(f.left, used), _rename_apart(f.right, used))
-    if isinstance(f, (Forall, Exists, BForall, BExists)):
-        var, body = f.var, f.body
-        if var.name in used:
-            new = fresh_var(var, {Var(nm) for nm in used})
-            body = substitute(body, var, new)
-            var = new
-        used.add(var.name)
-        body = _rename_apart(body, used)
-        if isinstance(f, (BForall, BExists)):
-            return type(f)(var, f.bound, body)
-        return type(f)(var, body)
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def _merge_prefixes(pa, pb):
     """Interleave two quantifier prefixes minimizing alternations.
 
@@ -221,23 +201,23 @@ def _merge_prefixes(pa, pb):
     return out
 
 
-def _pull(f, used):
+def _pull(f, names):
     """Return (prefix, matrix): prefix of unbounded quantifiers over a
     matrix whose unbounded quantifiers are gone (bounded ones remain)."""
     if isinstance(f, (TrueC, FalseC, Eq, Lt, Not)):
         return [], f
     if isinstance(f, (And, Or)):
-        pa, ma = _pull(f.left, used)
-        pb, mb = _pull(f.right, used)
+        pa, ma = _pull(f.left, names)
+        pb, mb = _pull(f.right, names)
         return _merge_prefixes(pa, pb), type(f)(ma, mb)
     if isinstance(f, Exists):
-        p, m = _pull(f.body, used)
+        p, m = _pull(f.body, names)
         return [(SIGMA, f.var)] + p, m
     if isinstance(f, Forall):
-        p, m = _pull(f.body, used)
+        p, m = _pull(f.body, names)
         return [(PI, f.var)] + p, m
     if isinstance(f, (BForall, BExists)):
-        p, m = _pull(f.body, used)
+        p, m = _pull(f.body, names)
         if not p:
             return [], type(f)(f.var, f.bound, m)
         outer = SIGMA if isinstance(f, BExists) else PI
@@ -245,14 +225,13 @@ def _pull(f, used):
         rest = _rebuild(p[1:], m)
         if kind == outer:
             # independent of the bounded variable: commute outward
-            p2, m2 = _pull(type(f)(f.var, f.bound, rest), used)
+            p2, m2 = _pull(type(f)(f.var, f.bound, rest), names)
             return [(kind, var)] + p2, m2
         # opposite kinds: lift with a fresh collection bound
-        cap = fresh_var(Var("w"), {Var(nm) for nm in used})
-        used.add(cap.name)
+        cap = names.fresh("w")
         binder = BExists if kind == SIGMA else BForall
         inner = type(f)(f.var, f.bound, binder(var, cap, rest))
-        p2, m2 = _pull(inner, used)
+        p2, m2 = _pull(inner, names)
         return [(kind, cap)] + p2, m2
     raise TypeError(f"not a formula: {f!r}")
 
@@ -270,7 +249,6 @@ def prenexify(f):
     Logically equivalent over N; bounded quantifiers stay in the matrix.
     """
     g = nnf(desugar(f))
-    used = {v.name for v in free_vars(g)}
-    g = _rename_apart(g, used)  # adds every binder name of g to used
-    prefix, matrix = _pull(g, used)
+    names = Names(free_vars(g))
+    prefix, matrix = _pull(rename_apart(g, names), names)
     return _rebuild(prefix, matrix)

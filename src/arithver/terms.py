@@ -2,6 +2,11 @@
 
 Numerals are stored as Lit nodes and expanded to sums of ones only on
 demand.  All nodes are immutable; substitution returns new trees.
+
+One walk substitutes and renames binders, simultaneously and without
+capture: a binder is renamed when it would capture a substituted term or
+its substituted bound would mention it, and under rename_apart when its
+name is taken.  Each body is walked once; fresh names come from Names.
 """
 
 from dataclasses import dataclass
@@ -258,17 +263,9 @@ def free_vars(f):
     raise TypeError(f"not a formula: {f!r}")
 
 
-def fresh_var(base, avoid):
-    """First primed copy of base whose name collides with nothing in avoid."""
-    names = {v.name for v in avoid}
-    name = base.name
-    while name in names:
-        name += "'"
-    return Var(name)
-
-
 class Names:
-    """Fresh-variable supply avoiding a growing set of names.
+    """Fresh-variable supply avoiding a growing set of names: the only
+    code that makes a fresh variable name.
 
     The candidates for a base are base, base', base'', base''', base_4,
     base_5, ...; each call hands out the first one not used yet.
@@ -317,46 +314,63 @@ def substitute_simultaneous(f, pairs):
     targets = [v for v, _ in pairs]
     if len(set(targets)) != len(targets):
         raise ValueError("substitution targets must be distinct")
-    return _subst(f, dict(pairs))
+    env = {v: t for v, t in pairs if t != v}  # x := x changes nothing
+    return _walk(f, env, None) if env else f
 
 
 def substitute(f, var, term):
-    return _subst(f, {var: term})
+    return f if term == var else _walk(f, {var: term}, None)
 
 
-def _subst(f, env):
-    env = {v: t for v, t in env.items() if t != v}
-    if not env:
-        return f
-    if isinstance(f, (TrueC, FalseC)):
+def rename_apart(f, names):
+    """f with its binders renamed apart from names.used, which records them."""
+    return _walk(f, {}, names)
+
+
+def _walk(f, env, names):
+    """f with env (Var -> Term) substituted simultaneously; with a Names
+    supply, binders are renamed apart as well."""
+    if not env and names is None:
         return f
     if isinstance(f, (Eq, Lt)):
-        return type(f)(subst_term(f.left, env), subst_term(f.right, env))
+        return type(f)(subst_term(f.left, env),
+                       subst_term(f.right, env)) if env else f
     if isinstance(f, Not):
-        return Not(_subst(f.body, env))
+        return Not(_walk(f.body, env, names))
     if isinstance(f, (And, Or, Implies, Iff)):
-        return type(f)(_subst(f.left, env), _subst(f.right, env))
+        return type(f)(_walk(f.left, env, names), _walk(f.right, env, names))
     if isinstance(f, (Forall, Exists)):
-        var, body, env2 = _enter_binder(f.var, f.body, env)
-        return type(f)(var, _subst(body, env2))
+        var, inner = _enter(f.var, f.body, (), env, names)
+        return type(f)(var, _walk(f.body, inner, names))
     if isinstance(f, (BForall, BExists)):
         bound = subst_term(f.bound, env)
-        var, body, env2 = _enter_binder(f.var, f.body, env)
-        return type(f)(var, bound, _subst(body, env2))
+        var, inner = _enter(f.var, f.body, term_vars(bound), env, names)
+        return type(f)(var, bound, _walk(f.body, inner, names))
+    if isinstance(f, (TrueC, FalseC)):
+        return f
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _enter_binder(var, body, env):
-    env = {v: t for v, t in env.items() if v != var}
-    captured = any(var in term_vars(t) for v, t in env.items() if v in free_vars(body))
-    if captured:
-        avoid = set(free_vars(body))
-        for t in env.values():
-            avoid |= term_vars(t)
-        new = fresh_var(var, avoid)
-        body = _subst(body, {var: new})
-        return new, body, env
-    return var, body, env
+def _enter(var, body, bound_vars, env, names):
+    """(binder, env for body) on entering the scope of var, whose
+    substituted bound has the variables bound_vars.  A renaming joins env;
+    a binder that keeps its name keeps its Var, and env is copied only
+    when var shadows one of its targets."""
+    if var in env:
+        env = {v: t for v, t in env.items() if v != var}
+    if names is not None:
+        if var.name not in names.used:
+            names.used.add(var.name)
+            return var, env
+        new = names.fresh(var.name)
+    else:
+        hits = [v for v, t in env.items() if var in term_vars(t)]
+        captures = hits and not free_vars(body).isdisjoint(hits)
+        if not captures and var not in bound_vars:
+            return var, env
+        used = free_vars(body).union(bound_vars, *map(term_vars, env.values()))
+        new = Names(used).fresh(var.name)
+    return new, {**env, var: new}
 
 
 def alpha_key(f, depth=0, bound=None):

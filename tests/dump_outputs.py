@@ -2,8 +2,10 @@
 
 Prints one line per case: alpha and VC instances (hashed), gamma
 instances of the schema library, three-valued verdicts with their
-reasons, program print/parse round trips, and guard parses with their
-errors.  Run it against two trees and compare the outputs byte for byte:
+reasons, program print/parse round trips, guard parses with their
+errors, and the binder walks: classification, prenex and negation normal
+forms, free variables and substitutions of random formulas.  Run it
+against two trees and compare the outputs byte for byte:
 
     PYTHONPATH=src python tests/dump_outputs.py > new.txt
     PYTHONPATH=/path/to/other/src python tests/dump_outputs.py > old.txt
@@ -21,16 +23,23 @@ from dataclasses import fields, is_dataclass
 
 from arithver.alpha import HoareTriple, instantiate_alpha, vc_instance
 from arithver.evaluator import Budget, eval_formula
+from arithver.hierarchy import classify, desugar, nnf, prenexify
 from arithver.syntax import ParseError, parse_bool, parse_formula, parse_program
-from arithver.terms import Add, Eq, Lit, Lt, TrueC, Var
+from arithver.terms import (Add, Eq, Lit, Lt, TrueC, Var, free_vars,
+                            substitute, substitute_simultaneous)
 from arithver.whilelang import Assign, Seq, While, program_vars
 from arithver.xrec import STDLIB, gamma_instance, xrec_eval
 
-from generators import VARS, random_bool, random_formula, random_program
+from generators import (VARS, random_bool, random_formula, random_program,
+                        random_term)
 
 FUELS = (-1, 0, 1, 2, 3, 5, 8, 13, 40, 200)
 X, Y = Var("x"), Var("y")
 COUNT = Seq(Assign(Y, Lit(0)), While(Lt(Y, X), Assign(Y, Add(Y, Lit(1)))))
+# random_formula's binder names, and their primed copies as substitution
+# targets: a target may equal the name a renamed binder gets
+BINDERS = [Var(c) for c in "abcduvw"]
+PRIMED = [Var(c + "'") for c in "abcduvw"]
 MALFORMED = ("x = 1", "x < 1 /\\ y < 2", "true", "exists y . y < x",
              "x < 1 <-> y < 1", "x <", "~", "(x < 1", "x < 1 -> if")
 
@@ -68,13 +77,13 @@ def digest(root):
 
 
 def attempt(thunk):
-    """thunk's result, or its error as `!Class message`."""
+    """thunk's result, or its error as `!ParseError message` or `!Class`."""
     try:
         return thunk()
     except ParseError as e:
         return f"!ParseError {e}"
-    except RecursionError:
-        return "!RecursionError"
+    except (RecursionError, ValueError) as e:
+        return f"!{type(e).__name__}"
 
 
 def _state(point):
@@ -144,12 +153,28 @@ def dump_parses(rng, progs):
             print(f"guard {k} {src!r} {shown}")
 
 
+def dump_binders(rng):
+    for k in range(3000):
+        f = random_formula(rng, 3 + k % 2)
+        print(f"binder {k} classify {classify(f)}")
+        print(f"binder {k} prenex {prenexify(f)}")
+        print(f"binder {k} nnf {nnf(desugar(f))}")
+        print(f"binder {k} free {sorted(v.name for v in free_vars(f))}")
+        v, t = rng.choice(VARS), random_term(rng, 2, VARS + BINDERS)
+        print(f"binder {k} subst {attempt(lambda: substitute(f, v, t))}")
+        targets = rng.sample(VARS + PRIMED, rng.randint(1, 3))
+        pairs = [(v, random_term(rng, 2, VARS + BINDERS)) for v in targets]
+        r = attempt(lambda: substitute_simultaneous(f, pairs))
+        print(f"binder {k} simul {r}")
+
+
 def main():
     rng = random.Random(2017)
     progs = dump_instances(rng)
     dump_gamma()
     dump_eval(rng)
     dump_parses(rng, progs)
+    dump_binders(random.Random(1988))
 
 
 if __name__ == "__main__":

@@ -214,7 +214,12 @@ def test_negative_input_rejected(argv, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["eval", "x = 1", "--assign", "x=1,x=2"],
     ["run", COUNT, "--input", "x=1,x=5"],
-], ids=["eval", "run"])
+    ["check-triple", COUNT, "--pre", "x = n", "--post", "y = n",
+     "--grid", "3", "--params", "n,n"],
+    ["vc", COUNT, "--pre", "x = n", "--post", "y = n", "--params", "n, n"],
+    ["encode-alpha", "y := x", "--out-index", "1", "--inputs", "y,y"],
+], ids=["eval", "run", "check-triple-params", "vc-params",
+        "encode-alpha-inputs"])
 def test_repeated_variable_rejected(argv, capsys):
     # an input that names a variable twice is ambiguous: a usage error
     code, out, err = run_cli(capsys, *argv)
@@ -443,3 +448,30 @@ def test_console_script_installed(monkeypatch, capsys):
                               text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout == expected
+
+
+def test_vc_renames_binder_apart_from_substituted_names(capsys):
+    # the post's binder x' is renamed to x'' because x becomes x'; the
+    # renamed body must still say x'' = x', not read a later target
+    code, out, err = run_cli(capsys, "vc", "x := x; x'' := 0", "--pre", "true",
+                             "--post", "exists x' < 3 . x' = x")
+    assert (code, err) == (0, "")
+    assert out.strip().endswith("-> (exists x'' < 3 . x'' = x'))))))")
+
+
+def test_vc_renames_binder_its_bound_would_mention(capsys):
+    code, out, err = run_cli(capsys, "vc", "x := x", "--pre", "true",
+                             "--post", "forall x' < x . 0 < 1")
+    assert (code, err) == (0, "")
+    assert out.strip() == ("(forall x . (forall x' . ((true /\\ x' = x) -> "
+                           "(forall x'' < x' . 0 < 1))))")
+
+
+def test_check_proof_assign_axiom_with_renamed_bounded_binder(tmp_path, capsys):
+    # [c/x] into forall c < x must rename c, whose bound becomes c
+    proof = tmp_path / "ax.proof"
+    proof.write_text("assign { conclusion: { forall d < c . 0 < 1 } x := c "
+                     "{ forall c < x . 0 < 1 } }")
+    code, out, err = run_cli(capsys, "check-proof", str(proof))
+    assert (code, err) == (0, "")
+    assert out.startswith("accepted")

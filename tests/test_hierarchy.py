@@ -1,14 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from arithver.terms import (And, BExists, BForall, Eq, Exists, Forall, Lit,
-                            Lt, Not, Or, Var, free_vars)
+                            Lt, Not, Or, Var, conj, free_vars)
 from arithver.evaluator import Budget, eval_formula
 from arithver.hierarchy import (PI, SIGMA, HierarchyLevel, classify, desugar,
                                 nnf, prenexify)
 from arithver.syntax import parse_formula
 
+from generators import random_formula
 from hierarchy_fixtures import FIXTURES
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -131,6 +133,31 @@ def test_prenex_renames_clashing_binders():
     assert classify(g).strict
     r = eval_formula(g, {x: 5}, Budget(q_bound=10))
     assert r.is_true()
+
+
+def _binder_names(f):
+    """Binder names of a negation-normal formula, outermost first."""
+    if isinstance(f, (Forall, Exists, BForall, BExists)):
+        return [f.var.name] + _binder_names(f.body)
+    if isinstance(f, (And, Or)):
+        return _binder_names(f.left) + _binder_names(f.right)
+    return []
+
+
+@given(st.integers(0, 2 ** 32))
+def test_prenex_renames_apart(seed):
+    # every binder of the prenex form has its own name, free nowhere
+    f = random_formula(random.Random(seed), 4)
+    names = _binder_names(prenexify(f))
+    assert len(names) == len(set(names))
+    assert not set(names) & {v.name for v in free_vars(f)}
+
+
+def test_prenex_names_follow_the_name_supply():
+    # from the fourth prime on, names are numbered, as Names hands them out
+    f = conj([Exists(x, Eq(x, Lit(k))) for k in range(5)])
+    names = _binder_names(prenexify(f))
+    assert names == ["x", "x'", "x''", "x'''", "x_4"]
 
 
 def test_classify_desugars_connectives():

@@ -2,15 +2,17 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, FalseC,
                             Forall, Iff, Implies, Lit, Lt, Mul, Not, One, Or,
                             Names, TrueC, Var, Zero, alpha_equal, conj, disj,
-                            expand_to_core, free_vars, fresh_var, mk_numeral,
+                            expand_to_core, free_vars, mk_numeral,
                             strip_exists, substitute, substitute_simultaneous,
                             term_vars)
-from arithver.evaluator import eval_term
+from arithver.evaluator import Budget, eval_formula, eval_term
+
+from generators import random_formula, random_term
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -67,11 +69,6 @@ def test_bounded_quantifier_rejects_self_bound():
         BForall(x, Add(x, Lit(1)), TrueC())
 
 
-def test_fresh_var():
-    v = fresh_var(x, {x, Var("x'")})
-    assert v == Var("x''")
-
-
 def test_substitute_basic():
     f = Eq(Add(x, y), z)
     g = substitute(f, x, Lit(3))
@@ -109,6 +106,29 @@ def test_simultaneous_is_not_sequential():
     f = Eq(x, y)
     g = substitute_simultaneous(f, [(x, y), (y, x)])
     assert g == Eq(y, x)
+
+
+def test_simultaneous_renamed_binder_is_not_a_later_target():
+    # y := x renames the binder x to x'; x' is a target too, but the
+    # renamed occurrences are substituted once, not read as that target
+    xp = Var("x'")
+    f = BExists(x, Lit(3), Eq(x, y))
+    g = substitute_simultaneous(f, [(y, x), (xp, Lit(1))])
+    assert g == BExists(xp, Lit(3), Eq(xp, x))
+
+
+def test_substitute_renames_binder_its_bound_would_mention():
+    # x := x' puts x' into the bound of the binder x'
+    xp, xpp = Var("x'"), Var("x''")
+    g = substitute(BForall(xp, x, Lt(xp, y)), x, xp)
+    assert g == BForall(xpp, xp, Lt(xpp, y))
+
+
+def test_substitute_keeps_binders_it_need_not_rename():
+    f = Forall(y, Exists(z, Eq(Add(y, z), x)))
+    g = substitute(f, x, Lit(4))
+    assert g.var is f.var and g.body.var is f.body.var
+    assert substitute(f, x, x) is f
 
 
 def test_simultaneous_rejects_duplicates():
@@ -173,6 +193,28 @@ def test_subst_term_then_eval(t, r):
     env_with[x] = eval_term(r, env)
     assert (eval_term(g.left, env) ==
             eval_term(f.left, env_with))
+
+
+# random_formula's binder names; their primed copies are the names a
+# renamed binder gets first, so they are targets too
+_BINDERS = [Var(c) for c in "abcduvw"]
+_TARGETS = [x, y, z] + [Var(c + "'") for c in "abcduvw"]
+
+
+@settings(max_examples=400)
+@given(st.integers(0, 2 ** 32))
+def test_substitution_lemma(seed):
+    # eval(f[ts/vs], v) = eval(f, v[vs := eval ts]) for distinct targets
+    rng = random.Random(seed)
+    f = random_formula(rng)
+    targets = rng.sample(_TARGETS, rng.randint(1, 3))
+    pairs = [(v, random_term(rng, 2, [x, y, z] + _BINDERS)) for v in targets]
+    val = {v: rng.randrange(4) for v in [x, y, z] + _BINDERS + _TARGETS}
+    moved = dict(val)
+    moved.update((v, eval_term(t, val)) for v, t in pairs)
+    b = Budget(q_bound=3)
+    got = eval_formula(substitute_simultaneous(f, pairs), val, b)
+    assert got.value == eval_formula(f, moved, b).value
 
 
 def test_names_fresh_sequence():
