@@ -219,7 +219,7 @@ def vc(triple):
     post = substitute_simultaneous(triple.post, list(zip(xs, ys)))
     body = Implies(And(triple.pre, alpha), post)
     closed = body
-    for v in reversed(list(triple.params) + xs + ys):
+    for v in reversed(list(dict.fromkeys([*triple.params, *xs, *ys]))):
         closed = Forall(v, closed)
     return closed
 
@@ -265,7 +265,7 @@ def check_triple(triple, grid, fuel, budget=Budget()):
     if grid < 0 or fuel < 1:
         raise ValueError("grid >= 0 and fuel >= 1 required")
     xs = program_vars(triple.prog)
-    sweep = list(triple.params) + xs
+    sweep = list(dict.fromkeys([*triple.params, *xs]))
     caveats = []
     decided_pass = 0
     unknowns = 0

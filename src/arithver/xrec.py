@@ -10,7 +10,7 @@ from .coding import beta_graph
 from .terms import (Add as AddT, And, BExists, BForall, Eq, Exists, FalseC,
                     Lit, Lt, Mul as MulT, Names, Not, One, Or, TrueC, Var,
                     Zero, conj, free_vars, mk_numeral, strip_exists,
-                    substitute)
+                    substitute, term_vars)
 from .evaluator import assignments, eval_formula
 from .hierarchy import classify, prenexify, desugar
 from .whilelang import Assign, Seq, While
@@ -356,46 +356,40 @@ def min_schema():
 
 def sum_of(f):
     """g(xs, y) = sum of f(xs, i) for i = 0..y."""
-    return _fold(AddF(), f, "sum_of")
+    return _upto(_fold(AddF(), 0, f, "sum_of"))
 
 
 def prod_of(f):
     """h(xs, y) = product of f(xs, i) for i = 0..y."""
-    return _fold(MulF(), f, "prod_of")
+    return _upto(_fold(MulF(), 1, f, "prod_of"))
 
 
-def _fold(op, f, name):
-    # op(...op(f(xs, 0), f(xs, 1)) ..., f(xs, y)) by recursion on y
+def _upto(g):
+    # g(xs, y + 1): an exclusive fold over the inclusive range i <= y
+    n = g.arity
+    return _cn(g, *_projs(n)[:n - 1], _cn(AddF(), Proj(n, n), Const(1, n)))
+
+
+def _fold(op, unit, f, name):
+    # op(...op(unit, f(xs, 0)) ..., f(xs, y - 1)) by recursion on y
     n = f.arity
     if n < 1:
         raise ValueError(f"{name} needs f of arity >= 1")
-    base = _cn(f, *_projs(n - 1), Const(0, n - 1))
-    np2 = n + 1  # arity of the step function g(xs, i, acc)
-    step = _cn(op,
-               _cn(f, *_projs(np2)[:n - 1], _cn(AddF(), Proj(n, np2), Const(1, np2))),
-               Proj(np2, np2))
-    return Pr(base, step)
+    return Pr(Const(unit, n - 1),
+              _cn(op, Proj(n + 1, n + 1), _cn(f, *_projs(n + 1)[:n])))
 
 
 def bforall(c):
     """chi of (forall v < y . R(xs, v)) from chi_R = c(xs, v); y is last.
 
-    max(sgbar(y), prod_{i<=y-1} c(xs, i)) -- the empty range is true.
+    sgbar(sum_{i<y} sgbar(c(xs, i))) -- the empty range is true.
     """
-    n = c.arity
-    u = prod_of(c)
-    shifted = _cn(u, *_projs(n)[:n - 1], _cn(pred_schema(), Proj(n, n)))
-    empty = _cn(sgbar_schema(), Proj(n, n))
-    return _cn(max_schema(), empty, shifted)
+    return _cn(sgbar_schema(), _fold(AddF(), 0, _cn(sgbar_schema(), c), "bforall"))
 
 
 def bexists(c):
-    """chi of (exists v < y . R(xs, v)): min(sg(y), sg(sum_{i<=y-1} c))."""
-    n = c.arity
-    e = _cn(sg_schema(), sum_of(c))
-    shifted = _cn(e, *_projs(n)[:n - 1], _cn(pred_schema(), Proj(n, n)))
-    nonempty = _cn(sg_schema(), Proj(n, n))
-    return _cn(min_schema(), nonempty, shifted)
+    """chi of (exists v < y . R(xs, v)): sg(sum_{i<y} c(xs, i))."""
+    return _cn(sg_schema(), _fold(AddF(), 0, c, "bexists"))
 
 
 STDLIB = {
@@ -519,6 +513,29 @@ def _check_functionality(body, block, xs, result, grid=4, search=12):
                 f"two results {sorted(results)} at input {tuple(env.values())}")
 
 
+def _one_point(block, body):
+    """exists z . (z = t /\\ phi) == phi[t/z] for z of the block not in t,
+    applied to the matrix's conjuncts; then the binders the matrix no
+    longer mentions are dropped.  Returns (block, body)."""
+    block, parts, k = list(block), [body], 0
+    while k < len(parts):
+        p = parts[k]
+        if isinstance(p, And):
+            parts[k:k + 1] = [p.left, p.right]
+            continue
+        k += 1
+        sides = ((p.left, p.right), (p.right, p.left)) if isinstance(p, Eq) else ()
+        for z, t in sides:
+            if z in block and z not in term_vars(t):
+                block.remove(z)
+                parts = [substitute(q, z, t) for q in parts[:k - 1] + parts[k:]]
+                k = 0
+                break
+    body = conj(parts)
+    fv = free_vars(body)
+    return [z for z in block if z in fv], body
+
+
 def sigma1_to_xrec(f, result_var, check=True):
     """An X-recursive schema computing the function a Sigma_1 formula
     defines (result_var as output, remaining free variables as inputs,
@@ -532,6 +549,7 @@ def sigma1_to_xrec(f, result_var, check=True):
     block, body = strip_exists(g0)
     if classify(body).n != 0:
         raise ShapeError("matrix is not level 0 after prenexing")
+    block, body = _one_point(block, body)
     if result_var not in free_vars(f):
         raise ShapeError(f"result variable {result_var} is not free in the formula")
     xs = sorted(free_vars(f) - {result_var}, key=lambda v: v.name)
@@ -540,24 +558,15 @@ def sigma1_to_xrec(f, result_var, check=True):
 
     names = Names(free_vars(g0) | set(block))
     cap = names.fresh("w")
-    # g: least cap with exists result<cap exists zs<cap body
-    inner = body
+    # g: least cap with exists u<cap exists zs<cap body(u); h: least u
+    # with u < cap and exists zs<cap body(u)
+    u = names.fresh("u")
+    inner = substitute(body, result_var, u)
     for z in reversed(block):
         inner = BExists(z, cap, inner)
-    g_formula = BExists(result_var, cap, inner)
-    g_char = sigma0_char(Not(g_formula), var_order=xs + [cap])
-    g_schema = Mn(g_char)
-    # h: least u with u < cap and exists zs<cap body(u)
-    u = names.fresh("u")
-    inner2 = substitute(body, result_var, u)
-    for z in reversed(block):
-        inner2 = BExists(z, cap, inner2)
-    h_formula = And(Lt(u, cap), inner2)
-    h_char = sigma0_char(Not(h_formula), var_order=xs + [cap, u])
-    h_schema = Mn(h_char)
-    n = len(xs)
-    schema = _cn(h_schema, *_projs(n), g_schema)
-    return schema, xs
+    g_schema = Mn(sigma0_char(Not(BExists(u, cap, inner)), var_order=xs + [cap]))
+    h_schema = Mn(sigma0_char(Not(And(Lt(u, cap), inner)), var_order=xs + [cap, u]))
+    return _cn(h_schema, *_projs(len(xs)), g_schema), xs
 
 
 def compile_to_while(h):
@@ -612,15 +621,12 @@ def _emit(h, args, target, names):
         parts.append(Assign(target, acc))
         return _seq(parts)
     if isinstance(h, Mn):
-        y = names.fresh("y")
-        probe = names.fresh("m")
-        parts = [Assign(y, Lit(0)),
-                 _emit(h.f, args + [y], probe, names),
-                 While(Lt(Lit(0), probe),
-                       _seq([Assign(y, AddT(y, Lit(1))),
-                             _emit(h.f, args + [y], probe, names)])),
-                 Assign(target, y)]
-        return _seq(parts)
+        # n := 0; m := 1; while 0 < m do y := n; m := f(args, n); n := n + 1 od
+        n, probe, y = names.fresh("n"), names.fresh("m"), names.fresh("y")
+        body = _seq([Assign(y, n), _emit(h.f, args + [n], probe, names),
+                     Assign(n, AddT(n, Lit(1)))])
+        return _seq([Assign(n, Lit(0)), Assign(probe, Lit(1)),
+                     While(Lt(Lit(0), probe), body), Assign(target, y)])
     raise TypeError(f"not a schema: {h!r}")
 
 

@@ -3,8 +3,9 @@
 Prints one line per case: alpha and VC instances (hashed), gamma
 instances of the schema library, three-valued verdicts with their
 reasons, program print/parse round trips, guard parses with their
-errors, and the binder walks: classification, prenex and negation normal
-forms, free variables and substitutions of random formulas.  Run it
+errors, the binder walks: classification, prenex and negation normal
+forms, free variables and substitutions of random formulas, and the
+values that compiled schemas and Sigma_1 formulas compute.  Run it
 against two trees and compare the outputs byte for byte:
 
     PYTHONPATH=src python tests/dump_outputs.py > new.txt
@@ -27,11 +28,14 @@ from arithver.hierarchy import classify, desugar, nnf, prenexify
 from arithver.syntax import ParseError, parse_bool, parse_formula, parse_program
 from arithver.terms import (Add, Eq, Lit, Lt, TrueC, Var, free_vars,
                             substitute, substitute_simultaneous)
-from arithver.whilelang import Assign, Seq, While, program_vars
-from arithver.xrec import STDLIB, gamma_instance, xrec_eval
+from arithver.whilelang import Assign, Seq, While, program_vars, run
+from arithver.xrec import (STDLIB, bexists, bforall, compile_to_while,
+                           gamma_instance, prod_of, sigma1_to_program, sum_of,
+                           xrec_eval)
 
 from generators import (VARS, random_bool, random_formula, random_program,
                         random_term)
+from test_acceptance import SIGMA1_FIXTURES
 
 FUELS = (-1, 0, 1, 2, 3, 5, 8, 13, 40, 200)
 X, Y = Var("x"), Var("y")
@@ -168,6 +172,27 @@ def dump_binders(rng):
         print(f"binder {k} simul {r}")
 
 
+def dump_compiled():
+    # values only: the program text and its step counts may change; the
+    # fuel lets every run here halt on both sides of a comparison
+    c = STDLIB["chi_lt"]()
+    schemas = [(name, STDLIB[name]()) for name in sorted(STDLIB)]
+    schemas += [(comb.__name__, comb(c))
+                for comb in (sum_of, prod_of, bexists, bforall)]
+    for name, h in schemas:
+        prog, res, ps = compile_to_while(h)
+        for args in itertools.product(range(4), repeat=h.arity):
+            out = run(prog, dict(zip(ps, args)), 10 ** 8)
+            print(f"compiled {name} {list(args)} = "
+                  f"{out.state[res] if out.terminated else None} {out.terminated}")
+    for name, f, _, _ in SIGMA1_FIXTURES:
+        prog, res, ps, _ = sigma1_to_program(f, Y)
+        for n in range(4):
+            out = run(prog, {ps[0]: n}, 10 ** 8)
+            print(f"sigma1 {name} x={n} = "
+                  f"{out.state[res] if out.terminated else None} {out.terminated}")
+
+
 def main():
     rng = random.Random(2017)
     progs = dump_instances(rng)
@@ -175,6 +200,7 @@ def main():
     dump_eval(rng)
     dump_parses(rng, progs)
     dump_binders(random.Random(1988))
+    dump_compiled()
 
 
 if __name__ == "__main__":

@@ -254,6 +254,25 @@ def test_check_triple_param_counterexample():
     assert v.status == "counterexample"
 
 
+def test_check_triple_sweeps_a_param_that_is_a_program_variable_once(monkeypatch):
+    import arithver.alpha as alpha_mod
+    points = []
+    monkeypatch.setattr(alpha_mod, "run",
+                        lambda p, st, fuel: points.append(st) or run(p, st, fuel))
+    t = HoareTriple(TrueC(), Assign(y, x), Eq(y, x), params=(x,))
+    assert check_triple(t, grid=2, fuel=10).is_verified()
+    assert len(points) == 9  # x and y over 0..2, each once
+
+
+def test_vc_binds_a_param_that_is_a_program_variable_once():
+    t = HoareTriple(TrueC(), Assign(y, x), Eq(y, x), params=(x,))
+    f, binders = vc(t), []
+    while hasattr(f, "var"):
+        binders.append(f.var.name)
+        f = f.body
+    assert binders == ["x", "y", "y'", "x'"]
+
+
 def test_check_triple_validation():
     t = HoareTriple(TrueC(), COUNT, TrueC())
     with pytest.raises(ValueError):

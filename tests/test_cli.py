@@ -328,6 +328,13 @@ def test_check_triple_params(capsys):
     assert code == 0 and tree["status"] == "verified"
 
 
+def test_vc_binds_a_param_that_is_a_program_variable_once(capsys):
+    code, out, err = run_cli(capsys, "vc", "y := x", "--pre", "true",
+                             "--post", "y = x", "--params", "x")
+    assert (code, err) == (0, "")
+    assert out.count("forall x .") == 1
+
+
 def test_xrec_eval(tmp_path, capsys):
     f = tmp_path / "monus.sch"
     f.write_text("pr(proj(1,1); cn(pred; proj(3,3)))")

@@ -1,11 +1,16 @@
+import itertools
+import random
+from dataclasses import fields
+
 import pytest
 
+from arithver.alpha import encode_alpha_out
 from arithver.coding import beta_inst, seq_encode
-from arithver.terms import (Add, And, Eq, Exists, Lit, Lt, Mul, Not, Or, Var,
-                            conj, free_vars)
+from arithver.terms import (Add, And, BExists, Eq, Exists, Lit, Lt, Mul, Not,
+                            Or, Var, conj, free_vars)
 from arithver.evaluator import Budget, eval_formula
 from arithver.hierarchy import SIGMA, classify
-from arithver.whilelang import program_vars, run
+from arithver.whilelang import If, Program, Seq, While, program_vars, run
 from arithver.xrec import (AddF, Cn, Const, EvalResult, FunctionalityError,
                            Mn, MulF, NotLevelZero, Pr, Proj, ShapeError,
                            bexists, bforall, cases, chi_eq_schema,
@@ -15,6 +20,8 @@ from arithver.xrec import (AddF, Cn, Const, EvalResult, FunctionalityError,
                            pred_schema, prod_of, sg_schema, sgbar_schema,
                            sigma0_char, sigma1_to_program, sigma1_to_xrec,
                            stdlib, sum_of, xrec_eval)
+
+from generators import random_program
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -266,6 +273,31 @@ def test_compile_mn_divergence_matches():
     assert not out.terminated
 
 
+def _loops(prog):
+    # While nodes, by an explicit walk: compiled `;` chains run deep
+    todo, n = [prog], 0
+    while todo:
+        p = todo.pop()
+        n += isinstance(p, While)
+        todo += [getattr(p, f.name) for f in fields(p)
+                 if isinstance(getattr(p, f.name), Program)]
+    return n
+
+
+@pytest.mark.parametrize("comb", [Mn, sum_of, prod_of, bexists, bforall])
+def test_combinators_emit_their_function_once(comb):
+    # comb(f) compiles to W(f) + k loops with k fixed; a second copy of f
+    # in the program would make it 2 W(f) + k
+    small = chi_lt_schema()
+    big = sigma0_char(BExists(z, x, Eq(Mul(z, z), y)), var_order=[x, y])
+    extra = [_loops(compile_to_while(comb(f))[0])
+             - _loops(compile_to_while(f)[0]) for f in (small, big)]
+    assert _loops(compile_to_while(big)[0]) > _loops(compile_to_while(small)[0])
+    assert extra[0] == extra[1]
+    with pytest.raises(ValueError, match=comb.__name__):
+        comb(Const(0, 0))
+
+
 # ---------------------------------------------------------------------------
 # Sigma_1 pipeline
 
@@ -296,6 +328,38 @@ def test_sigma1_to_program():
     for n in range(5):
         out = run(prog, {ps[0]: n}, 10 ** 7)
         assert out.terminated and out.state[res] == n * n
+
+
+def _straight_line(p):
+    if isinstance(p, (If, While)):
+        return False
+    return not isinstance(p, Seq) or (_straight_line(p.first)
+                                      and _straight_line(p.second))
+
+
+def test_straight_line_alpha_compiles_back_to_its_program():
+    # program -> alpha -> schema -> program: the one-point rule leaves no
+    # intermediate to search, so an output <= 3 needs a cap of at most 4
+    rng, kept = random.Random(2), 0
+    while kept < 200:
+        p = random_program(rng)
+        if not _straight_line(p):
+            continue
+        xs = program_vars(p)
+        points = [dict(zip(xs, a))
+                  for a in itertools.product(range(3), repeat=len(xs))]
+        outs = [run(p, point, 100).state for point in points]
+        index = next((i for i, v in enumerate(xs, 1)
+                      if all(out[v] <= 3 for out in outs)), None)
+        if index is None:
+            continue
+        kept += 1
+        f, _, result = encode_alpha_out(p, index, xs)
+        prog, res, ps, ins = sigma1_to_program(f, result)
+        for point, out in zip(points, outs):
+            got = run(prog, {q: point[v] for q, v in zip(ps, ins)}, 10 ** 6)
+            assert got.terminated, (str(p), index, point)
+            assert got.state[res] == out[xs[index - 1]], (str(p), index, point)
 
 
 # ---------------------------------------------------------------------------
