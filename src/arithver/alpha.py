@@ -20,10 +20,10 @@ from .coding import beta_graph, tuple_graph, tuple_inst
 from .terms import (Add, And, BExists, BForall, Eq, Exists, Forall, Implies,
                     Lit, Names, Not, Or, conj, free_vars, subst_term,
                     substitute_simultaneous)
-from .evaluator import (Budget, assignments, eval_formula, eval_term,
+from .evaluator import (Budget, assignments, compile_formula, eval_term,
                         format_assignment)
-from .whilelang import (Assign, If, Program, Seq, While, holds, program_vars,
-                        run)
+from .whilelang import (Assign, If, Program, Seq, While, compile_program,
+                        holds, program_vars, run)
 
 
 def _state_graph(w, i, terms, names):
@@ -33,13 +33,15 @@ def _state_graph(w, i, terms, names):
                    And(beta_graph(w, i, t, names), tuple_graph(t, terms, names)))
 
 
-def encode_alpha(prog):
+def encode_alpha(prog, avoid=()):
     """alpha_S over the program variables and fresh primed outputs.
 
-    Returns (formula, xs, ys).
+    The outputs and the bound intermediates are named apart from the
+    program variables and from the variables in avoid.  Returns
+    (formula, xs, ys).
     """
     xs = program_vars(prog)
-    names = Names(xs)
+    names = Names([*xs, *avoid])
     ys = names.fresh_vec([x.name + "'" for x in xs])
     return _alpha(prog, xs, xs, ys, names), xs, ys
 
@@ -214,8 +216,14 @@ class HoareTriple:
 
 
 def vc(triple):
-    """Universal closure of pre(xs) /\\ alpha_S(xs, ys) -> post(ys/xs)."""
-    alpha, xs, ys = encode_alpha(triple.prog)
+    """Universal closure of pre(xs) /\\ alpha_S(xs, ys) -> post(ys/xs).
+
+    alpha's names avoid the parameters and the free variables of pre and
+    post, which the closure would otherwise capture.
+    """
+    alpha, xs, ys = encode_alpha(
+        triple.prog,
+        [*triple.params, *free_vars(triple.pre), *free_vars(triple.post)])
     post = substitute_simultaneous(triple.post, list(zip(xs, ys)))
     body = Implies(And(triple.pre, alpha), post)
     closed = body
@@ -266,11 +274,14 @@ def check_triple(triple, grid, fuel, budget=Budget()):
         raise ValueError("grid >= 0 and fuel >= 1 required")
     xs = program_vars(triple.prog)
     sweep = list(dict.fromkeys([*triple.params, *xs]))
+    pre = compile_formula(triple.pre, budget)
+    prog = compile_program(triple.prog)
+    post = compile_formula(triple.post, budget)
     caveats = []
     decided_pass = 0
     unknowns = 0
     for point in assignments(sweep, grid):
-        pre_v = eval_formula(triple.pre, point, budget)
+        pre_v = pre(point)
         if pre_v.is_false():
             decided_pass += 1
             continue
@@ -279,14 +290,14 @@ def check_triple(triple, grid, fuel, budget=Budget()):
             caveats.append(f"pre Unknown at {format_assignment(point)}: "
                            f"{pre_v.reason}")
             continue
-        out = run(triple.prog, point, fuel)
+        out = prog(point, fuel)
         if not out.terminated:
             caveats.append(f"fuel exhausted at {format_assignment(point)}; "
                            "divergence assumed")
             continue
-        post_env = dict(point)
-        post_env.update(out.state)
-        post_v = eval_formula(triple.post, post_env, budget)
+        # the run starts from a copy of point, so its state binds every
+        # swept name
+        post_v = post(out.state)
         if post_v.is_false():
             return Verdict("counterexample", grid, fuel,
                            input=dict(point), output=dict(out.state))

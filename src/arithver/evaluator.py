@@ -4,6 +4,10 @@ Quantifier-free and bounded-quantifier formulas evaluate exactly.  An
 unbounded exists is searched up to the budget's q_bound and certified True
 on a witness; an unbounded forall is certified False on a counterexample;
 otherwise the verdict is Unknown.  Connectives follow strong Kleene.
+
+eval_formula interprets the tree; compile_formula turns it into closures
+once, with the same verdicts, for loops that evaluate one formula at
+many assignments.
 """
 
 import itertools
@@ -157,8 +161,10 @@ def _eval(f, v, budget, depth, memo):
         hit = TRUE if isinstance(f, BExists) else FALSE
         out = FALSE if isinstance(f, BExists) else TRUE
         pending = None
+        w = dict(v)  # one dict for all the binder's values
         for i in range(n):
-            r = _eval(f.body, _bind(v, f.var, i), budget, depth, None)
+            w[f.var] = i
+            r = _eval(f.body, w, budget, depth, None)
             if r == hit:
                 return hit
             if not r.is_exact():
@@ -169,8 +175,10 @@ def _eval(f, v, budget, depth, memo):
             return unknown("unbounded-quantifier depth guard exceeded")
         hit = TRUE if isinstance(f, Exists) else FALSE
         pending = None
+        w = dict(v)
         for i in range(budget.q_bound + 1):
-            r = _eval(f.body, _bind(v, f.var, i), budget, depth + 1, None)
+            w[f.var] = i
+            r = _eval(f.body, w, budget, depth + 1, None)
             if r == hit:
                 return hit
             if not r.is_exact():
@@ -182,10 +190,135 @@ def _eval(f, v, budget, depth, memo):
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _bind(v, var, n):
-    v2 = dict(v)
-    v2[var] = n
-    return v2
+def compile_term(t):
+    """t compiled once: a function fn with fn(v) == eval_term(t, v)."""
+    if isinstance(t, Var):
+        return lambda v: v.get(t, 0)
+    if isinstance(t, (Add, Mul)):
+        a, b = compile_term(t.left), compile_term(t.right)
+        if isinstance(t, Add):
+            return lambda v: a(v) + b(v)
+        return lambda v: a(v) * b(v)
+    n = eval_term(t, {})
+    return lambda v: n
+
+
+def compile_formula(f, budget=Budget()):
+    """f compiled once for evaluation at many assignments: a function fn
+    with fn(v) == eval_formula(f, v, budget) for every assignment v, the
+    same verdicts with the same reasons.
+
+    Each node is dispatched once, here, instead of once per assignment.
+    The grid sweeps compile before their loops; a formula evaluated once
+    is cheaper through eval_formula, which builds no closures.
+    """
+    return _compile(f, budget, 0)
+
+
+def _compile(f, budget, depth):
+    # depth counts the unbounded binders enclosing f.  Every exact verdict
+    # a compiled formula returns is TRUE or FALSE itself, so the closures
+    # test verdicts by identity.
+    if isinstance(f, TrueC):
+        return lambda v: TRUE
+    if isinstance(f, FalseC):
+        return lambda v: FALSE
+    if isinstance(f, (Eq, Lt)):
+        a, b = compile_term(f.left), compile_term(f.right)
+        if isinstance(f, Eq):
+            return lambda v: TRUE if a(v) == b(v) else FALSE
+        return lambda v: TRUE if a(v) < b(v) else FALSE
+    if isinstance(f, Not):
+        odd = False
+        while isinstance(f, Not):
+            f, odd = f.body, not odd
+        g = _compile(f, budget, depth)
+        return (lambda v: _neg(g(v))) if odd else g
+    if isinstance(f, (And, Or)):
+        # both spines by an explicit stack, as in _eval
+        kind = type(f)
+        hit, out = (FALSE, TRUE) if kind is And else (TRUE, FALSE)
+        parts, todo = [], [f]
+        while todo:
+            g = todo.pop()
+            if isinstance(g, kind):
+                todo += (g.right, g.left)
+            else:
+                parts.append(_compile(g, budget, depth))
+        parts = tuple(parts)
+
+        def junction(v):
+            pending = None
+            for p in parts:
+                r = p(v)
+                if r is hit:
+                    return hit
+                if pending is None and r is not out:
+                    pending = r
+            return out if pending is None else pending
+        return junction
+    if isinstance(f, Implies):
+        a, b = _compile(f.left, budget, depth), _compile(f.right, budget, depth)
+
+        def implies(v):
+            r = a(v)
+            if r is FALSE:
+                return TRUE
+            return _disj(_neg(r), b(v))
+        return implies
+    if isinstance(f, Iff):
+        a, b = _compile(f.left, budget, depth), _compile(f.right, budget, depth)
+
+        def iff(v):
+            ra, rb = a(v), b(v)
+            if ra.is_exact() and rb.is_exact():
+                return TRUE if ra is rb else FALSE
+            return ra if not ra.is_exact() else rb
+        return iff
+    if isinstance(f, (BForall, BExists)):
+        bound = compile_term(f.bound)
+        body = _compile(f.body, budget, depth)
+        var, limit = f.var, budget.expansion_limit
+        hit, out = (TRUE, FALSE) if isinstance(f, BExists) else (FALSE, TRUE)
+
+        def bounded(v):
+            n = bound(v)
+            if n > limit:
+                return unknown(f"bounded range {n} exceeds expansion limit")
+            pending = None
+            w = dict(v)
+            for i in range(n):
+                w[var] = i
+                r = body(w)
+                if r is hit:
+                    return hit
+                if r is not out:
+                    pending = r
+            return out if pending is None else pending
+        return bounded
+    if isinstance(f, (Forall, Exists)):
+        if depth >= budget.depth:
+            guard = unknown("unbounded-quantifier depth guard exceeded")
+            return lambda v: guard
+        body = _compile(f.body, budget, depth + 1)
+        var, values = f.var, range(budget.q_bound + 1)
+        hit, out = (TRUE, FALSE) if isinstance(f, Exists) else (FALSE, TRUE)
+        kind = "witness" if isinstance(f, Exists) else "counterexample"
+        none = unknown(f"no {kind} <= {budget.q_bound}")
+
+        def unbounded(v):
+            pending = None
+            w = dict(v)
+            for i in values:
+                w[var] = i
+                r = body(w)
+                if r is hit:
+                    return hit
+                if r is not out:
+                    pending = r
+            return none if pending is None else pending
+        return unbounded
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def assignments(vs, bound, base=None):
@@ -195,9 +328,12 @@ def assignments(vs, bound, base=None):
     vs yields base once.
     """
     for tup in itertools.product(range(bound + 1), repeat=len(vs)):
-        point = dict(base or {})
-        point.update(zip(vs, tup))
-        yield point
+        if base is None:
+            yield dict(zip(vs, tup))
+        else:
+            point = dict(base)
+            point.update(zip(vs, tup))
+            yield point
 
 
 def format_assignment(point):
@@ -214,8 +350,9 @@ def find_witnesses(f, v, budget=Budget()):
     WitnessSearchError when the body cannot be evaluated exactly.
     """
     block, body = strip_exists(f)
+    compiled = compile_formula(body, budget)
     for point in assignments(block, budget.q_bound, v):
-        r = eval_formula(body, point, budget)
+        r = compiled(point)
         if not r.is_exact():
             raise WitnessSearchError(r.reason)
         if r.is_true():

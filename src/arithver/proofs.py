@@ -11,7 +11,7 @@ is reported as an unresolved side condition, never silently accepted.
 from dataclasses import dataclass
 
 from .terms import And, Implies, Not, alpha_equal, free_vars, substitute
-from .evaluator import Budget, assignments, eval_formula, format_assignment
+from .evaluator import Budget, assignments, compile_formula, format_assignment
 from .whilelang import Assign, If, Seq, While
 from .alpha import HoareTriple
 
@@ -82,9 +82,10 @@ class CheckReport:
 def _sweep(formula, grid, budget):
     """Grid-sweep the universal closure: 'true', 'false' or 'unknown'."""
     vs = sorted(free_vars(formula), key=lambda v: v.name)
+    compiled = compile_formula(formula, budget)
     saw_unknown = False
     for point in assignments(vs, grid):
-        r = eval_formula(formula, point, budget)
+        r = compiled(point)
         if r.is_false():
             return "false", f"False at {format_assignment(point)}"
         if not r.is_exact():

@@ -1,16 +1,19 @@
-"""While-program AST and a fuel-bounded big-step interpreter over N.
+"""While-program AST, a fuel-bounded big-step interpreter over N and a
+compiler to closures with the same semantics.
 
 A guard is a quantifier-free formula built from Lt, Not and Implies, so
 alpha, the VCs and the proof rules use it as it is.  The cost model
 charges one fuel unit per assignment, per conditional test and per
-loop-guard test.  run is the only place fuel is charged.  Fuel
-exhaustion is a value, not an error, and never proves divergence.
+loop-guard test.  run and the programs compile_program returns are the
+only places fuel is charged.  Fuel exhaustion is a value, not an error,
+and never proves divergence.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 from .terms import Add, Formula, Implies, Lt, Mul, Not, Term, Var
-from .evaluator import eval_term
+from .evaluator import compile_term, eval_term
 
 
 class Program:
@@ -123,19 +126,102 @@ def run(prog, state, fuel):
     RunOutcome whose .terminated tells a finished run from one whose fuel
     ran out.
     """
+    return _run(partial(_exec, prog), state, fuel)
+
+
+def compile_program(prog):
+    """prog compiled once for many runs: a function fn with
+    fn(state, fuel) == run(prog, state, fuel), the same fuel charge, the
+    same state at exhaustion and the same steps.
+
+    Each node is dispatched once, here, instead of once per step.  The
+    grid sweeps compile before their loops; a program run once is cheaper
+    through run, which builds no closures.
+    """
+    return partial(_run, _compile(prog))
+
+
+def _run(execute, state, fuel):
+    # execute(st, fuel) mutates st in place and returns the fuel left
     if fuel < 1:
         raise ValueError("fuel must be >= 1")
     st = dict(state)
     try:
-        left = _exec(prog, st, fuel)
+        left = execute(st, fuel)
     except _OutOfFuel:
         return RunOutcome(False, st, fuel)
     return RunOutcome(True, st, fuel - left)
 
 
+def _compile(prog):
+    # one closure per statement, with _exec's charges; a `;` chain becomes
+    # a tuple walked by a loop, both spines flattened by an explicit stack
+    if isinstance(prog, Seq):
+        parts, todo = [], [prog]
+        while todo:
+            p = todo.pop()
+            if isinstance(p, Seq):
+                todo += (p.second, p.first)
+            else:
+                parts.append(_compile(p))
+        parts = tuple(parts)
+
+        def seq(st, fuel):
+            for part in parts:
+                fuel = part(st, fuel)
+            return fuel
+        return seq
+    if isinstance(prog, Assign):
+        var, expr = prog.var, compile_term(prog.expr)
+
+        def assign(st, fuel):
+            if fuel < 1:
+                raise _OutOfFuel
+            st[var] = expr(st)
+            return fuel - 1
+        return assign
+    if isinstance(prog, If):
+        guard = _compile_guard(prog.guard)
+        then, els = _compile(prog.then), _compile(prog.els)
+
+        def cond(st, fuel):
+            if fuel < 1:
+                raise _OutOfFuel
+            return (then if guard(st) else els)(st, fuel - 1)
+        return cond
+    if isinstance(prog, While):
+        guard, body = _compile_guard(prog.guard), _compile(prog.body)
+
+        def loop(st, fuel):
+            while True:
+                if fuel < 1:
+                    raise _OutOfFuel
+                fuel -= 1
+                if not guard(st):
+                    return fuel
+                fuel = body(st, fuel)
+        return loop
+    raise TypeError(f"not a program: {prog!r}")
+
+
+def _compile_guard(g):
+    # holds, compiled
+    if isinstance(g, Lt):
+        a, b = compile_term(g.left), compile_term(g.right)
+        return lambda st: a(st) < b(st)
+    if isinstance(g, Not):
+        h = _compile_guard(g.body)
+        return lambda st: not h(st)
+    if isinstance(g, Implies):
+        a, b = _compile_guard(g.left), _compile_guard(g.right)
+        return lambda st: (not a(st)) or b(st)
+    raise TypeError(f"not a boolean expression: {g!r}")
+
+
 def _exec(prog, st, fuel):
-    # mutates st in place; returns remaining fuel.  A Seq's right spine is
-    # walked by the loop, so long `;` chains do not recurse.
+    # the reference semantics that _compile follows; mutates st in place
+    # and returns the remaining fuel.  A Seq's right spine is walked by
+    # the loop, so long `;` chains do not recurse.
     while isinstance(prog, Seq):
         fuel = _exec(prog.first, st, fuel)
         prog = prog.second

@@ -11,7 +11,7 @@ from .terms import (Add as AddT, And, BExists, BForall, Eq, Exists, FalseC,
                     Lit, Lt, Mul as MulT, Names, Not, One, Or, TrueC, Var,
                     Zero, conj, free_vars, mk_numeral, strip_exists,
                     substitute, term_vars)
-from .evaluator import assignments, eval_formula
+from .evaluator import assignments, compile_formula
 from .hierarchy import classify, prenexify, desugar
 from .whilelang import Assign, Seq, While
 
@@ -501,11 +501,12 @@ class FunctionalityError(Exception):
 
 def _check_functionality(body, block, xs, result, grid=4, search=12):
     """Sample check that the relation is single-valued in the result."""
+    holds_at = compile_formula(body)
     for env in assignments(xs, grid):
         results = set()
         for y in range(search + 1):
             for point in assignments(block, search, {**env, result: y}):
-                if eval_formula(body, point).is_true():
+                if holds_at(point).is_true():
                     results.add(y)
                     break
         if len(results) > 1:

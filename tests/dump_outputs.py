@@ -4,8 +4,9 @@ Prints one line per case: alpha and VC instances (hashed), gamma
 instances of the schema library, three-valued verdicts with their
 reasons, program print/parse round trips, guard parses with their
 errors, the binder walks: classification, prenex and negation normal
-forms, free variables and substitutions of random formulas, and the
-values that compiled schemas and Sigma_1 formulas compute.  Run it
+forms, free variables and substitutions of random formulas, the
+values that compiled schemas and Sigma_1 formulas compute, and the grid
+sweeps: triple verdicts, proof reports and least-witness searches.  Run it
 against two trees and compare the outputs byte for byte:
 
     PYTHONPATH=src python tests/dump_outputs.py > new.txt
@@ -22,11 +23,14 @@ import itertools
 import random
 from dataclasses import fields, is_dataclass
 
-from arithver.alpha import HoareTriple, instantiate_alpha, vc_instance
-from arithver.evaluator import Budget, eval_formula
+from arithver.alpha import (HoareTriple, check_triple, instantiate_alpha,
+                            vc_instance)
+from arithver.evaluator import (Budget, WitnessSearchError, eval_formula,
+                                find_witnesses)
 from arithver.hierarchy import classify, desugar, nnf, prenexify
+from arithver.proofs import AssignAxiom, ConseqRule, check_proof
 from arithver.syntax import ParseError, parse_bool, parse_formula, parse_program
-from arithver.terms import (Add, Eq, Lit, Lt, TrueC, Var, free_vars,
+from arithver.terms import (Add, Eq, Exists, Lit, Lt, TrueC, Var, free_vars,
                             substitute, substitute_simultaneous)
 from arithver.whilelang import Assign, Seq, While, program_vars, run
 from arithver.xrec import (STDLIB, bexists, bforall, compile_to_while,
@@ -36,6 +40,7 @@ from arithver.xrec import (STDLIB, bexists, bforall, compile_to_while,
 from generators import (VARS, random_bool, random_formula, random_program,
                         random_term)
 from test_acceptance import SIGMA1_FIXTURES
+from test_proofs import counting_loop_proof
 
 FUELS = (-1, 0, 1, 2, 3, 5, 8, 13, 40, 200)
 X, Y = Var("x"), Var("y")
@@ -193,6 +198,45 @@ def dump_compiled():
                   f"{out.state[res] if out.terminated else None} {out.terminated}")
 
 
+def dump_sweeps(rng):
+    # fuels 1 and 3 run most programs out; a param may be a program
+    # variable or the otherwise unused n
+    n = Var("n")
+    for k in range(300):
+        t = HoareTriple(random_formula(rng, 1 + k % 2, VARS + [n]),
+                        random_program(rng),
+                        random_formula(rng, 1 + k % 2, VARS + [n]),
+                        tuple(rng.sample(VARS + [n], rng.randrange(3))))
+        v = check_triple(t, 2, (1, 3, 8, 40)[k % 4], Budget(q_bound=k % 4))
+        shown = "" if v.input is None else f"{_state(v.input)} -> {_state(v.output)}"
+        print(f"triple {k} {v.status} {shown} {' | '.join(v.caveats)}")
+    # consequence rules around a sound assignment axiom, so each proof's
+    # side conditions are random implications swept over the grid
+    proofs = [counting_loop_proof()]
+    for k in range(300):
+        post = random_formula(rng, 1 + k % 2)
+        stmt = Assign(rng.choice(VARS), random_term(rng, 2))
+        inner = AssignAxiom(HoareTriple(substitute(post, stmt.var, stmt.expr),
+                                        stmt, post))
+        proofs.append(ConseqRule(inner, HoareTriple(random_formula(rng, 1),
+                                                    stmt,
+                                                    random_formula(rng, 1))))
+    for k, pf in enumerate(proofs):
+        rep = check_proof(pf, 1 + k % 2, Budget(q_bound=k % 4))
+        for node in rep.nodes:
+            print(f"proof {k} {node.location} {node.status} {node.detail}")
+    for name, f, _, _ in SIGMA1_FIXTURES:
+        searched = prenexify(Exists(Y, f))
+        for x in range(7):
+            for q in (2, 8, 40):
+                try:
+                    w = find_witnesses(searched, {X: x}, Budget(q_bound=q))
+                    shown = w if w is None else _state(dict(w))
+                except WitnessSearchError as e:
+                    shown = f"!WitnessSearchError {e}"
+                print(f"witness {name} x={x} q={q} {shown}")
+
+
 def main():
     rng = random.Random(2017)
     progs = dump_instances(rng)
@@ -201,6 +245,7 @@ def main():
     dump_parses(rng, progs)
     dump_binders(random.Random(1988))
     dump_compiled()
+    dump_sweeps(random.Random(1978))
 
 
 if __name__ == "__main__":

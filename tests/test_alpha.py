@@ -9,7 +9,8 @@ from arithver.terms import (Add, And, Eq, FalseC, Lit, Lt, Mul, Not, TrueC,
                             Var, conj, free_vars)
 from arithver.evaluator import Budget, eval_formula
 from arithver.hierarchy import SIGMA, classify
-from arithver.whilelang import Assign, If, Seq, While, program_vars, run
+from arithver.whilelang import (Assign, If, Seq, While, compile_program,
+                                program_vars, run)
 from arithver.alpha import (HoareTriple, check_triple, encode_alpha,
                             encode_alpha_out, instantiate_alpha, vc,
                             vc_instance)
@@ -257,8 +258,11 @@ def test_check_triple_param_counterexample():
 def test_check_triple_sweeps_a_param_that_is_a_program_variable_once(monkeypatch):
     import arithver.alpha as alpha_mod
     points = []
-    monkeypatch.setattr(alpha_mod, "run",
-                        lambda p, st, fuel: points.append(st) or run(p, st, fuel))
+
+    def counted(prog):
+        compiled = compile_program(prog)
+        return lambda st, fuel: points.append(st) or compiled(st, fuel)
+    monkeypatch.setattr(alpha_mod, "compile_program", counted)
     t = HoareTriple(TrueC(), Assign(y, x), Eq(y, x), params=(x,))
     assert check_triple(t, grid=2, fuel=10).is_verified()
     assert len(points) == 9  # x and y over 0..2, each once
@@ -271,6 +275,17 @@ def test_vc_binds_a_param_that_is_a_program_variable_once():
         binders.append(f.var.name)
         f = f.body
     assert binders == ["x", "y", "y'", "x'"]
+
+
+def test_vc_names_outputs_apart_from_params_and_assertions():
+    # an output binder named x' captured the param x', and the VC of a
+    # refuted triple came out valid; a free x' of pre or post likewise
+    xp = Var("x'")
+    for params, env in (((xp,), {}), ((), {xp: 0})):
+        t = HoareTriple(Eq(xp, Lit(0)), Assign(x, Add(x, Lit(1))), Eq(x, xp),
+                        params)
+        assert check_triple(t, grid=2, fuel=10).status == "counterexample"
+        assert eval_formula(vc(t), env, Budget(q_bound=2)).is_false()
 
 
 def test_check_triple_validation():

@@ -335,6 +335,16 @@ def test_vc_binds_a_param_that_is_a_program_variable_once(capsys):
     assert out.count("forall x .") == 1
 
 
+def test_vc_names_outputs_apart_from_params(capsys):
+    code, out, err = run_cli(capsys, "vc", "x := x + 1", "--pre", "x' = 0",
+                             "--post", "x = x'", "--params", "x'")
+    assert (code, err) == (0, "")
+    assert out.strip() == ("(forall x' . (forall x . (forall x'' . "
+                           "((x' = 0 /\\ x'' = (x + 1)) -> x'' = x'))))")
+    code, out, _ = run_cli(capsys, "eval", out.strip(), "--qbound", "2")
+    assert (code, out.strip()) == (1, "false")
+
+
 def test_xrec_eval(tmp_path, capsys):
     f = tmp_path / "monus.sch"
     f.write_text("pr(proj(1,1); cn(pred; proj(3,3)))")

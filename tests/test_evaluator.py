@@ -8,11 +8,12 @@ from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, FalseC,
                             Forall, Iff, Implies, Lit, Lt, Mul, Not, Or,
                             TrueC, Var, conj)
 from arithver.evaluator import (FALSE, TRUE, Budget, TriState,
-                                WitnessSearchError, assignments, eval_formula,
+                                WitnessSearchError, assignments,
+                                compile_formula, compile_term, eval_formula,
                                 eval_term, find_witnesses, format_assignment,
                                 unknown)
 
-from generators import random_formula
+from generators import VARS, random_formula, random_term
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -56,10 +57,16 @@ def test_strong_kleene_short_circuits_through_unknown():
 
 
 def test_long_and_chain_at_default_recursion_limit():
-    # conj nests right, one level per conjunct
+    # conj nests right, one level per conjunct; the parser nests left
     eqs = [Eq(Lit(n), Lit(n)) for n in range(20000)]
-    assert eval_formula(conj(eqs), {}).is_true()
+    left = eqs[0]
+    for e in eqs[1:]:
+        left = And(left, e)
+    for chain in (conj(eqs), left):
+        assert eval_formula(chain, {}).is_true()
+        assert compile_formula(chain)({}).is_true()
     assert eval_formula(conj(eqs + [FalseC()]), {}).is_false()
+    assert compile_formula(conj(eqs + [FalseC()]))({}).is_false()
 
 
 def test_and_chain_unknown_then_false_is_false():
@@ -150,6 +157,31 @@ def test_shared_subformulas_evaluate_as_unshared(seed, vals):
     v = dict(zip((x, y, z), vals))
     b = Budget(q_bound=3)
     assert eval_formula(shared, v, b) == eval_formula(unshared, v, b)
+
+
+@given(st.integers(0, 2 ** 32), st.integers(0, 3), st.integers(1, 3),
+       st.integers(0, 6))
+def test_compiled_formula_agrees_with_eval_formula(seed, q, depth, limit):
+    # value and reason, the depth guard and the expansion limit included;
+    # the quantifiers' reused dicts must not leak into the caller's
+    rng = random.Random(seed)
+    budget = Budget(q_bound=q, depth=depth, expansion_limit=limit)
+    for _ in range(10):
+        f = random_formula(rng, rng.randint(1, 4))
+        compiled = compile_formula(f, budget)
+        for _ in range(3):
+            v = {w: rng.randrange(5) for w in VARS}
+            before = dict(v)
+            assert compiled(v) == eval_formula(f, v, budget)
+            assert v == before
+
+
+@given(st.integers(0, 2 ** 32))
+def test_compiled_term_agrees_with_eval_term(seed):
+    rng = random.Random(seed)
+    t = random_term(rng, 4)
+    v = {w: rng.randrange(5) for w in VARS[:2]}  # the third reads as 0
+    assert compile_term(t)(v) == eval_term(t, v)
 
 
 def test_bounded_quantifiers_are_exact():

@@ -1,14 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from arithver import whilelang
 from arithver.evaluator import eval_formula
 from arithver.terms import Add, Eq, Implies, Lit, Lt, Not, Var
-from arithver.whilelang import (Assign, If, Seq, While, holds, program_vars,
-                                run)
+from arithver.whilelang import (Assign, If, Seq, While, compile_program,
+                                holds, program_vars, run)
 
-from generators import VARS, random_bool
+from generators import VARS, random_bool, random_program
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -66,6 +67,22 @@ def test_state_at_exhaustion():
 def test_fuel_validation():
     with pytest.raises(ValueError):
         run(COUNT, {}, 0)
+    with pytest.raises(ValueError):
+        compile_program(COUNT)({}, 0)
+
+
+@given(st.integers(0, 2 ** 32))
+def test_compiled_program_agrees_with_run(seed):
+    # the outcome, the state at exhaustion and the steps, at every fuel
+    rng = random.Random(seed)
+    for _ in range(3):
+        p = random_program(rng)
+        compiled = compile_program(p)
+        st0 = {v: rng.randrange(5) for v in VARS}
+        before = dict(st0)
+        for fuel in range(1, 41):
+            assert compiled(st0, fuel) == run(p, st0, fuel)
+        assert st0 == before
 
 
 def test_missing_vars_read_zero():
@@ -125,3 +142,9 @@ def test_deep_sequence_runs():
     out = run(p, {}, 10 ** 4)
     assert out.terminated and out.steps == 3000 and out.state[y] == 3000
     assert program_vars(p) == [y]
+    left = Assign(y, Add(y, Lit(1)))
+    for _ in range(2999):
+        left = Seq(left, Assign(y, Add(y, Lit(1))))
+    for chain in (p, left):
+        for fuel in (1500, 10 ** 4):
+            assert compile_program(chain)({}, fuel) == run(p, {}, fuel)
