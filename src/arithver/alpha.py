@@ -10,7 +10,9 @@ instantiate_alpha replaces every existential (including the bounded ones
 carrying huge trace codes) by concrete numerals computed from an actual
 run, so the instance is quantifier-free and evaluates exactly.  The
 instances replay a run that whilelang.run has checked halts: run owns the
-cost model, and the replay charges no fuel.
+cost model, and the replay charges no fuel.  The replay takes each branch
+that the guard instance it writes into the certificate evaluates to, by
+eval_formula, so the certificate and the run agree by construction.
 """
 
 from dataclasses import dataclass
@@ -20,10 +22,10 @@ from .coding import beta_graph, tuple_graph, tuple_inst
 from .terms import (Add, And, BExists, BForall, Eq, Exists, Forall, Implies,
                     Lit, Names, Not, Or, conj, free_vars, subst_term,
                     substitute_simultaneous)
-from .evaluator import (Budget, assignments, compile_formula, eval_term,
-                        format_assignment)
+from .evaluator import (Budget, assignments, compile_formula, eval_formula,
+                        eval_term, format_assignment)
 from .whilelang import (Assign, If, Program, Seq, While, compile_program,
-                        holds, program_vars, run)
+                        program_vars, run)
 
 
 def _state_graph(w, i, terms, names):
@@ -181,16 +183,17 @@ def _inst(prog, xs, st):
         return conj(parts + [_inst(prog, xs, st)])
     if isinstance(prog, If):
         g = _guard_inst(prog.guard, xs, st)
-        if holds(prog.guard, st):
+        if eval_formula(g, {}).is_true():
             return And(g, _inst(prog.then, xs, st))
         return And(Not(g), _inst(prog.els, xs, st))
     if isinstance(prog, While):
         heads = [_num_state(xs, st)]
         parts = []
-        while holds(prog.guard, st):
-            g = _guard_inst(prog.guard, xs, st)
+        g = _guard_inst(prog.guard, xs, st)
+        while eval_formula(g, {}).is_true():
             parts.append(And(g, _inst(prog.body, xs, st)))
             heads.append(_num_state(xs, st))
+            g = _guard_inst(prog.guard, xs, st)
         k = len(heads) - 1
         codes = [coding.tuple_encode(h) for h in heads]
         betas = coding.seq_inst(codes)
@@ -202,7 +205,7 @@ def _inst(prog, xs, st):
         for j in range(k):
             pieces += [states[j], states[j + 1], parts[j]]
         pieces.append(states[k])
-        pieces.append(Not(_guard_inst(prog.guard, xs, st)))
+        pieces.append(Not(g))
         return conj(pieces)
     raise TypeError(f"not a program: {prog!r}")
 

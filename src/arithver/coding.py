@@ -11,7 +11,6 @@ functions), which is quantifier-free and evaluates exactly.
 """
 
 import math
-import random
 
 from .terms import Add, And, BExists, Eq, Lit, Lt, Mul
 
@@ -62,19 +61,6 @@ def beta_index(w, i):
     return beta(b, c, i)
 
 
-def _check_coprime(moduli):
-    n = len(moduli)
-    if n <= 50:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    else:
-        rng = random.Random(0)
-        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(200)]
-        pairs = [(i, j) for i, j in pairs if i != j]
-    for i, j in pairs:
-        if math.gcd(moduli[i], moduli[j]) != 1:
-            raise AssertionError("beta moduli are not pairwise coprime")
-
-
 def seq_encode(xs):
     """A code w with beta_index(w, i) == xs[i] for every position.
 
@@ -88,12 +74,16 @@ def seq_encode(xs):
     base = math.lcm(*range(1, k + 1))
     c = base * (max(xs) // base + 1)
     moduli = [1 + (i + 1) * c for i in range(k)]
-    _check_coprime(moduli)
     b, m = 0, 1
     for a, mod in zip(xs, moduli):
-        # combine b (mod m) with a (mod mod)
+        # combine b (mod m) with a (mod mod); m has no inverse exactly when
+        # mod shares a factor with an earlier modulus
+        try:
+            inv = pow(m, -1, mod)
+        except ValueError:
+            raise AssertionError("beta moduli are not pairwise coprime") from None
         diff = (a - b) % mod
-        b = b + m * (diff * pow(m, -1, mod) % mod)
+        b = b + m * (diff * inv % mod)
         m *= mod
     w = pair(b, c)
     return w

@@ -15,7 +15,6 @@ and dually, both by finiteness of the bounded range.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .terms import (And, BExists, BForall, Eq, Exists, FalseC, Forall, Iff,
                     Implies, Lt, Names, Not, Or, TrueC, free_vars,
@@ -53,7 +52,14 @@ def desugar(f):
         a, b = desugar(f.left), desugar(f.right)
         return And(Or(Not(a), b), Or(Not(b), a))
     if isinstance(f, Not):
-        return Not(desugar(f.body))
+        # a `~` chain by a loop: chains run thousands long
+        n = 0
+        while isinstance(f, Not):
+            f, n = f.body, n + 1
+        f = desugar(f)
+        for _ in range(n):
+            f = Not(f)
+        return f
     if isinstance(f, (And, Or)):
         return type(f)(desugar(f.left), desugar(f.right))
     if isinstance(f, (Forall, Exists)):
@@ -66,7 +72,10 @@ def desugar(f):
 def nnf(f, positive=True):
     """Negation normal form of a desugared formula."""
     if isinstance(f, Not):
-        return nnf(f.body, not positive)
+        # a `~` chain by a loop, keeping its parity
+        while isinstance(f, Not):
+            f, positive = f.body, not positive
+        return nnf(f, positive)
     if isinstance(f, (And, Or)):
         op = type(f) if positive else (Or if isinstance(f, And) else And)
         return op(nnf(f.left, positive), nnf(f.right, positive))
@@ -156,49 +165,26 @@ def classify(f):
 def _merge_prefixes(pa, pb):
     """Interleave two quantifier prefixes minimizing alternations.
 
-    Prefixes are lists of (kind, var).  Runs of equal kind are taken
-    together; an exact search over run sequences picks the cheaper start.
+    Prefixes are lists of (kind, var).  Each step takes the leading run of
+    one kind from both prefixes.  After a step neither prefix leads with
+    its kind, so the kinds alternate and only the first is a choice: both
+    starts are simulated, and the one with fewer steps wins, Pi on a tie.
     """
-    def runs(p):
-        out = []
-        for k, v in p:
-            if out and out[-1][0] == k:
-                out[-1][1].append(v)
-            else:
-                out.append((k, [v]))
-        return out
+    def merge(kind):
+        out, i, j, steps = [], 0, 0, 0
+        while i < len(pa) or j < len(pb):
+            while i < len(pa) and pa[i][0] == kind:
+                out.append(pa[i])
+                i += 1
+            while j < len(pb) and pb[j][0] == kind:
+                out.append(pb[j])
+                j += 1
+            kind = SIGMA if kind == PI else PI
+            steps += 1
+        return steps, out
 
-    ra, rb = runs(pa), runs(pb)
-
-    @lru_cache(maxsize=None)
-    def best(i, j, cur):
-        """Cheapest next run after one of kind cur, with i runs of pa and j
-        of pb taken: (alternations to the end, kind, i', j'), or None when
-        both are used up.  Ties go to the smaller tuple, so PI before SIGMA.
-        """
-        steps = []
-        for nxt in (SIGMA, PI):
-            ii = i + 1 if i < len(ra) and ra[i][0] == nxt else i
-            jj = j + 1 if j < len(rb) and rb[j][0] == nxt else j
-            if (ii, jj) == (i, j):
-                continue
-            rest = best(ii, jj, nxt)
-            c = (0 if nxt == cur else 1) + (rest[0] if rest else 0)
-            steps.append((c, nxt, ii, jj))
-        return min(steps, default=None)
-
-    out = []
-    i = j = 0
-    step = best(0, 0, None)
-    while step:
-        _, kind, ii, jj = step
-        if i < ii:
-            out.extend((kind, v) for v in ra[i][1])
-        if j < jj:
-            out.extend((kind, v) for v in rb[j][1])
-        i, j = ii, jj
-        step = best(i, j, kind)
-    return out
+    (pi_steps, pi_out), (sigma_steps, sigma_out) = merge(PI), merge(SIGMA)
+    return sigma_out if sigma_steps < pi_steps else pi_out
 
 
 def _pull(f, names):

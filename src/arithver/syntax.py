@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 from . import xrec
 from .terms import (Add, And, BExists, BForall, Eq, Exists, FalseC, Forall,
                     Iff, Implies, Lit, Lt, Mul, Not, Or, TrueC, Var)
-from .whilelang import Assign, If, Seq as SeqP, While
+from .whilelang import Assign, If, Seq as SeqP, While, is_guard
 from .alpha import HoareTriple
 from .proofs import AssignAxiom, CondRule, ConseqRule, SeqRule, WhileRule
 
@@ -277,21 +277,12 @@ class _Parser:
     # -- guards -------------------------------------------------------
 
     def guard(self):
-        # a guard is a formula built from Lt, Not and Implies only; the
-        # shape is checked once, by an explicit walk
         start = self.peek().span.start
         g = self.formula()
-        todo = [g]
-        while todo:
-            n = todo.pop()
-            if isinstance(n, Implies):
-                todo += (n.left, n.right)
-            elif isinstance(n, Not):
-                todo.append(n.body)
-            elif not isinstance(n, Lt):
-                raise ParseError(
-                    "a guard is built from '<', '~' and '->' only",
-                    SourceSpan(start, self.toks[self.pos - 1].span.end))
+        if not is_guard(g):
+            raise ParseError(
+                "a guard is built from '<', '~' and '->' only",
+                SourceSpan(start, self.toks[self.pos - 1].span.end))
         return g
 
     # -- programs -------------------------------------------------------

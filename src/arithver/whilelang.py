@@ -2,7 +2,11 @@
 compiler to closures with the same semantics.
 
 A guard is a quantifier-free formula built from Lt, Not and Implies, so
-alpha, the VCs and the proof rules use it as it is.  The cost model
+alpha, the VCs and the proof rules use it as it is, and the interpreter
+decides it with the evaluator's eval_formula and compile_formula: this
+module has no boolean semantics of its own.  is_guard checks the shape,
+and If and While refuse any other guard, so a guard always evaluates
+exactly and never reads an Unknown as false.  The cost model
 charges one fuel unit per assignment, per conditional test and per
 loop-guard test.  run and the programs compile_program returns are the
 only places fuel is charged.  Fuel exhaustion is a value, not an error,
@@ -13,7 +17,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from .terms import Add, Formula, Implies, Lt, Mul, Not, Term, Var
-from .evaluator import compile_term, eval_term
+from .evaluator import (TRUE, compile_formula, compile_term, eval_formula,
+                        eval_term)
 
 
 class Program:
@@ -45,11 +50,33 @@ class Seq(Program):
         return "; ".join(parts)
 
 
+def is_guard(g):
+    """Whether g is a guard: a formula built from Lt, Not and Implies only."""
+    todo = [g]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, Implies):
+            todo += (n.left, n.right)
+        elif isinstance(n, Not):
+            todo.append(n.body)
+        elif not isinstance(n, Lt):
+            return False
+    return True
+
+
+def _check_guard(g):
+    if not is_guard(g):
+        raise TypeError(f"not a boolean expression: {g!r}")
+
+
 @dataclass(frozen=True)
 class If(Program):
     guard: Formula
     then: Program
     els: Program
+
+    def __post_init__(self):
+        _check_guard(self.guard)
 
     def __str__(self):
         return f"if {self.guard} then {self.then} else {self.els} fi"
@@ -59,6 +86,9 @@ class If(Program):
 class While(Program):
     guard: Formula
     body: Program
+
+    def __post_init__(self):
+        _check_guard(self.guard)
 
     def __str__(self):
         return f"while {self.guard} do {self.body} od"
@@ -95,17 +125,6 @@ def program_vars(prog):
         else:
             raise TypeError(f"not a program or guard: {n!r}")
     return list(seen)
-
-
-def holds(g, state):
-    """The truth of a guard, a formula built from Lt, Not and Implies."""
-    if isinstance(g, Lt):
-        return eval_term(g.left, state) < eval_term(g.right, state)
-    if isinstance(g, Not):
-        return not holds(g.body, state)
-    if isinstance(g, Implies):
-        return (not holds(g.left, state)) or holds(g.right, state)
-    raise TypeError(f"not a boolean expression: {g!r}")
 
 
 @dataclass(frozen=True)
@@ -181,41 +200,27 @@ def _compile(prog):
             return fuel - 1
         return assign
     if isinstance(prog, If):
-        guard = _compile_guard(prog.guard)
+        guard = compile_formula(prog.guard)
         then, els = _compile(prog.then), _compile(prog.els)
 
         def cond(st, fuel):
             if fuel < 1:
                 raise _OutOfFuel
-            return (then if guard(st) else els)(st, fuel - 1)
+            return (then if guard(st) is TRUE else els)(st, fuel - 1)
         return cond
     if isinstance(prog, While):
-        guard, body = _compile_guard(prog.guard), _compile(prog.body)
+        guard, body = compile_formula(prog.guard), _compile(prog.body)
 
         def loop(st, fuel):
             while True:
                 if fuel < 1:
                     raise _OutOfFuel
                 fuel -= 1
-                if not guard(st):
+                if guard(st) is not TRUE:
                     return fuel
                 fuel = body(st, fuel)
         return loop
     raise TypeError(f"not a program: {prog!r}")
-
-
-def _compile_guard(g):
-    # holds, compiled
-    if isinstance(g, Lt):
-        a, b = compile_term(g.left), compile_term(g.right)
-        return lambda st: a(st) < b(st)
-    if isinstance(g, Not):
-        h = _compile_guard(g.body)
-        return lambda st: not h(st)
-    if isinstance(g, Implies):
-        a, b = _compile_guard(g.left), _compile_guard(g.right)
-        return lambda st: (not a(st)) or b(st)
-    raise TypeError(f"not a boolean expression: {g!r}")
 
 
 def _exec(prog, st, fuel):
@@ -234,14 +239,14 @@ def _exec(prog, st, fuel):
         if fuel < 1:
             raise _OutOfFuel
         fuel -= 1
-        branch = prog.then if holds(prog.guard, st) else prog.els
-        return _exec(branch, st, fuel)
+        g = eval_formula(prog.guard, st)
+        return _exec(prog.then if g.is_true() else prog.els, st, fuel)
     if isinstance(prog, While):
         while True:
             if fuel < 1:
                 raise _OutOfFuel
             fuel -= 1
-            if not holds(prog.guard, st):
+            if not eval_formula(prog.guard, st).is_true():
                 return fuel
             fuel = _exec(prog.body, st, fuel)
     raise TypeError(f"not a program: {prog!r}")

@@ -191,6 +191,13 @@ def test_deep_not_chain_evaluates(capsys, n, code, out):
     assert run_cli(capsys, "eval", f, "--assign", "x=1") == (code, out, "")
 
 
+@pytest.mark.parametrize("cmd, out", [
+    ("classify", "Sigma_0 (strict, also dual)\n"), ("prenex", "x = 1\n")])
+def test_deep_not_chain_classifies_and_prenexes(capsys, cmd, out):
+    # desugar and nnf walk a run of `~` by loops
+    assert run_cli(capsys, cmd, "~" * 3000 + "x = 1") == (0, out, "")
+
+
 def test_run_bad_input_assignment(capsys):
     code, _, err = run_cli(capsys, "run", COUNT, "--input", "x:oops")
     assert code == 3

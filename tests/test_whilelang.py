@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from arithver import whilelang
-from arithver.evaluator import eval_formula
-from arithver.terms import Add, Eq, Implies, Lit, Lt, Not, Var
+from arithver.terms import Add, Eq, Exists, Implies, Lit, Lt, Not, TrueC, Var
 from arithver.whilelang import (Assign, If, Seq, While, compile_program,
-                                holds, program_vars, run)
+                                is_guard, program_vars, run)
 
 from generators import VARS, random_bool, random_program
 
@@ -90,24 +89,17 @@ def test_missing_vars_read_zero():
     assert out.terminated and out.state[y] == 0
 
 
-def test_holds():
-    assert holds(Lt(x, y), {x: 1, y: 2})
-    assert holds(Not(Lt(y, x)), {x: 1, y: 2})
-    assert holds(Implies(Lt(y, x), Lt(x, x)), {x: 1, y: 2})
-    assert not holds(Implies(Lt(x, y), Lt(x, x)), {x: 1, y: 2})
-    with pytest.raises(TypeError):
-        holds(Eq(x, y), {})
-
-
-def test_holds_agrees_with_evaluator():
-    # holds is the interpreter's fast path; eval_formula is the reference
-    rng = random.Random(6)
-    for _ in range(500):
-        g = random_bool(rng, 3)
-        v = {w: rng.randrange(6) for w in VARS}
-        ref = eval_formula(g, v)
-        assert ref.is_exact()
-        assert holds(g, v) == ref.is_true()
+@pytest.mark.parametrize("guard", [
+    Eq(x, y), TrueC(), Exists(z, Lt(z, x)), Implies(Lt(x, y), Eq(x, y)),
+    Not(Not(Exists(z, Lt(z, x))))])
+def test_if_and_while_refuse_a_non_guard(guard):
+    # a guard is built from Lt, Not and Implies, so it never evaluates to
+    # Unknown and an Unknown is never read as false
+    assert not is_guard(guard)
+    with pytest.raises(TypeError, match="not a boolean expression"):
+        If(guard, Assign(x, Lit(0)), Assign(x, Lit(1)))
+    with pytest.raises(TypeError, match="not a boolean expression"):
+        While(guard, Assign(x, Lit(0)))
 
 
 def test_guard_classes_are_formula_classes():
