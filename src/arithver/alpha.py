@@ -168,11 +168,8 @@ def _inst(prog, xs, st):
     if isinstance(prog, Assign):
         before = [Lit(v) for v in _num_state(xs, st)]
         st[prog.var] = eval_term(prog.expr, st)
-        after = _num_state(xs, st)
-        i = xs.index(prog.var)
-        rhs = subst_term(prog.expr, dict(zip(xs, before)))
-        return conj([Eq(Lit(after[j]), rhs if j == i else before[j])
-                     for j in range(len(xs))])
+        after = [Lit(v) for v in _num_state(xs, st)]
+        return _alpha(prog, xs, before, after, None)
     if isinstance(prog, Seq):
         # the right spine by a loop, as in _exec; conj nests the parts to
         # the right again, as the recursion did

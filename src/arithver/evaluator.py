@@ -7,7 +7,11 @@ otherwise the verdict is Unknown.  Connectives follow strong Kleene.
 
 eval_formula interprets the tree; compile_formula turns it into closures
 once, with the same verdicts, for loops that evaluate one formula at
-many assignments.
+many assignments.  The two paths share each rule: `~`, `->` and `<->`
+by _neg, _disj and _iff, a chain's operands by _operands, and an
+unbounded search that finds nothing by _none.  Each has one branch for
+all four quantifiers, which differ only in the values searched and in
+the verdict when the search finds nothing.
 """
 
 import itertools
@@ -36,6 +40,8 @@ class TriState:
         raise TypeError("TriState is three-valued; test .is_true()/.is_false()")
 
 
+# every exact verdict of eval_formula and compile_formula is TRUE or FALSE
+# itself, so the evaluators test verdicts by identity
 TRUE = TriState("true")
 FALSE = TriState("false")
 
@@ -92,6 +98,34 @@ def _disj(a, b):
     return a if not a.is_exact() else b
 
 
+def _iff(a, b):
+    if a.is_exact() and b.is_exact():
+        return TRUE if a.value == b.value else FALSE
+    return a if not a.is_exact() else b
+
+
+def _operands(f):
+    """The operands of the And or Or chain f, left to right.
+
+    The parser nests chains to the left and conj to the right, both
+    thousands long, so both spines are walked by an explicit stack.
+    """
+    kind = type(f)
+    parts, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, kind):
+            todo += (g.right, g.left)
+        else:
+            parts.append(g)
+    return parts
+
+
+def _none(f, budget):
+    kind = "witness" if isinstance(f, Exists) else "counterexample"
+    return unknown(f"no {kind} <= {budget.q_bound}")
+
+
 def eval_formula(f, v, budget=Budget()):
     # a shared Eq node is evaluated once per call: its verdict is memoised
     # by id, which stays valid because f keeps every node alive until the
@@ -122,71 +156,54 @@ def _eval(f, v, budget, depth, memo):
         r = _eval(f, v, budget, depth, memo)
         return _neg(r) if odd else r
     if isinstance(f, (And, Or)):
-        # the parser nests chains to the left and conj to the right, both
-        # thousands long, so the operands are walked by an explicit stack
-        # over both spines, left to right.  Strong Kleene with
-        # short-circuit: And is False at the first false conjunct,
-        # evaluating nothing after it, otherwise the first Unknown,
-        # otherwise True; Or is the dual.
-        kind = type(f)
-        hit, out = (FALSE, TRUE) if kind is And else (TRUE, FALSE)
+        # strong Kleene with short-circuit: And is False at the first false
+        # conjunct, evaluating nothing after it, otherwise the first
+        # Unknown, otherwise True; Or is the dual
+        hit, out = (FALSE, TRUE) if type(f) is And else (TRUE, FALSE)
         pending = None
-        todo = [f]
-        while todo:
-            g = todo.pop()
-            if isinstance(g, kind):
-                todo += (g.right, g.left)
-                continue
+        for g in _operands(f):
             r = _eval(g, v, budget, depth, memo)
-            if r.value == hit.value:
+            if r is hit:
                 return hit
-            if pending is None and not r.is_exact():
+            if pending is None and r is not out:
                 pending = r
-        return pending if pending is not None else out
+        return out if pending is None else pending
     if isinstance(f, Implies):
         a = _eval(f.left, v, budget, depth, memo)
         if a.is_false():
             return TRUE
         return _disj(_neg(a), _eval(f.right, v, budget, depth, memo))
     if isinstance(f, Iff):
-        a = _eval(f.left, v, budget, depth, memo)
-        b = _eval(f.right, v, budget, depth, memo)
-        if a.is_exact() and b.is_exact():
-            return TRUE if a.value == b.value else FALSE
-        return a if not a.is_exact() else b
-    if isinstance(f, (BForall, BExists)):
-        n = eval_term(f.bound, v)
-        if n > budget.expansion_limit:
-            return unknown(f"bounded range {n} exceeds expansion limit")
-        hit = TRUE if isinstance(f, BExists) else FALSE
-        out = FALSE if isinstance(f, BExists) else TRUE
+        return _iff(_eval(f.left, v, budget, depth, memo),
+                    _eval(f.right, v, budget, depth, memo))
+    if isinstance(f, (BForall, BExists, Forall, Exists)):
+        # a bounded binder searches range(bound) and ends in the dual
+        # constant; an unbounded one searches 0..q_bound and ends in
+        # Unknown.  Both stop at the first hit, else keep the last Unknown.
+        exists = isinstance(f, (BExists, Exists))
+        hit, out = (TRUE, FALSE) if exists else (FALSE, TRUE)
+        bounded = isinstance(f, (BForall, BExists))
+        if bounded:
+            n = eval_term(f.bound, v)
+            if n > budget.expansion_limit:
+                return unknown(f"bounded range {n} exceeds expansion limit")
+            values = range(n)
+        elif depth >= budget.depth:
+            return unknown("unbounded-quantifier depth guard exceeded")
+        else:
+            values, depth = range(budget.q_bound + 1), depth + 1
         pending = None
         w = dict(v)  # one dict for all the binder's values
-        for i in range(n):
+        for i in values:
             w[f.var] = i
             r = _eval(f.body, w, budget, depth, None)
-            if r == hit:
+            if r is hit:
                 return hit
-            if not r.is_exact():
+            if r is not out:
                 pending = r
-        return pending if pending is not None else out
-    if isinstance(f, (Forall, Exists)):
-        if depth >= budget.depth:
-            return unknown("unbounded-quantifier depth guard exceeded")
-        hit = TRUE if isinstance(f, Exists) else FALSE
-        pending = None
-        w = dict(v)
-        for i in range(budget.q_bound + 1):
-            w[f.var] = i
-            r = _eval(f.body, w, budget, depth + 1, None)
-            if r == hit:
-                return hit
-            if not r.is_exact():
-                pending = r
-        kind = "witness" if isinstance(f, Exists) else "counterexample"
         if pending is not None:
             return pending
-        return unknown(f"no {kind} <= {budget.q_bound}")
+        return out if bounded else _none(f, budget)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -216,9 +233,7 @@ def compile_formula(f, budget=Budget()):
 
 
 def _compile(f, budget, depth):
-    # depth counts the unbounded binders enclosing f.  Every exact verdict
-    # a compiled formula returns is TRUE or FALSE itself, so the closures
-    # test verdicts by identity.
+    # depth counts the unbounded binders enclosing f
     if isinstance(f, TrueC):
         return lambda v: TRUE
     if isinstance(f, FalseC):
@@ -235,17 +250,8 @@ def _compile(f, budget, depth):
         g = _compile(f, budget, depth)
         return (lambda v: _neg(g(v))) if odd else g
     if isinstance(f, (And, Or)):
-        # both spines by an explicit stack, as in _eval
-        kind = type(f)
-        hit, out = (FALSE, TRUE) if kind is And else (TRUE, FALSE)
-        parts, todo = [], [f]
-        while todo:
-            g = todo.pop()
-            if isinstance(g, kind):
-                todo += (g.right, g.left)
-            else:
-                parts.append(_compile(g, budget, depth))
-        parts = tuple(parts)
+        hit, out = (FALSE, TRUE) if type(f) is And else (TRUE, FALSE)
+        parts = tuple(_compile(g, budget, depth) for g in _operands(f))
 
         def junction(v):
             pending = None
@@ -268,45 +274,28 @@ def _compile(f, budget, depth):
         return implies
     if isinstance(f, Iff):
         a, b = _compile(f.left, budget, depth), _compile(f.right, budget, depth)
-
-        def iff(v):
-            ra, rb = a(v), b(v)
-            if ra.is_exact() and rb.is_exact():
-                return TRUE if ra is rb else FALSE
-            return ra if not ra.is_exact() else rb
-        return iff
-    if isinstance(f, (BForall, BExists)):
-        bound = compile_term(f.bound)
-        body = _compile(f.body, budget, depth)
-        var, limit = f.var, budget.expansion_limit
-        hit, out = (TRUE, FALSE) if isinstance(f, BExists) else (FALSE, TRUE)
-
-        def bounded(v):
-            n = bound(v)
-            if n > limit:
-                return unknown(f"bounded range {n} exceeds expansion limit")
-            pending = None
-            w = dict(v)
-            for i in range(n):
-                w[var] = i
-                r = body(w)
-                if r is hit:
-                    return hit
-                if r is not out:
-                    pending = r
-            return out if pending is None else pending
-        return bounded
-    if isinstance(f, (Forall, Exists)):
-        if depth >= budget.depth:
+        return lambda v: _iff(a(v), b(v))
+    if isinstance(f, (BForall, BExists, Forall, Exists)):
+        # as in _eval; the depth guard is settled here, once
+        exists = isinstance(f, (BExists, Exists))
+        hit, out = (TRUE, FALSE) if exists else (FALSE, TRUE)
+        if isinstance(f, (BForall, BExists)):
+            bound, searched, end = compile_term(f.bound), None, out
+        elif depth >= budget.depth:
             guard = unknown("unbounded-quantifier depth guard exceeded")
             return lambda v: guard
-        body = _compile(f.body, budget, depth + 1)
-        var, values = f.var, range(budget.q_bound + 1)
-        hit, out = (TRUE, FALSE) if isinstance(f, Exists) else (FALSE, TRUE)
-        kind = "witness" if isinstance(f, Exists) else "counterexample"
-        none = unknown(f"no {kind} <= {budget.q_bound}")
+        else:
+            bound, depth = None, depth + 1
+            searched, end = range(budget.q_bound + 1), _none(f, budget)
+        body, var = _compile(f.body, budget, depth), f.var
 
-        def unbounded(v):
+        def quantifier(v):
+            values = searched
+            if bound is not None:
+                n = bound(v)
+                if n > budget.expansion_limit:
+                    return unknown(f"bounded range {n} exceeds expansion limit")
+                values = range(n)
             pending = None
             w = dict(v)
             for i in values:
@@ -316,8 +305,8 @@ def _compile(f, budget, depth):
                     return hit
                 if r is not out:
                     pending = r
-            return none if pending is None else pending
-        return unbounded
+            return end if pending is None else pending
+        return quantifier
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -31,12 +31,6 @@ class HierarchyLevel:
     strict: bool
     both: bool = False  # also lies in the dual class at the same level
 
-    def dual(self):
-        if self.both:
-            return self
-        return HierarchyLevel(PI if self.kind == SIGMA else SIGMA,
-                              self.n, self.strict, self.both)
-
     def __str__(self):
         name = {"sigma": "Sigma", "pi": "Pi"}[self.kind]
         tag = "strict" if self.strict else "generalized"

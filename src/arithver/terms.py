@@ -122,7 +122,11 @@ class Not(Formula):
     body: Formula
 
     def __str__(self):
-        return f"~({self.body})"
+        # a run of `~` by a loop: runs are thousands long
+        n, f = 0, self
+        while isinstance(f, Not):
+            n, f = n + 1, f.body
+        return f"{'~(' * n}{f}{')' * n}"
 
 
 @dataclass(frozen=True)
@@ -425,14 +429,4 @@ def conj(parts):
     out = parts[-1]
     for p in reversed(parts[:-1]):
         out = And(p, out)
-    return out
-
-
-def disj(parts):
-    parts = list(parts)
-    if not parts:
-        return FalseC()
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = Or(p, out)
     return out

@@ -2,12 +2,13 @@
 
 Prints one line per case: alpha and VC instances (hashed), gamma
 instances of the schema library, three-valued verdicts with their
-reasons, program print/parse round trips, guard parses with their
-errors, the binder walks: classification, prenex and negation normal
-forms, free variables and substitutions of random formulas, the
-values that compiled schemas and Sigma_1 formulas compute, and the grid
-sweeps: triple verdicts, proof reports and least-witness searches.  Run it
-against two trees and compare the outputs byte for byte:
+reasons from eval_formula and compile_formula side by side, program
+print/parse round trips, guard parses with their errors, the binder
+walks: classification, prenex and negation normal forms, free variables
+and substitutions of random formulas, the values that compiled schemas
+and Sigma_1 formulas compute, and the grid sweeps: triple verdicts,
+proof reports and least-witness searches.  Run it against two trees and
+compare the outputs byte for byte:
 
     PYTHONPATH=src python tests/dump_outputs.py > new.txt
     PYTHONPATH=/path/to/other/src python tests/dump_outputs.py > old.txt
@@ -25,8 +26,8 @@ from dataclasses import fields, is_dataclass
 
 from arithver.alpha import (HoareTriple, check_triple, instantiate_alpha,
                             vc_instance)
-from arithver.evaluator import (Budget, WitnessSearchError, eval_formula,
-                                find_witnesses)
+from arithver.evaluator import (Budget, WitnessSearchError, compile_formula,
+                                eval_formula, find_witnesses)
 from arithver.hierarchy import classify, desugar, nnf, prenexify
 from arithver.proofs import AssignAxiom, ConseqRule, check_proof
 from arithver.syntax import ParseError, parse_bool, parse_formula, parse_program
@@ -137,8 +138,10 @@ def dump_eval(rng):
     for k in range(12000):
         f = random_formula(rng, 3)
         point = {v: rng.randrange(5) for v in VARS}
-        r = eval_formula(f, point, Budget(q_bound=k % 4))
-        print(f"eval {k} {r.value} {r.reason}")
+        budget = Budget(q_bound=k % 4)
+        r = eval_formula(f, point, budget)
+        c = compile_formula(f, budget)(point)
+        print(f"eval {k} {r.value} {r.reason} | {c.value} {c.reason}")
     for n in (0, 1, 2, 3000, 3001):
         text = "~" * n + "x = 1"
         r = attempt(lambda: eval_formula(parse_formula(text), {X: 1}).value)

@@ -192,9 +192,11 @@ def test_deep_not_chain_evaluates(capsys, n, code, out):
 
 
 @pytest.mark.parametrize("cmd, out", [
-    ("classify", "Sigma_0 (strict, also dual)\n"), ("prenex", "x = 1\n")])
+    ("classify", "Sigma_0 (strict, also dual)\n"), ("prenex", "x = 1\n"),
+    pytest.param("parse-formula", "~(" * 3000 + "x = 1" + ")" * 3000 + "\n",
+                 id="parse-formula")])
 def test_deep_not_chain_classifies_and_prenexes(capsys, cmd, out):
-    # desugar and nnf walk a run of `~` by loops
+    # desugar, nnf and Not.__str__ walk a run of `~` by loops
     assert run_cli(capsys, cmd, "~" * 3000 + "x = 1") == (0, out, "")
 
 

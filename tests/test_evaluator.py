@@ -76,13 +76,58 @@ def test_and_chain_unknown_then_false_is_false():
     assert eval_formula(conj([TrueC(), u, FalseC(), TrueC()]), {}, b).is_false()
 
 
+def _compiled(f, v, budget=Budget()):
+    return compile_formula(f, budget)(v)
+
+
+BOTH_PATHS = pytest.mark.parametrize("evaluate", [eval_formula, _compiled],
+                                     ids=["eval", "compiled"])
+
+
 def test_and_chain_reports_first_unknown():
     u1 = Exists(z, Eq(Mul(z, z), Lit(7)))
     u2 = Forall(z, Lt(z, Lit(100)))
     b = Budget(q_bound=5)
-    assert eval_formula(conj([u1, TrueC(), u2]), {}, b) == unknown("no witness <= 5")
-    assert eval_formula(conj([u2, TrueC(), u1]), {}, b) == unknown(
-        "no counterexample <= 5")
+    for evaluate in (eval_formula, _compiled):
+        assert evaluate(conj([u1, TrueC(), u2]), {}, b) == unknown(
+            "no witness <= 5")
+        assert evaluate(conj([u2, TrueC(), u1]), {}, b) == unknown(
+            "no counterexample <= 5")
+        assert evaluate(Or(Or(u2, FalseC()), u1), {}, b) == unknown(
+            "no counterexample <= 5")
+
+
+@pytest.mark.parametrize("f", [
+    BExists(z, Lit(4), BExists(y, Mul(z, Lit(1000)), FalseC())),
+    Exists(z, BExists(y, Mul(z, Lit(1000)), FalseC())),
+    BForall(z, Lit(4), BForall(y, Mul(z, Lit(1000)), TrueC())),
+    Forall(z, BForall(y, Mul(z, Lit(1000)), TrueC())),
+], ids=["BExists", "Exists", "BForall", "Forall"])
+@BOTH_PATHS
+def test_quantifier_reports_last_unknown(f, evaluate):
+    # the body is the dual constant at z = 0 and 1, and Unknown, naming
+    # its range, at z = 2 and 3
+    r = evaluate(f, {}, Budget(q_bound=3, expansion_limit=1500))
+    assert r == unknown("bounded range 3000 exceeds expansion limit")
+
+
+class _Unreadable:
+    """A value that raises when it is compared."""
+
+    def __eq__(self, other):
+        raise AssertionError("evaluated past the first hit")
+
+
+@pytest.mark.parametrize("f, hit", [
+    (BExists(z, Lit(4), Or(Eq(z, Lit(0)), Eq(x, Lit(0)))), TRUE),
+    (Exists(z, Or(Eq(z, Lit(0)), Eq(x, Lit(0)))), TRUE),
+    (BForall(z, Lit(4), And(Lt(Lit(0), z), Eq(x, Lit(0)))), FALSE),
+    (Forall(z, And(Lt(Lit(0), z), Eq(x, Lit(0)))), FALSE),
+], ids=["BExists", "Exists", "BForall", "Forall"])
+@BOTH_PATHS
+def test_quantifier_stops_at_first_hit(f, hit, evaluate):
+    # the hit is at z = 0; at any later z the body compares x
+    assert evaluate(f, {x: _Unreadable()}, Budget(q_bound=3)) == hit
 
 
 def test_and_chain_stops_at_first_false():

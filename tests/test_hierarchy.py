@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from arithver.terms import (And, BExists, BForall, Eq, Exists, Forall, Lit,
                             Lt, Not, Or, Var, conj, free_vars)
 from arithver.evaluator import Budget, eval_formula
-from arithver.hierarchy import (PI, SIGMA, HierarchyLevel, classify, desugar,
-                                nnf, prenexify)
+from arithver.hierarchy import (PI, SIGMA, classify, desugar, nnf,
+                                prenexify)
 from arithver.syntax import parse_formula
 
 from generators import random_formula
@@ -25,13 +25,6 @@ def test_fixture_count():
 def test_classification_fixtures(src, kind, n, strict, both):
     lvl = classify(parse_formula(src))
     assert (lvl.kind, lvl.n, lvl.strict, lvl.both) == (kind, n, strict, both), src
-
-
-def test_dual():
-    lvl = HierarchyLevel(SIGMA, 2, True)
-    assert lvl.dual() == HierarchyLevel(PI, 2, True)
-    both = HierarchyLevel(SIGMA, 1, False, both=True)
-    assert both.dual() == both
 
 
 def test_nnf_pushes_negation():

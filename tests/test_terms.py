@@ -4,9 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, FalseC,
-                            Forall, Iff, Implies, Lit, Lt, Mul, Not, One, Or,
-                            Names, TrueC, Var, Zero, alpha_equal, conj, disj,
+from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, Forall,
+                            Iff, Implies, Lit, Lt, Mul, Not, One, Or, Names,
+                            TrueC, Var, Zero, alpha_equal, conj,
                             expand_to_core, free_vars, mk_numeral,
                             strip_exists, substitute, substitute_simultaneous,
                             term_vars)
@@ -156,7 +156,6 @@ def test_alpha_distinguishes_free_from_bound():
 
 def test_conj_disj():
     assert conj([]) == TrueC()
-    assert disj([]) == FalseC()
     f = conj([Eq(x, x), Lt(x, y), TrueC()])
     assert f == And(Eq(x, x), And(Lt(x, y), TrueC()))
 
