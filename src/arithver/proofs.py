@@ -6,11 +6,16 @@ consequence rule's logical premises are discharged semantically: each is
 universally closed and swept over a grid of assignments with the bounded
 evaluator, so an exact False rejects, all-True accepts, and anything else
 is reported as an unresolved side condition, never silently accepted.
+
+`RULES` is the one table of the five rules: each rule's keyword and the
+labels of its premises, which the parser, the printer and the checker
+read.  Each rule's structural conditions are listed once, in `_demands`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .terms import And, Implies, Not, alpha_equal, free_vars, substitute
+from .terms import (And, Formula, Implies, Not, alpha_equal, free_vars,
+                    substitute)
 from .evaluator import Budget, assignments, compile_formula, format_assignment
 from .whilelang import Assign, If, Seq, While
 from .alpha import HoareTriple
@@ -41,7 +46,7 @@ class CondRule(ProofNode):
 
 @dataclass(frozen=True)
 class WhileRule(ProofNode):
-    invariant: "Formula"
+    invariant: Formula
     body_pf: ProofNode
     conclusion: HoareTriple
 
@@ -50,6 +55,14 @@ class WhileRule(ProofNode):
 class ConseqRule(ProofNode):
     inner: ProofNode
     conclusion: HoareTriple
+
+
+# each rule's keyword and the labels of its fields before `conclusion`,
+# in field order
+RULES = {AssignAxiom: ("assign", ()), SeqRule: ("seq", ("left", "right")),
+         CondRule: ("cond", ("then", "else")),
+         WhileRule: ("loop", ("invariant", "body")),
+         ConseqRule: ("conseq", ("inner",))}
 
 
 @dataclass(frozen=True)
@@ -105,120 +118,79 @@ def check_proof(proof, grid=5, budget=Budget()):
     return CheckReport(tuple(nodes), grid)
 
 
-def _reject(nodes, loc, why):
-    nodes.append(NodeStatus(loc, "rejected", why))
+def _demands(p, c):
+    """The structural conditions of p's rule on its conclusion c, in the
+    order they are checked, as (found, wanted, why) triples; `why` shows
+    found as {0} and wanted as {1}.  A generator, so a premise or a part
+    of c.prog is read only once the conditions before it hold."""
+    rule = type(p)
+    if rule is AssignAxiom:
+        yield type(c.prog), Assign, "assignment axiom applied to a non-assignment"
+        yield (c.pre, substitute(c.post, c.prog.var, c.prog.expr),
+               "precondition is not the substituted postcondition: "
+               "expected {1}, found {0}")
+    elif rule is SeqRule:
+        yield type(c.prog), Seq, "sequence rule applied to a non-sequence"
+        lc, rc = p.left.conclusion, p.right.conclusion
+        yield ((lc.prog, rc.prog), (c.prog.first, c.prog.second),
+               "premise programs do not match the sequence parts")
+        yield lc.pre, c.pre, "left premise precondition differs from the conclusion's"
+        yield rc.post, c.post, "right premise postcondition differs from the conclusion's"
+        yield lc.post, rc.pre, "midpoint mismatch: {0} vs {1}"
+    elif rule is CondRule:
+        yield type(c.prog), If, "conditional rule applied to a non-conditional"
+        b = c.prog.guard
+        tc, ec = p.then_pf.conclusion, p.else_pf.conclusion
+        yield ((tc.prog, ec.prog), (c.prog.then, c.prog.els),
+               "premise programs do not match the branches")
+        yield tc.pre, And(c.pre, b), "then-premise precondition must be {1}"
+        yield ec.pre, And(c.pre, Not(b)), "else-premise precondition must be {1}"
+        why = "branch postconditions differ from the conclusion's"
+        yield tc.post, c.post, why
+        yield ec.post, c.post, why
+    elif rule is WhileRule:
+        yield type(c.prog), While, "loop rule applied to a non-loop"
+        b, inv = c.prog.guard, p.invariant
+        yield c.pre, inv, "conclusion precondition is not the invariant"
+        yield c.post, And(inv, Not(b)), "conclusion postcondition must be {1}"
+        bc = p.body_pf.conclusion
+        yield bc.prog, c.prog.body, "body premise program is not the loop body"
+        yield bc.pre, And(inv, b), "body premise precondition must be {1}"
+        yield bc.post, inv, "body premise postcondition must be the invariant"
+    else:  # ConseqRule
+        yield (p.inner.conclusion.prog, c.prog,
+               "premise program differs from the conclusion's")
 
 
 def _check(p, loc, grid, budget, nodes):
-    if isinstance(p, AssignAxiom):
-        c = p.conclusion
-        if not isinstance(c.prog, Assign):
-            _reject(nodes, loc, "assignment axiom applied to a non-assignment")
-            return
-        want = substitute(c.post, c.prog.var, c.prog.expr)
-        if not alpha_equal(c.pre, want):
-            _reject(nodes, loc,
-                    f"precondition is not the substituted postcondition: "
-                    f"expected {want}, found {c.pre}")
-            return
-        nodes.append(NodeStatus(loc, "accepted"))
+    if type(p) not in RULES:
+        nodes.append(NodeStatus(loc, "rejected", f"not a proof node: {p!r}"))
         return
-    if isinstance(p, SeqRule):
-        c = p.conclusion
-        if not isinstance(c.prog, Seq):
-            _reject(nodes, loc, "sequence rule applied to a non-sequence")
+    c = p.conclusion
+    for found, wanted, why in _demands(p, c):
+        if not (alpha_equal(found, wanted) if isinstance(found, Formula)
+                else found == wanted):
+            nodes.append(NodeStatus(loc, "rejected", why.format(found, wanted)))
             return
-        lc, rc = p.left.conclusion, p.right.conclusion
-        if lc.prog != c.prog.first or rc.prog != c.prog.second:
-            _reject(nodes, loc, "premise programs do not match the sequence parts")
-            return
-        if not alpha_equal(lc.pre, c.pre):
-            _reject(nodes, loc, "left premise precondition differs from the conclusion's")
-            return
-        if not alpha_equal(rc.post, c.post):
-            _reject(nodes, loc, "right premise postcondition differs from the conclusion's")
-            return
-        if not alpha_equal(lc.post, rc.pre):
-            _reject(nodes, loc,
-                    f"midpoint mismatch: {lc.post} vs {rc.pre}")
-            return
-        nodes.append(NodeStatus(loc, "accepted"))
-        _check(p.left, loc + ".left", grid, budget, nodes)
-        _check(p.right, loc + ".right", grid, budget, nodes)
-        return
-    if isinstance(p, CondRule):
-        c = p.conclusion
-        if not isinstance(c.prog, If):
-            _reject(nodes, loc, "conditional rule applied to a non-conditional")
-            return
-        b = c.prog.guard
-        tc, ec = p.then_pf.conclusion, p.else_pf.conclusion
-        if tc.prog != c.prog.then or ec.prog != c.prog.els:
-            _reject(nodes, loc, "premise programs do not match the branches")
-            return
-        if not alpha_equal(tc.pre, And(c.pre, b)):
-            _reject(nodes, loc,
-                    f"then-premise precondition must be {And(c.pre, b)}")
-            return
-        if not alpha_equal(ec.pre, And(c.pre, Not(b))):
-            _reject(nodes, loc,
-                    f"else-premise precondition must be {And(c.pre, Not(b))}")
-            return
-        if not (alpha_equal(tc.post, c.post) and alpha_equal(ec.post, c.post)):
-            _reject(nodes, loc, "branch postconditions differ from the conclusion's")
-            return
-        nodes.append(NodeStatus(loc, "accepted"))
-        _check(p.then_pf, loc + ".then", grid, budget, nodes)
-        _check(p.else_pf, loc + ".else", grid, budget, nodes)
-        return
-    if isinstance(p, WhileRule):
-        c = p.conclusion
-        if not isinstance(c.prog, While):
-            _reject(nodes, loc, "loop rule applied to a non-loop")
-            return
-        b = c.prog.guard
-        inv = p.invariant
-        if not alpha_equal(c.pre, inv):
-            _reject(nodes, loc, "conclusion precondition is not the invariant")
-            return
-        if not alpha_equal(c.post, And(inv, Not(b))):
-            _reject(nodes, loc,
-                    f"conclusion postcondition must be {And(inv, Not(b))}")
-            return
-        bc = p.body_pf.conclusion
-        if bc.prog != c.prog.body:
-            _reject(nodes, loc, "body premise program is not the loop body")
-            return
-        if not alpha_equal(bc.pre, And(inv, b)):
-            _reject(nodes, loc, f"body premise precondition must be {And(inv, b)}")
-            return
-        if not alpha_equal(bc.post, inv):
-            _reject(nodes, loc, "body premise postcondition must be the invariant")
-            return
-        nodes.append(NodeStatus(loc, "accepted"))
-        _check(p.body_pf, loc + ".body", grid, budget, nodes)
-        return
-    if isinstance(p, ConseqRule):
-        c = p.conclusion
+    settled = True
+    if type(p) is ConseqRule:
+        # the logical premises, swept over the grid
         ic = p.inner.conclusion
-        if ic.prog != c.prog:
-            _reject(nodes, loc, "premise program differs from the conclusion's")
-            return
-        ok = True
         for tag, side in (("pre", Implies(c.pre, ic.pre)),
                           ("post", Implies(ic.post, c.post))):
             verdict, detail = _sweep(side, grid, budget)
             if verdict == "false":
-                _reject(nodes, loc, f"{tag}-consequence fails: {side} — {detail}")
-                ok = False
-                break
+                nodes.append(NodeStatus(
+                    loc, "rejected", f"{tag}-consequence fails: {side} — {detail}"))
+                return
             if verdict == "unknown":
+                settled = False
                 nodes.append(NodeStatus(
                     loc, "side-condition-unknown",
                     f"{tag}-consequence {side} not settled at grid {grid}: {detail}"))
-        if ok:
-            if not any(n.location == loc for n in nodes):
-                nodes.append(NodeStatus(loc, "accepted"))
-            _check(p.inner, loc + ".inner", grid, budget, nodes)
-        return
-    _reject(nodes, loc, f"not a proof node: {p!r}")
+    if settled:
+        nodes.append(NodeStatus(loc, "accepted"))
+    for label, field in zip(RULES[type(p)][1], fields(p)):
+        premise = getattr(p, field.name)
+        if isinstance(premise, ProofNode):
+            _check(premise, f"{loc}.{label}", grid, budget, nodes)

@@ -22,6 +22,9 @@ Grammar (operators listed loosest-first):
                    | loop { invariant: f body: P conclusion: T }
                    | conseq { inner: P conclusion: T }
                with triples T ::= { f } S { f }
+               (each rule's keyword and premise labels come from
+               `proofs.RULES`, the table the printer and the checker
+               read too; the checker lists each rule's conditions once)
 
 Identifiers may carry trailing primes (y', x'').  `#` starts a comment to
 end of line.  All parse errors carry a SourceSpan of byte offsets.
@@ -35,16 +38,10 @@ from .terms import (Add, And, BExists, BForall, Eq, Exists, FalseC, Forall,
                     Iff, Implies, Lit, Lt, Mul, Not, Or, TrueC, Var)
 from .whilelang import Assign, If, Seq as SeqP, While, is_guard
 from .alpha import HoareTriple
-from .proofs import AssignAxiom, CondRule, ConseqRule, SeqRule, WhileRule
+from .proofs import RULES
 
 
-# each proof rule's keyword and the labels of its premises, in field
-# order; every rule ends with a `conclusion:` triple
-_RULES = {AssignAxiom: ("assign", ()), SeqRule: ("seq", ("left", "right")),
-          CondRule: ("cond", ("then", "else")),
-          WhileRule: ("loop", ("invariant", "body")),
-          ConseqRule: ("conseq", ("inner",))}
-_RULE_NAMED = {kw: ctor for ctor, (kw, _) in _RULES.items()}
+_RULE_NAMED = {kw: ctor for ctor, (kw, _) in RULES.items()}
 
 
 @dataclass(frozen=True)
@@ -327,20 +324,13 @@ class _Parser:
     def schema(self):
         t = self.expect("ident")
         name = t.text
-        if name == "const":
+        if name in ("const", "proj"):
             self.expect("(")
             m = int(self.expect("num").text)
             self.expect(",")
             n = int(self.expect("num").text)
             self.expect(")")
-            return xrec.Const(m, n)
-        if name == "proj":
-            self.expect("(")
-            i = int(self.expect("num").text)
-            self.expect(",")
-            n = int(self.expect("num").text)
-            self.expect(")")
-            return xrec.Proj(i, n)
+            return self._mk(xrec.Const if name == "const" else xrec.Proj, t, m, n)
         if name == "add":
             return xrec.AddF()
         if name == "mul":
@@ -414,7 +404,7 @@ class _Parser:
         if ctor is None:
             raise ParseError(f"unknown proof rule {t.text!r}", t.span)
         args = []
-        for label in _RULES[ctor][1] + ("conclusion",):
+        for label in RULES[ctor][1] + ("conclusion",):
             self.expect_word(label)
             self.expect(":")
             # an invariant ends where the next label begins; formulas never
@@ -495,10 +485,10 @@ def format_triple(t):
 
 
 def format_proof(p, indent=0):
-    if type(p) not in _RULES:
+    if type(p) not in RULES:
         raise TypeError(f"not a proof node: {p!r}")
     pad = "  " * indent
-    kw, labels = _RULES[type(p)]
+    kw, labels = RULES[type(p)]
     conclusion = f"conclusion: {format_triple(p.conclusion)}"
     if not labels:
         return f"{pad}{kw} {{ {conclusion} }}"

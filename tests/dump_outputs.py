@@ -6,8 +6,9 @@ reasons from eval_formula and compile_formula side by side, program
 print/parse round trips, guard parses with their errors, the binder
 walks: classification, prenex and negation normal forms, free variables
 and substitutions of random formulas, the values that compiled schemas
-and Sigma_1 formulas compute, and the grid sweeps: triple verdicts,
-proof reports and least-witness searches.  Run it against two trees and
+and Sigma_1 formulas compute, the grid sweeps: triple verdicts, proof
+reports and least-witness searches, and the reports on malformed
+variants of two hand-written proofs.  Run it against two trees and
 compare the outputs byte for byte:
 
     PYTHONPATH=src python tests/dump_outputs.py > new.txt
@@ -22,14 +23,15 @@ pytest does not collect it.
 import hashlib
 import itertools
 import random
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 from arithver.alpha import (HoareTriple, check_triple, instantiate_alpha,
                             vc_instance)
 from arithver.evaluator import (Budget, WitnessSearchError, compile_formula,
                                 eval_formula, find_witnesses)
 from arithver.hierarchy import classify, desugar, nnf, prenexify
-from arithver.proofs import AssignAxiom, ConseqRule, check_proof
+from arithver.proofs import (AssignAxiom, ConseqRule, ProofNode, WhileRule,
+                             check_proof)
 from arithver.syntax import ParseError, parse_bool, parse_formula, parse_program
 from arithver.terms import (Add, Eq, Exists, Lit, Lt, TrueC, Var, free_vars,
                             substitute, substitute_simultaneous)
@@ -41,7 +43,7 @@ from arithver.xrec import (STDLIB, bexists, bforall, compile_to_while,
 from generators import (VARS, random_bool, random_formula, random_program,
                         random_term)
 from test_acceptance import SIGMA1_FIXTURES
-from test_proofs import counting_loop_proof
+from test_proofs import conditional_proof, counting_loop_proof
 
 FUELS = (-1, 0, 1, 2, 3, 5, 8, 13, 40, 200)
 X, Y = Var("x"), Var("y")
@@ -240,6 +242,71 @@ def dump_sweeps(rng):
                 print(f"witness {name} x={x} q={q} {shown}")
 
 
+def _proof_nodes(pf, path=()):
+    """(path, node) for every node of a proof, parents first; a path is
+    the field names that lead to the node from the root."""
+    yield path, pf
+    for f in fields(pf):
+        kid = getattr(pf, f.name)
+        if isinstance(kid, ProofNode):
+            yield from _proof_nodes(kid, path + (f.name,))
+
+
+def _replace_at(pf, path, node):
+    if not path:
+        return node
+    kid = getattr(pf, path[0])
+    return replace(pf, **{path[0]: _replace_at(kid, path[1:], node)})
+
+
+def dump_mutants(rng):
+    # each node of two accepted proofs with one or two parts replaced,
+    # checked in place (where an ancestor usually rejects first) and as the
+    # root.  A replacement is drawn from the proof's own parts half the
+    # time, so many variants get past their rule's first conditions, and
+    # replacing a pre and a post at once breaks two conditions, so the
+    # output shows which one the checker tests first
+    k = 0
+    for name, pf in (("count", counting_loop_proof()),
+                     ("cond", conditional_proof())):
+        nodes = list(_proof_nodes(pf))
+        triples = [n.conclusion for _, n in nodes]
+        assertions = [f for t in triples for f in (t.pre, t.post)]
+        programs = [t.prog for t in triples]
+
+        def pick(pool, fresh):
+            return rng.choice(pool) if rng.random() < 0.5 else fresh()
+
+        for path, node in nodes:
+            c = node.conclusion
+            variants = []
+            for _ in range(12):
+                variants += [
+                    ("pre", replace(node, conclusion=replace(
+                        c, pre=pick(assertions, lambda: random_formula(rng, 1))))),
+                    ("post", replace(node, conclusion=replace(
+                        c, post=pick(assertions, lambda: random_formula(rng, 1))))),
+                    ("prog", replace(node, conclusion=replace(
+                        c, prog=pick(programs, lambda: random_program(rng, 2))))),
+                    ("pre+post", replace(node, conclusion=replace(
+                        c, pre=pick(assertions, lambda: random_formula(rng, 1)),
+                        post=pick(assertions, lambda: random_formula(rng, 1)))))]
+                if isinstance(node, WhileRule):
+                    variants.append(("invariant", replace(node, invariant=pick(
+                        assertions, lambda: random_formula(rng, 1)))))
+            variants += [("swap", replace(node, conclusion=t))
+                         for t in triples if t is not c]
+            where = ".".join(("root",) + path)
+            for kind, v in variants:
+                for scope, root in (("in-place", _replace_at(pf, path, v)),
+                                    ("alone", v)):
+                    rep = check_proof(root, 1 + k % 2, Budget(q_bound=k % 4))
+                    for n in rep.nodes:
+                        print(f"mutant {k} {name} {where} {kind} {scope} "
+                              f"{n.location} {n.status} {n.detail}")
+                k += 1
+
+
 def main():
     rng = random.Random(2017)
     progs = dump_instances(rng)
@@ -249,6 +316,7 @@ def main():
     dump_binders(random.Random(1988))
     dump_compiled()
     dump_sweeps(random.Random(1978))
+    dump_mutants(random.Random(1981))
 
 
 if __name__ == "__main__":

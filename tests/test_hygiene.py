@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, none imports
-another module's private (underscored) name, and the while language has
-one syntax tree, whose guards are formulas."""
+another module's private (underscored) name, the while language has one
+syntax tree, whose guards are formulas, and every proof rule is declared
+in the one rule table."""
 
 import ast
 import dataclasses
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from arithver import whilelang
+from arithver import proofs, whilelang
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "arithver"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -71,3 +72,20 @@ def test_whilelang_nodes_are_programs():
              and dataclasses.is_dataclass(c) and c is not whilelang.RunOutcome]
     assert nodes
     assert all(issubclass(c, whilelang.Program) for c in nodes), nodes
+
+
+def test_every_proof_rule_is_in_the_rule_table():
+    # the parser, the printer and the checker read proofs.RULES, so a
+    # rule must be declared there, with one label per field before its
+    # conclusion, or not at all
+    rules = [c for _, c in inspect.getmembers(proofs, inspect.isclass)
+             if c.__module__ == proofs.__name__
+             and issubclass(c, proofs.ProofNode) and c is not proofs.ProofNode]
+    assert rules
+    assert set(rules) == set(proofs.RULES)
+    for rule in rules:
+        names = [f.name for f in dataclasses.fields(rule)]
+        assert names[-1] == "conclusion", rule
+        assert len(proofs.RULES[rule][1]) == len(names) - 1, rule
+    keywords = [kw for kw, _ in proofs.RULES.values()]
+    assert len(set(keywords)) == len(keywords)

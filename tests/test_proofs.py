@@ -6,7 +6,7 @@ from arithver.evaluator import Budget
 from arithver.whilelang import Assign, If, Seq, While
 from arithver.alpha import HoareTriple, check_triple
 from arithver.proofs import (AssignAxiom, CheckReport, CondRule, ConseqRule,
-                             SeqRule, WhileRule, check_proof)
+                             NodeStatus, SeqRule, WhileRule, check_proof)
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -85,7 +85,8 @@ def test_seq_midpoint_mismatch():
     assert "midpoint" in rep.first_rejection().detail
 
 
-def test_cond_rule():
+def conditional_proof():
+    """{true} if x<3 then y:=0 else y:=1 fi {y<2}."""
     prog = If(Lt(x, Lit(3)), Assign(y, Lit(0)), Assign(y, Lit(1)))
     b = Lt(x, Lit(3))
     post = Lt(y, Lit(2))
@@ -95,8 +96,11 @@ def test_cond_rule():
     els = ConseqRule(
         AssignAxiom(HoareTriple(Lt(Lit(1), Lit(2)), Assign(y, Lit(1)), post)),
         HoareTriple(And(TrueC(), Not(b)), Assign(y, Lit(1)), post))
-    p = CondRule(thn, els, HoareTriple(TrueC(), prog, post))
-    rep = check_proof(p, grid=4)
+    return CondRule(thn, els, HoareTriple(TrueC(), prog, post))
+
+
+def test_cond_rule():
+    rep = check_proof(conditional_proof(), grid=4)
     assert rep.accepted
 
 
@@ -154,6 +158,94 @@ def test_reports_are_deterministic():
 def test_malformed_node_rejected():
     rep = check_proof("not a proof")
     assert not rep.accepted
+
+
+def _ax(pre, prog, post):
+    return AssignAxiom(HoareTriple(pre, prog, post))
+
+
+T, Z, B = TrueC(), Eq(y, Lit(0)), Lt(x, Lit(3))
+S0, S1 = Assign(y, Lit(0)), Assign(y, Lit(1))
+IF = If(B, S0, S1)
+THEN, ELSE = And(T, B), And(T, Not(B))
+STOP = And(T, Not(Lt(y, x)))
+
+# one minimal malformed proof per condition of each rule, in the order the
+# checker tests them, each at the root so that no ancestor rejects first
+REJECTIONS = {
+    "assign-program": (AssignAxiom(HoareTriple(T, COUNT, T)),
+                       "assignment axiom applied to a non-assignment"),
+    "assign-pre": (_ax(Eq(x, Lit(0)), Assign(x, Lit(0)), Eq(x, Lit(0))),
+                   "precondition is not the substituted postcondition: "
+                   "expected 0 = 0, found x = 0"),
+    "seq-program": (SeqRule(_ax(T, S0, T), _ax(T, S1, T), HoareTriple(T, S0, T)),
+                    "sequence rule applied to a non-sequence"),
+    "seq-premise-programs": (
+        SeqRule(_ax(T, S0, T), _ax(T, S0, T), HoareTriple(T, Seq(S0, S1), T)),
+        "premise programs do not match the sequence parts"),
+    "seq-left-pre": (
+        SeqRule(_ax(Z, S0, T), _ax(T, S1, T), HoareTriple(T, Seq(S0, S1), T)),
+        "left premise precondition differs from the conclusion's"),
+    "seq-right-post": (
+        SeqRule(_ax(T, S0, T), _ax(T, S1, Z), HoareTriple(T, Seq(S0, S1), T)),
+        "right premise postcondition differs from the conclusion's"),
+    "seq-midpoint": (
+        SeqRule(_ax(T, S0, Z), _ax(T, S1, T), HoareTriple(T, Seq(S0, S1), T)),
+        "midpoint mismatch: y = 0 vs true"),
+    "cond-program": (CondRule(_ax(T, S0, T), _ax(T, S1, T), HoareTriple(T, S0, T)),
+                     "conditional rule applied to a non-conditional"),
+    "cond-premise-programs": (
+        CondRule(_ax(THEN, S0, T), _ax(ELSE, S0, T), HoareTriple(T, IF, T)),
+        "premise programs do not match the branches"),
+    "cond-then-pre": (
+        CondRule(_ax(T, S0, T), _ax(ELSE, S1, T), HoareTriple(T, IF, T)),
+        "then-premise precondition must be (true /\\ x < 3)"),
+    "cond-else-pre": (
+        CondRule(_ax(THEN, S0, T), _ax(T, S1, T), HoareTriple(T, IF, T)),
+        "else-premise precondition must be (true /\\ ~(x < 3))"),
+    "cond-then-post": (
+        CondRule(_ax(THEN, S0, Z), _ax(ELSE, S1, T), HoareTriple(T, IF, T)),
+        "branch postconditions differ from the conclusion's"),
+    "cond-else-post": (
+        CondRule(_ax(THEN, S0, T), _ax(ELSE, S1, Z), HoareTriple(T, IF, T)),
+        "branch postconditions differ from the conclusion's"),
+    "loop-program": (WhileRule(T, _ax(T, INC, T), HoareTriple(T, INC, T)),
+                     "loop rule applied to a non-loop"),
+    "loop-pre": (WhileRule(T, _ax(T, INC, T), HoareTriple(Z, LOOP, STOP)),
+                 "conclusion precondition is not the invariant"),
+    "loop-post": (WhileRule(T, _ax(T, INC, T), HoareTriple(T, LOOP, T)),
+                  "conclusion postcondition must be (true /\\ ~(y < x))"),
+    "loop-body-program": (
+        WhileRule(T, _ax(And(T, Lt(y, x)), S0, T), HoareTriple(T, LOOP, STOP)),
+        "body premise program is not the loop body"),
+    "loop-body-pre": (WhileRule(T, _ax(T, INC, T), HoareTriple(T, LOOP, STOP)),
+                      "body premise precondition must be (true /\\ y < x)"),
+    "loop-body-post": (
+        WhileRule(T, _ax(And(T, Lt(y, x)), INC, Z), HoareTriple(T, LOOP, STOP)),
+        "body premise postcondition must be the invariant"),
+    "conseq-program": (ConseqRule(_ax(T, S0, T), HoareTriple(T, S1, T)),
+                       "premise program differs from the conclusion's"),
+    # the loop rule reads its body premise between its assertion checks
+    "loop-post-before-body": (
+        WhileRule(T, _ax(T, S0, T), HoareTriple(T, LOOP, T)),
+        "conclusion postcondition must be (true /\\ ~(y < x))"),
+    "loop-body-program-before-pre": (
+        WhileRule(T, _ax(T, S0, T), HoareTriple(T, LOOP, STOP)),
+        "body premise program is not the loop body"),
+    "conseq-pre": (ConseqRule(_ax(Z, S0, T), HoareTriple(T, S0, T)),
+                   "pre-consequence fails: (true -> y = 0) — False at y=1"),
+    "conseq-post": (ConseqRule(_ax(T, S0, T), HoareTriple(T, S0, Z)),
+                    "post-consequence fails: (true -> y = 0) — False at y=1"),
+    "not-a-node": ("not a proof", "not a proof node: 'not a proof'"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_each_rejection_message(case):
+    proof, detail = REJECTIONS[case]
+    rep = check_proof(proof, grid=2)
+    assert rep.first_rejection() == NodeStatus("root", "rejected", detail)
+    assert rep.nodes == (rep.first_rejection(),)
 
 
 def test_grid_validation():

@@ -160,6 +160,16 @@ def test_schema_arity_error_is_parse_error():
         parse_schema("frobnicate")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("proj(0,1)", "projection index 0 out of 1..1"),
+    ("proj(3,2)", "projection index 3 out of 1..2"),
+], ids=["index-0", "index-past-arity"])
+def test_bad_projection_is_parse_error_at_its_token(text, message):
+    with pytest.raises(ParseError) as e:
+        parse_schema(text)
+    assert (e.value.message, e.value.span) == (message, SourceSpan(0, 4))
+
+
 def test_schema_round_trip():
     for src in ["pr(proj(1,1); cn(pr(const(0,0); proj(1,2)); proj(3,3)))",
                 "mn(cn(add; proj(1,2), proj(2,2)))", "const(3,1)", "add"]:
