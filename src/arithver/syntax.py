@@ -7,7 +7,9 @@ Grammar (operators listed loosest-first):
                    | t = t | t < t | true | false
                    | forall IDENT [< t] . f | exists IDENT [< t] . f | ( f )
                (-> and <-> right-associative; quantifier bodies extend
-               maximally to the right)
+               maximally to the right; the six binary operators of terms
+               and formulas are one table, `_BINARY`, of symbol, node
+               class and associativity, which one precedence loop reads)
     guards     b ::= f   built from t < t, ~ and -> only
                (read as a formula, then its shape is checked)
     programs   S ::= IDENT := t | S ; S | if b then S else S fi
@@ -16,6 +18,9 @@ Grammar (operators listed loosest-first):
                    | pr(f; g) | mn(f) | STDLIB-NAME
                    | sum_of(f) | prod_of(f) | bforall(f) | bexists(f)
                    | cases(c1,g1; c2,g2; ...)
+               (each constructor's keyword and fields come from
+               `xrec.SCHEMAS`, the table the printer reads too; numbers
+               are separated by ',', schemas by ';')
     proofs     assign { conclusion: T }
                    | seq { left: P right: P conclusion: T }
                    | cond { then: P else: P conclusion: T }
@@ -42,6 +47,30 @@ from .proofs import RULES
 
 
 _RULE_NAMED = {kw: ctor for ctor, (kw, _) in RULES.items()}
+
+# the binary operators, loosest first: (symbol, node class, nests to the
+# right).  The first four join formulas, the last two terms
+_BINARY = (("<->", Iff, True), ("->", Implies, True), ("\\/", Or, False),
+           ("/\\", And, False), ("+", Add, False), ("*", Mul, False))
+_LEVEL = {sym: k for k, (sym, _, _) in enumerate(_BINARY)}
+_TERMS = _LEVEL["+"]  # the first level that joins terms
+
+
+def _field_types(ctor, names):
+    types = {f.name: f.type for f in fields(ctor)}
+    return tuple(types[name] for name in names)
+
+
+# each schema word: what builds it and the types of the arguments it is
+# written with.  A constructor's are those of the fields xrec.SCHEMAS
+# lists; a library name takes none, `cases` a list of branches and the
+# other combinators one schema
+_SCHEMA_WORDS = {
+    **{kw: (ctor, _field_types(ctor, names))
+       for ctor, (kw, names) in xrec.SCHEMAS.items()},
+    **{name: (ctor, ()) for name, ctor in xrec.STDLIB.items()},
+    **{name: (ctor, (list,) if name == "cases" else (xrec.XRecSchema,))
+       for name, ctor in xrec.STDLIB_COMBINATORS.items()}}
 
 
 @dataclass(frozen=True)
@@ -151,21 +180,35 @@ class _Parser:
         if t.kind != "eof":
             raise ParseError(f"trailing input {t.text!r}", t.span)
 
-    # -- terms ----------------------------------------------------------
+    def listed(self, item, sep):
+        out = [item()]
+        while self.at(sep):
+            self.next()
+            out.append(item())
+        return out
+
+    # -- binary operators -----------------------------------------------
 
     def term(self):
-        t = self.term_factor()
-        while self.at("+"):
-            self.next()
-            t = Add(t, self.term_factor())
-        return t
+        return self.binary(_TERMS, len(_BINARY))
 
-    def term_factor(self):
-        t = self.term_atom()
-        while self.at("*"):
-            self.next()
-            t = Mul(t, self.term_atom())
-        return t
+    def formula(self):
+        return self.binary(0, _TERMS)
+
+    def binary(self, lo, hi):
+        """A chain of the operators of levels lo to hi - 1 of `_BINARY`, by
+        precedence climbing: an operator's right operand is read from its
+        own level if it nests to the right, else from the next one."""
+        left = self.formula_unary() if hi == _TERMS else self.term_atom()
+        while True:
+            k = _LEVEL.get(self.toks[self.pos].kind)
+            if k is None or not lo <= k < hi:
+                return left
+            self.pos += 1
+            _, ctor, right = _BINARY[k]
+            left = ctor(left, self.binary(k if right else k + 1, hi))
+
+    # -- terms ----------------------------------------------------------
 
     def term_atom(self):
         t = self.peek()
@@ -185,34 +228,6 @@ class _Parser:
         self.fail(f"expected a term, found {t.text or 'end of input'!r}")
 
     # -- formulas -------------------------------------------------------
-
-    def formula(self):
-        left = self.formula_implies()
-        if self.at("<->"):
-            self.next()
-            return Iff(left, self.formula())
-        return left
-
-    def formula_implies(self):
-        left = self.formula_or()
-        if self.at("->"):
-            self.next()
-            return Implies(left, self.formula_implies())
-        return left
-
-    def formula_or(self):
-        f = self.formula_and()
-        while self.at("\\/"):
-            self.next()
-            f = Or(f, self.formula_and())
-        return f
-
-    def formula_and(self):
-        f = self.formula_unary()
-        while self.at("/\\"):
-            self.next()
-            f = And(f, self.formula_unary())
-        return f
 
     def formula_unary(self):
         # a run of `~` by a loop: chains run thousands long
@@ -286,10 +301,7 @@ class _Parser:
 
     def program(self):
         # read iteratively, nested to the right
-        stmts = [self.statement()]
-        while self.at(";"):
-            self.next()
-            stmts.append(self.statement())
+        stmts = self.listed(self.statement, ";")
         out = stmts.pop()
         for s in reversed(stmts):
             out = SeqP(s, out)
@@ -323,61 +335,24 @@ class _Parser:
 
     def schema(self):
         t = self.expect("ident")
-        name = t.text
-        if name in ("const", "proj"):
-            self.expect("(")
-            m = int(self.expect("num").text)
-            self.expect(",")
-            n = int(self.expect("num").text)
+        if t.text not in _SCHEMA_WORDS:
+            raise ParseError(f"unknown schema constructor {t.text!r}", t.span)
+        ctor, types = _SCHEMA_WORDS[t.text]
+        args = []
+        for k, kind in enumerate(types):
+            self.expect("(" if k == 0 else "," if kind is int else ";")
+            args.append(int(self.expect("num").text) if kind is int
+                        else self.listed(self.schema, ",") if kind is tuple
+                        else self.listed(self.branch, ";") if kind is list
+                        else self.schema())
+        if types:
             self.expect(")")
-            return self._mk(xrec.Const if name == "const" else xrec.Proj, t, m, n)
-        if name == "add":
-            return xrec.AddF()
-        if name == "mul":
-            return xrec.MulF()
-        if name == "cn":
-            self.expect("(")
-            f = self.schema()
-            self.expect(";")
-            gs = [self.schema()]
-            while self.at(","):
-                self.next()
-                gs.append(self.schema())
-            self.expect(")")
-            return self._mk(xrec.Cn, t, f, tuple(gs))
-        if name == "pr":
-            self.expect("(")
-            f = self.schema()
-            self.expect(";")
-            g = self.schema()
-            self.expect(")")
-            return self._mk(xrec.Pr, t, f, g)
-        if name == "mn":
-            self.expect("(")
-            f = self.schema()
-            self.expect(")")
-            return self._mk(xrec.Mn, t, f)
-        if name == "cases":
-            self.expect("(")
-            branches = []
-            while True:
-                c = self.schema()
-                self.expect(",")
-                g = self.schema()
-                branches.append((c, g))
-                if not self.at(";"):
-                    break
-                self.next()
-            self.expect(")")
-            return self._mk(xrec.cases, t, branches)
-        if name in xrec.STDLIB:
-            return xrec.STDLIB[name]()
-        if name in ("sum_of", "prod_of", "bforall", "bexists"):
-            self.expect("(")
-            f = self.schema()
-            self.expect(")")
-            return self._mk(xrec.STDLIB_COMBINATORS[name], t, f)
-        raise ParseError(f"unknown schema constructor {name!r}", t.span)
+        return self._mk(ctor, t, *args)
+
+    def branch(self):
+        c = self.schema()
+        self.expect(",")
+        return c, self.schema()
 
     def _mk(self, ctor, tok, *args):
         try:
@@ -463,21 +438,19 @@ def format_program(p):
 
 
 def format_schema(h):
-    if isinstance(h, xrec.Const):
-        return f"const({h.value},{h.arity})"
-    if isinstance(h, xrec.Proj):
-        return f"proj({h.index},{h.arity})"
-    if isinstance(h, xrec.AddF):
-        return "add"
-    if isinstance(h, xrec.MulF):
-        return "mul"
-    if isinstance(h, xrec.Cn):
-        return f"cn({format_schema(h.f)}; {', '.join(format_schema(g) for g in h.gs)})"
-    if isinstance(h, xrec.Pr):
-        return f"pr({format_schema(h.f)}; {format_schema(h.g)})"
-    if isinstance(h, xrec.Mn):
-        return f"mn({format_schema(h.f)})"
-    raise TypeError(f"not a schema: {h!r}")
+    if type(h) not in xrec.SCHEMAS:
+        raise TypeError(f"not a schema: {h!r}")
+    kw, names = xrec.SCHEMAS[type(h)]
+    if not names:
+        return kw
+    parts = [getattr(h, name) for name in names]
+    if type(parts[0]) is int:
+        return f"{kw}({','.join(map(str, parts))})"
+    return f"{kw}({'; '.join(_format_schemas(p) for p in parts)})"
+
+
+def _format_schemas(p):
+    return ", ".join(map(format_schema, p)) if type(p) is tuple else format_schema(p)
 
 
 def format_triple(t):

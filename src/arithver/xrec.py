@@ -8,10 +8,9 @@ from dataclasses import dataclass
 from . import coding
 from .coding import beta_graph
 from .terms import (Add as AddT, And, BExists, BForall, Eq, Exists, FalseC,
-                    Lit, Lt, Mul as MulT, Names, Not, One, Or, TrueC, Var,
-                    Zero, conj, free_vars, mk_numeral, strip_exists,
-                    substitute, term_vars)
-from .evaluator import assignments, compile_formula
+                    Lit, Lt, Mul as MulT, Names, Not, Or, TrueC, Var, conj,
+                    free_vars, strip_exists, substitute, term_vars)
+from .evaluator import assignments, compile_formula, eval_term
 from .hierarchy import classify, prenexify, desugar
 from .whilelang import Assign, Seq, While
 
@@ -40,14 +39,21 @@ class Proj(XRecSchema):
             raise ValueError(f"projection index {self.index} out of 1..{self.arity}")
 
 
+def _two_arguments(h):
+    if h.arity != 2:
+        raise ValueError(f"{type(h).__name__} takes 2 arguments, not {h.arity}")
+
+
 @dataclass(frozen=True)
 class AddF(XRecSchema):
     arity: int = 2
+    __post_init__ = _two_arguments
 
 
 @dataclass(frozen=True)
 class MulF(XRecSchema):
     arity: int = 2
+    __post_init__ = _two_arguments
 
 
 @dataclass(frozen=True)
@@ -93,6 +99,16 @@ class Mn(XRecSchema):
     @property
     def arity(self):
         return self.f.arity - 1
+
+
+# the one table of the schema constructors, which the parser and the
+# printer read: each one's keyword and the fields its concrete syntax
+# lists, in order: const(m,n), proj(i,n), add, mul, cn(f; g1, ..., gm),
+# pr(f; g) and mn(f)
+SCHEMAS = {Const: ("const", ("value", "arity")),
+           Proj: ("proj", ("index", "arity")), AddF: ("add", ()),
+           MulF: ("mul", ()), Cn: ("cn", ("f", "gs")), Pr: ("pr", ("f", "g")),
+           Mn: ("mn", ("f",))}
 
 
 @dataclass(frozen=True)
@@ -173,15 +189,21 @@ def gamma(h):
     return _gamma(h, names, xs, y), xs, y
 
 
-def _gamma(h, names, xs, y):
+def _basic(h, args):
+    """The term a basic schema computes from argument terms: a numeral, an
+    argument, a sum or a product."""
     if isinstance(h, Const):
-        return Eq(y, mk_numeral(h.value))
+        return Lit(h.value)
     if isinstance(h, Proj):
-        return Eq(y, xs[h.index - 1])
+        return args[h.index - 1]
     if isinstance(h, AddF):
-        return Eq(y, AddT(xs[0], xs[1]))
+        return AddT(*args)
     if isinstance(h, MulF):
-        return Eq(y, MulT(xs[0], xs[1]))
+        return MulT(*args)
+    raise TypeError(f"not a schema: {h!r}")
+
+
+def _gamma(h, names, xs, y):
     if isinstance(h, Cn):
         zs = names.fresh_vec([f"z{i}" for i in range(1, len(h.gs) + 1)])
         parts = [_gamma(g, names, xs, z) for g, z in zip(h.gs, zs)]
@@ -215,7 +237,7 @@ def _gamma(h, names, xs, y):
                         Exists(z, And(_gamma(h.f, names, xs + [i], z),
                                       Not(Eq(z, Lit(0))))))
         return And(zero, prior)
-    raise TypeError(f"not a schema: {h!r}")
+    return Eq(y, _basic(h, xs))
 
 
 def gamma_instance(h, args, value):
@@ -229,33 +251,23 @@ def gamma_instance(h, args, value):
     r = xrec_eval(h, list(args), fuel=10 ** 7)
     if r.diverged or r.value != value:
         raise ValueError("gamma_instance needs the true value of h(args)")
-    return _gamma_inst(h, list(args))[0]
+    return _gamma_inst(h, [Lit(a) for a in args])[0]
 
 
 def _gamma_inst(h, args):
-    # (instance, value), built bottom-up; gamma_instance has already seen
-    # h(args) halt, so every subcomputation replayed here halts too
-    if isinstance(h, Const):
-        return Eq(Lit(h.value), mk_numeral(h.value)), h.value
-    if isinstance(h, Proj):
-        v = args[h.index - 1]
-        return Eq(Lit(v), Lit(v)), v
-    if isinstance(h, AddF):
-        v = args[0] + args[1]
-        return Eq(Lit(v), AddT(Lit(args[0]), Lit(args[1]))), v
-    if isinstance(h, MulF):
-        v = args[0] * args[1]
-        return Eq(Lit(v), MulT(Lit(args[0]), Lit(args[1]))), v
+    # (instance, value) over numeral arguments, built bottom-up;
+    # gamma_instance has already seen h(args) halt, so every subcomputation
+    # replayed here halts too
     if isinstance(h, Cn):
         inner = [_gamma_inst(g, args) for g in h.gs]
-        outer, v = _gamma_inst(h.f, [m for _, m in inner])
+        outer, v = _gamma_inst(h.f, [Lit(m) for _, m in inner])
         return conj([i for i, _ in inner] + [outer]), v
     if isinstance(h, Pr):
-        vec, count = args[:-1], args[-1]
+        vec, count = args[:-1], args[-1].n
         base, acc = _gamma_inst(h.f, vec)
         trace, steps = [acc], []
         for i in range(count):
-            step, acc = _gamma_inst(h.g, vec + [i, acc])
+            step, acc = _gamma_inst(h.g, vec + [Lit(i), Lit(acc)])
             trace.append(acc)
             steps.append(step)
         betas = coding.seq_inst(trace)
@@ -267,12 +279,14 @@ def _gamma_inst(h, args):
     if isinstance(h, Mn):
         prior, y = [], 0
         while True:
-            inst, z = _gamma_inst(h.f, args + [y])
+            inst, z = _gamma_inst(h.f, args + [Lit(y)])
             if z == 0:
                 return conj([inst] + prior), y
             prior.append(And(inst, Not(Eq(Lit(z), Lit(0)))))
             y += 1
-    raise TypeError(f"not a schema: {h!r}")
+    t = _basic(h, args)
+    v = eval_term(t, {})
+    return Eq(Lit(v), t), v
 
 
 # ---------------------------------------------------------------------------
@@ -435,17 +449,10 @@ def _term_schema(t, order):
     n = len(order)
     if isinstance(t, Var):
         return Proj(order.index(t) + 1, n)
-    if isinstance(t, Zero):
-        return Const(0, n)
-    if isinstance(t, One):
-        return Const(1, n)
-    if isinstance(t, Lit):
-        return Const(t.n, n)
-    if isinstance(t, AddT):
-        return _cn(AddF(), _term_schema(t.left, order), _term_schema(t.right, order))
-    if isinstance(t, MulT):
-        return _cn(MulF(), _term_schema(t.left, order), _term_schema(t.right, order))
-    raise TypeError(f"not a term: {t!r}")
+    if isinstance(t, (AddT, MulT)):
+        op = AddF() if isinstance(t, AddT) else MulF()
+        return _cn(op, _term_schema(t.left, order), _term_schema(t.right, order))
+    return Const(eval_term(t, {}), n)
 
 
 def sigma0_char(f, var_order=None):
@@ -596,14 +603,6 @@ def _seq(parts):
 
 
 def _emit(h, args, target, names):
-    if isinstance(h, Const):
-        return Assign(target, Lit(h.value))
-    if isinstance(h, Proj):
-        return Assign(target, args[h.index - 1])
-    if isinstance(h, AddF):
-        return Assign(target, AddT(args[0], args[1]))
-    if isinstance(h, MulF):
-        return Assign(target, MulT(args[0], args[1]))
     if isinstance(h, Cn):
         ts = names.fresh_vec(["t" for _ in h.gs])
         parts = [_emit(g, args, t, names) for g, t in zip(h.gs, ts)]
@@ -628,7 +627,7 @@ def _emit(h, args, target, names):
                      Assign(n, AddT(n, Lit(1)))])
         return _seq([Assign(n, Lit(0)), Assign(probe, Lit(1)),
                      While(Lt(Lit(0), probe), body), Assign(target, y)])
-    raise TypeError(f"not a schema: {h!r}")
+    return Assign(target, _basic(h, args))
 
 
 def sigma1_to_program(f, result_var, check=True):

@@ -7,9 +7,10 @@ print/parse round trips, guard parses with their errors, the binder
 walks: classification, prenex and negation normal forms, free variables
 and substitutions of random formulas, the values that compiled schemas
 and Sigma_1 formulas compute, the grid sweeps: triple verdicts, proof
-reports and least-witness searches, and the reports on malformed
-variants of two hand-written proofs.  Run it against two trees and
-compare the outputs byte for byte:
+reports and least-witness searches, the reports on malformed variants
+of two hand-written proofs, and the schema texts: each library schema
+printed with its print/parse round trip, and the pinned parse errors.
+Run it against two trees and compare the outputs byte for byte:
 
     PYTHONPATH=src python tests/dump_outputs.py > new.txt
     PYTHONPATH=/path/to/other/src python tests/dump_outputs.py > old.txt
@@ -32,18 +33,20 @@ from arithver.evaluator import (Budget, WitnessSearchError, compile_formula,
 from arithver.hierarchy import classify, desugar, nnf, prenexify
 from arithver.proofs import (AssignAxiom, ConseqRule, ProofNode, WhileRule,
                              check_proof)
-from arithver.syntax import ParseError, parse_bool, parse_formula, parse_program
+from arithver.syntax import (ParseError, format_schema, parse_bool,
+                             parse_formula, parse_program, parse_schema)
 from arithver.terms import (Add, Eq, Exists, Lit, Lt, TrueC, Var, free_vars,
                             substitute, substitute_simultaneous)
 from arithver.whilelang import Assign, Seq, While, program_vars, run
-from arithver.xrec import (STDLIB, bexists, bforall, compile_to_while,
-                           gamma_instance, prod_of, sigma1_to_program, sum_of,
-                           xrec_eval)
+from arithver.xrec import (STDLIB, Proj, bexists, bforall, cases,
+                           compile_to_while, gamma_instance, prod_of,
+                           sigma1_to_program, sum_of, xrec_eval)
 
 from generators import (VARS, random_bool, random_formula, random_program,
                         random_term)
 from test_acceptance import SIGMA1_FIXTURES
 from test_proofs import conditional_proof, counting_loop_proof
+from test_syntax import OPERATOR_ERRORS, SCHEMA_ERRORS
 
 FUELS = (-1, 0, 1, 2, 3, 5, 8, 13, 40, 200)
 X, Y = Var("x"), Var("y")
@@ -307,6 +310,23 @@ def dump_mutants(rng):
                 k += 1
 
 
+def dump_schemas():
+    c, x, y = STDLIB["chi_lt"](), Proj(1, 2), Proj(2, 2)
+    schemas = [(name, STDLIB[name]()) for name in sorted(STDLIB)]
+    schemas += [(f"{comb.__name__}(chi_lt)", comb(c))
+                for comb in (sum_of, prod_of, bexists, bforall)]
+    schemas.append(("cases(chi_lt, y; chi_lt, x)", cases([(c, y), (c, x)])))
+    for name, h in schemas:
+        text = format_schema(h)
+        again = attempt(lambda: parse_schema(text))
+        rep = hashlib.sha256(repr(h).encode()).hexdigest()[:16]
+        print(f"schema {name} repr={rep} {again == h} {text}")
+    for text, _, _ in SCHEMA_ERRORS:
+        print(f"schema-error {text!r} {attempt(lambda: parse_schema(text))}")
+    for text, _, _ in OPERATOR_ERRORS:
+        print(f"operator-error {text!r} {attempt(lambda: parse_formula(text))}")
+
+
 def main():
     rng = random.Random(2017)
     progs = dump_instances(rng)
@@ -317,6 +337,7 @@ def main():
     dump_compiled()
     dump_sweeps(random.Random(1978))
     dump_mutants(random.Random(1981))
+    dump_schemas()
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses, none imports
 another module's private (underscored) name, the while language has one
-syntax tree, whose guards are formulas, and every proof rule is declared
-in the one rule table."""
+syntax tree, whose guards are formulas, every proof rule is declared in
+the one rule table, and every schema constructor in the one schema
+table."""
 
 import ast
 import dataclasses
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from arithver import proofs, whilelang
+from arithver import proofs, whilelang, xrec
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "arithver"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -89,3 +90,19 @@ def test_every_proof_rule_is_in_the_rule_table():
         assert len(proofs.RULES[rule][1]) == len(names) - 1, rule
     keywords = [kw for kw, _ in proofs.RULES.values()]
     assert len(set(keywords)) == len(keywords)
+
+
+def test_every_schema_is_in_the_schema_table():
+    # the parser and the printer read xrec.SCHEMAS, so a schema class must
+    # be declared there, listing only fields it has
+    schemas = [c for _, c in inspect.getmembers(xrec, inspect.isclass)
+               if c.__module__ == xrec.__name__
+               and issubclass(c, xrec.XRecSchema) and c is not xrec.XRecSchema]
+    assert schemas
+    assert set(schemas) == set(xrec.SCHEMAS)
+    for schema in schemas:
+        names = {f.name for f in dataclasses.fields(schema)}
+        assert set(xrec.SCHEMAS[schema][1]) <= names, schema
+    keywords = [kw for kw, _ in xrec.SCHEMAS.values()]
+    assert len(set(keywords)) == len(keywords)
+    assert not set(keywords) & (set(xrec.STDLIB) | set(xrec.STDLIB_COMBINATORS))

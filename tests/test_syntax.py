@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from arithver.terms import (Add, And, BForall, Eq, Exists, Implies, Iff, Lit,
-                            Lt, Mul, Not, Or, Var, alpha_equal)
+from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, Forall,
+                            Implies, Iff, Lit, Lt, Mul, Not, Or, Var,
+                            alpha_equal)
 from arithver.whilelang import Assign, If, Seq, While
 from arithver.xrec import Cn, Const, Mn, Pr, Proj, xrec_eval
 from arithver.proofs import (AssignAxiom, CondRule, ConseqRule, SeqRule,
@@ -17,6 +18,71 @@ from arithver.syntax import (ParseError, SourceSpan, format_formula,
 from generators import random_bool, random_formula, random_program
 
 x, y = Var("x"), Var("y")
+
+# (text, message, (start, end)) of a parse error.  Every schema constructor
+# with a wrong separator, a missing or an extra argument, and unknown names
+SCHEMA_ERRORS = [
+    ("const(1;2)", "expected ',', found ';'", (7, 8)),
+    ("const(1)", "expected ',', found ')'", (7, 8)),
+    ("const(1,2,3)", "expected ')', found ','", (9, 10)),
+    ("const(,2)", "expected 'num', found ','", (6, 7)),
+    ("const 1,2", "expected '(', found '1'", (6, 7)),
+    ("proj(1;2)", "expected ',', found ';'", (6, 7)),
+    ("proj(1)", "expected ',', found ')'", (6, 7)),
+    ("proj(1,2,3)", "expected ')', found ','", (8, 9)),
+    ("proj()", "expected 'num', found ')'", (5, 6)),
+    ("add(1)", "trailing input '('", (3, 4)),
+    ("mul(1)", "trailing input '('", (3, 4)),
+    ("mul proj(1,1)", "trailing input 'proj'", (4, 8)),
+    ("cn(add, proj(1,1))", "expected ';', found ','", (6, 7)),
+    ("cn(add)", "expected ';', found ')'", (6, 7)),
+    ("cn(add;)", "expected 'ident', found ')'", (7, 8)),
+    ("cn(add; proj(1,1); proj(1,1))", "expected ')', found ';'", (17, 18)),
+    ("cn(add; proj(1,1), proj(1,1), proj(1,1))",
+     "Cn: f takes 2 args, got 3 inner functions", (0, 2)),
+    ("pr(const(0,0), proj(1,2))", "expected ';', found ','", (13, 14)),
+    ("pr(const(0,0))", "expected ';', found ')'", (13, 14)),
+    ("pr(const(0,0); proj(3,3); proj(3,3))", "expected ')', found ';'", (24, 25)),
+    ("pr(const(0,0); proj(1,1))", "Pr: g must take two more arguments than f",
+     (0, 2)),
+    ("mn{proj(1,1)}", "expected '(', found '{'", (2, 3)),
+    ("mn()", "expected 'ident', found ')'", (3, 4)),
+    ("mn(proj(1,1); proj(1,1))", "expected ')', found ';'", (12, 13)),
+    ("mn(const(0,0))", "Mn: f needs the search argument", (0, 2)),
+    ("cases(chi_lt; proj(2,2))", "expected ',', found ';'", (12, 13)),
+    ("cases(chi_lt)", "expected ',', found ')'", (12, 13)),
+    ("cases(chi_lt, proj(2,2), proj(1,2))", "expected ')', found ','", (23, 24)),
+    ("cases()", "expected 'ident', found ')'", (6, 7)),
+    ("sum_of", "expected '(', found 'end of input'", (6, 6)),
+    ("sum_of()", "expected 'ident', found ')'", (7, 8)),
+    ("sum_of(proj(1,1); proj(1,1))", "expected ')', found ';'", (16, 17)),
+    ("sum_of(const(0,0))", "sum_of needs f of arity >= 1", (0, 6)),
+    ("prod_of(proj(1,1), proj(1,1))", "expected ')', found ','", (17, 18)),
+    ("bforall(const(1,0))", "bforall needs f of arity >= 1", (0, 7)),
+    ("bexists(const(1,0))", "bexists needs f of arity >= 1", (0, 7)),
+    ("pred(1)", "trailing input '('", (4, 5)),
+    ("frob", "unknown schema constructor 'frob'", (0, 4)),
+    ("frob(1)", "unknown schema constructor 'frob'", (0, 4)),
+    ("Const(1,2)", "unknown schema constructor 'Const'", (0, 5)),
+    ("7", "expected 'ident', found '7'", (0, 1)),
+    ("", "expected 'ident', found 'end of input'", (0, 0)),
+]
+# a dangling operator at each of the six binary levels
+OPERATOR_ERRORS = [
+    ("x = 0 <->", "expected a term, found 'end of input'", (9, 9)),
+    ("x = 0 ->", "expected a term, found 'end of input'", (8, 8)),
+    ("x = 0 \\/", "expected a term, found 'end of input'", (8, 8)),
+    ("x = 0 /\\", "expected a term, found 'end of input'", (8, 8)),
+    ("x = 1 +", "expected a term, found 'end of input'", (7, 7)),
+    ("x = 1 *", "expected a term, found 'end of input'", (7, 7)),
+    ("x = 0 <-> -> y = 0", "expected a term, found '->'", (10, 12)),
+    ("x = 0 -> <-> y = 0", "expected a term, found '<->'", (9, 12)),
+    ("x = 0 \\/ /\\ y = 0", "expected a term, found '/\\\\'", (9, 11)),
+    ("x = 0 /\\ \\/ y = 0", "expected a term, found '\\\\/'", (9, 11)),
+    ("x = 1 + * 2", "expected a term, found '*'", (8, 9)),
+    ("x = 1 * + 2", "expected a term, found '+'", (8, 9)),
+    ("(x = 0 /\\) \\/ y = 0", "expected ')', found '='", (3, 4)),
+]
 
 
 def test_term_precedence_and_associativity():
@@ -45,6 +111,87 @@ def test_precedence_chain():
     assert isinstance(f.left.left, Or)
     assert isinstance(f.left.left.left, And)
     assert isinstance(f.left.left.left.left, Not)
+
+
+A, B, C = Eq(x, Lit(0)), Eq(x, Lit(1)), Eq(x, Lit(2))
+z = Var("z")
+# the binary operators, loosest first, with the node each builds; `<->`
+# and `->` nest to the right, the others to the left
+OPERATORS = [("<->", Iff, True), ("->", Implies, True), ("\\/", Or, False),
+             ("/\\", And, False), ("+", Add, False), ("*", Mul, False)]
+
+
+def _chain_parts(ctor):
+    if ctor in (Add, Mul):
+        return (x, y, z), parse_term
+    return (A, B, C), parse_formula
+
+
+@pytest.mark.parametrize("sym,ctor,right", OPERATORS,
+                         ids=[s for s, _, _ in OPERATORS])
+def test_chain_of_three_associates(sym, ctor, right):
+    (a, b, c), parse = _chain_parts(ctor)
+    text = f" {sym} ".join(str(p) for p in (a, b, c))
+    want = ctor(a, ctor(b, c)) if right else ctor(ctor(a, b), c)
+    assert parse(text) == want
+
+
+_PAIRS = [(i, j) for i in range(6) for j in range(i + 1, 6)
+          if (i < 4) == (j < 4)]
+
+
+@pytest.mark.parametrize("loose,tight", _PAIRS,
+                         ids=[f"{OPERATORS[i][0]}|{OPERATORS[j][0]}"
+                              for i, j in _PAIRS])
+def test_tighter_operator_binds_first(loose, tight):
+    (ls, lc, _), (ts, tc, _) = OPERATORS[loose], OPERATORS[tight]
+    (a, b, c), parse = _chain_parts(lc)
+    assert parse(f"{a} {ls} {b} {ts} {c}") == lc(a, tc(b, c))
+    assert parse(f"{a} {ts} {b} {ls} {c}") == lc(tc(a, b), c)
+
+
+_LEVEL = {ctor: (k, sym, right) for k, (sym, ctor, right) in enumerate(OPERATORS)}
+_QUANTIFIERS = {Forall: "forall", Exists: "exists", BForall: "forall",
+                BExists: "exists"}
+
+
+def minimal(n, lo=0, tail=True):
+    """n printed with the fewest parentheses.  It sits where an operator
+    looser than level `lo` needs parentheses; `tail` says that nothing
+    follows it before the end of its enclosing parenthesis, so that a
+    quantifier, whose body extends maximally, needs none."""
+    if type(n) in _LEVEL:
+        k, sym, right = _LEVEL[type(n)]
+        paren = k < lo
+        left = minimal(n.left, k + right, False)
+        rest = minimal(n.right, k + (not right), tail or paren)
+        text = f"{left} {sym} {rest}"
+        return f"({text})" if paren else text
+    if type(n) in _QUANTIFIERS:
+        bound = f" < {minimal(n.bound, 4)}" if hasattr(n, "bound") else ""
+        text = f"{_QUANTIFIERS[type(n)]} {n.var}{bound} . {minimal(n.body)}"
+        return text if tail else f"({text})"
+    if isinstance(n, Not):
+        return "~" + minimal(n.body, 4, tail)
+    if isinstance(n, (Eq, Lt)):
+        op = "=" if isinstance(n, Eq) else "<"
+        return f"{minimal(n.left, 4)} {op} {minimal(n.right, 4)}"
+    return str(n)
+
+
+def test_minimal_parentheses_round_trip_500_random():
+    # str parenthesizes every binary node; this printer leaves out every
+    # pair that precedence, associativity and binder scope make redundant
+    rng = random.Random(14)
+    saved = 0
+    for _ in range(500):
+        f = random_formula(rng)
+        text = minimal(f)
+        assert alpha_equal(parse_formula(text), f), text
+        saved += len(str(f)) - len(text)
+    assert minimal(parse_formula("(x = 0 /\\ y = 0) \\/ ~(forall a . a = x) -> x = 0")) \
+        == "x = 0 /\\ y = 0 \\/ ~(forall a . a = x) -> x = 0"
+    assert saved > 500 * 4
 
 
 def test_quantifier_body_extends_right():
@@ -168,6 +315,22 @@ def test_bad_projection_is_parse_error_at_its_token(text, message):
     with pytest.raises(ParseError) as e:
         parse_schema(text)
     assert (e.value.message, e.value.span) == (message, SourceSpan(0, 4))
+
+
+@pytest.mark.parametrize("text,message,span", SCHEMA_ERRORS,
+                         ids=[t or "empty" for t, _, _ in SCHEMA_ERRORS])
+def test_schema_parse_error_pinned(text, message, span):
+    with pytest.raises(ParseError) as e:
+        parse_schema(text)
+    assert (e.value.message, e.value.span) == (message, SourceSpan(*span))
+
+
+@pytest.mark.parametrize("text,message,span", OPERATOR_ERRORS,
+                         ids=[t for t, _, _ in OPERATOR_ERRORS])
+def test_dangling_operator_error_pinned(text, message, span):
+    with pytest.raises(ParseError) as e:
+        parse_formula(text)
+    assert (e.value.message, e.value.span) == (message, SourceSpan(*span))
 
 
 def test_schema_round_trip():

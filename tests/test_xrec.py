@@ -47,6 +47,26 @@ def test_arity_validation():
         Const(-1, 0)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: Cn(AddF(3), (Proj(1, 1),) * 3), "AddF takes 2 arguments, not 3"),
+    (lambda: xrec_eval(AddF(1), [5]), "AddF takes 2 arguments, not 1"),
+    (lambda: gamma(AddF(1)), "AddF takes 2 arguments, not 1"),
+    (lambda: compile_to_while(MulF(0)), "MulF takes 2 arguments, not 0"),
+], ids=["cn-add-3", "eval-add-1", "gamma-add-1", "compile-mul-0"])
+def test_add_and_mul_take_two_arguments(build, message):
+    # an AddF of arity 3 once summed only its first two arguments, and
+    # arities 0 and 1 raised IndexError wherever the schema was used
+    with pytest.raises(ValueError) as e:
+        build()
+    assert str(e.value) == message
+
+
+def test_add_and_mul_keep_their_arity_field():
+    # the arity field stays, so the schemas' repr is unchanged
+    assert (repr(AddF()), repr(MulF(2))) == ("AddF(arity=2)", "MulF(arity=2)")
+    assert AddF(2) == AddF() and AddF().arity == MulF().arity == 2
+
+
 def test_basic_eval():
     assert xrec_eval(Const(7, 2), [9, 9]).value == 7
     assert xrec_eval(Proj(2, 3), [4, 5, 6]).value == 5
