@@ -20,7 +20,8 @@ Grammar (operators listed loosest-first):
                    | cases(c1,g1; c2,g2; ...)
                (each constructor's keyword and fields come from
                `xrec.SCHEMAS`, the table the printer reads too; numbers
-               are separated by ',', schemas by ';')
+               are separated by ',', schemas by ';'; m is the arity of f,
+               so cn(f; ) when f takes no arguments)
     proofs     assign { conclusion: T }
                    | seq { left: P right: P conclusion: T }
                    | cond { then: P else: P conclusion: T }
@@ -35,10 +36,10 @@ Identifiers may carry trailing primes (y', x'').  `#` starts a comment to
 end of line.  All parse errors carry a SourceSpan of byte offsets.
 """
 
+import functools
 import re
 from dataclasses import dataclass, fields
 
-from . import xrec
 from .terms import (Add, And, BExists, BForall, Eq, Exists, FalseC, Forall,
                     Iff, Implies, Lit, Lt, Mul, Not, Or, TrueC, Var)
 from .whilelang import Assign, If, Seq as SeqP, While, is_guard
@@ -61,16 +62,20 @@ def _field_types(ctor, names):
     return tuple(types[name] for name in names)
 
 
-# each schema word: what builds it and the types of the arguments it is
-# written with.  A constructor's are those of the fields xrec.SCHEMAS
-# lists; a library name takes none, `cases` a list of branches and the
-# other combinators one schema
-_SCHEMA_WORDS = {
-    **{kw: (ctor, _field_types(ctor, names))
-       for ctor, (kw, names) in xrec.SCHEMAS.items()},
-    **{name: (ctor, ()) for name, ctor in xrec.STDLIB.items()},
-    **{name: (ctor, (list,) if name == "cases" else (xrec.XRecSchema,))
-       for name, ctor in xrec.STDLIB_COMBINATORS.items()}}
+@functools.cache
+def _schema_words():
+    """Each schema word: what builds it and the types of the arguments it
+    is written with.  A constructor's are those of the fields xrec.SCHEMAS
+    lists; a library name takes none, `cases` a list of branches and the
+    other combinators one schema.  Built on first use, so that only a
+    program that reads or prints schemas imports xrec."""
+    from . import xrec
+    return {
+        **{kw: (ctor, _field_types(ctor, names))
+           for ctor, (kw, names) in xrec.SCHEMAS.items()},
+        **{name: (ctor, ()) for name, ctor in xrec.STDLIB.items()},
+        **{name: (ctor, (list,) if name == "cases" else (xrec.XRecSchema,))
+           for name, ctor in xrec.STDLIB_COMBINATORS.items()}}
 
 
 @dataclass(frozen=True)
@@ -97,41 +102,32 @@ class Token:
     span: SourceSpan
 
 
+# longest first: `<->` before `->` before `<`, and `:=` before `:`
 _SYMBOLS = ["<->", "->", ":=", "/\\", "\\/",
             "<", "=", "~", "+", "*", "(", ")", ".", ";", "{", "}", ":", ","]
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_NUM = re.compile(r"[0-9]+")
+# one alternative per token class, tried in order at each position;
+# blanks and comments match no group, and any other character is `bad`
+_TOKEN = re.compile("|".join((
+    r"[ \t\r\n]+", r"#[^\n]*", r"(?P<num>[0-9]+)",
+    r"(?P<ident>[A-Za-z_][A-Za-z0-9_']*)",
+    "(?P<symbol>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
+    r"(?P<bad>.)")), re.DOTALL)
 
 
 def tokenize(text):
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        m = _NUM.match(text, i)
-        if m:
-            toks.append(Token("num", m.group(), SourceSpan(i, m.end())))
-            i = m.end()
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            toks.append(Token("ident", m.group(), SourceSpan(i, m.end())))
-            i = m.end()
-            continue
-        for s in _SYMBOLS:
-            if text.startswith(s, i):
-                toks.append(Token(s, s, SourceSpan(i, i + len(s))))
-                i += len(s)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", SourceSpan(i, i + 1))
+        start, end = m.span()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}",
+                             SourceSpan(start, end))
+        s = m.group()
+        toks.append(Token(s if kind == "symbol" else kind, s,
+                          SourceSpan(start, end)))
+    n = len(text)
     toks.append(Token("eof", "", SourceSpan(n, n)))
     return toks
 
@@ -335,13 +331,18 @@ class _Parser:
 
     def schema(self):
         t = self.expect("ident")
-        if t.text not in _SCHEMA_WORDS:
+        words = _schema_words()
+        if t.text not in words:
             raise ParseError(f"unknown schema constructor {t.text!r}", t.span)
-        ctor, types = _SCHEMA_WORDS[t.text]
+        ctor, types = words[t.text]
         args = []
         for k, kind in enumerate(types):
             self.expect("(" if k == 0 else "," if kind is int else ";")
+            # the inner functions of a cn are none when its f takes no
+            # arguments, as in `cn(const(3,0); )`, and else at least one
             args.append(int(self.expect("num").text) if kind is int
+                        else () if kind is tuple and args[0].arity == 0
+                        and self.at(")")
                         else self.listed(self.schema, ",") if kind is tuple
                         else self.listed(self.branch, ";") if kind is list
                         else self.schema())
@@ -438,6 +439,7 @@ def format_program(p):
 
 
 def format_schema(h):
+    from . import xrec
     if type(h) not in xrec.SCHEMAS:
         raise TypeError(f"not a schema: {h!r}")
     kw, names = xrec.SCHEMAS[type(h)]

@@ -441,7 +441,7 @@ def stdlib(name, *args):
 # Characteristic functions of level-0 formulas
 
 
-class NotLevelZero(Exception):
+class NotLevelZero(ValueError):
     pass
 
 
@@ -498,11 +498,11 @@ def _char(f, order):
 # Sigma_1 formulas to schemas and programs
 
 
-class ShapeError(Exception):
+class ShapeError(ValueError):
     pass
 
 
-class FunctionalityError(Exception):
+class FunctionalityError(ValueError):
     pass
 
 

@@ -405,6 +405,22 @@ def test_sigma1_compile_nonfunctional(capsys):
     assert "two results" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["pi1-program", "exists z. z = y", "--var", "y"], "psi must be level 0"),
+    (["pi1-program", "x < 5", "--var", "y"], "psi may mention only y"),
+    (["sigma1-compile", "x = 1", "--result", "y"],
+     "result variable y is not free"),
+    (["sigma1-compile", "forall z. y = z", "--result", "y"],
+     "matrix is not level 0")],
+    ids=["pi1-level", "pi1-free", "sigma1-result", "sigma1-level"])
+def test_shape_error_is_usage_error(capsys, argv, message):
+    # xrec.ShapeError is a ValueError, so the command line reports it
+    # without loading xrec for every command
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert err.startswith(f"error: {message}")
+
+
 def test_pi1_program(capsys):
     code, tree = run_json(capsys, "pi1-program", "y < 5", "--var", "y")
     assert code == 0

@@ -1,12 +1,18 @@
 """Source hygiene: no module imports a name it never uses, none imports
 another module's private (underscored) name, the while language has one
 syntax tree, whose guards are formulas, every proof rule is declared in
-the one rule table, and every schema constructor in the one schema
-table."""
+the one rule table, every schema constructor in the one schema table,
+the command line loads neither xrec nor hierarchy until a command runs
+them, and the package exports the same names it always has."""
 
 import ast
 import dataclasses
+import importlib
 import inspect
+import os
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -106,3 +112,58 @@ def test_every_schema_is_in_the_schema_table():
     keywords = [kw for kw, _ in xrec.SCHEMAS.values()]
     assert len(set(keywords)) == len(keywords)
     assert not set(keywords) & (set(xrec.STDLIB) | set(xrec.STDLIB_COMBINATORS))
+
+
+def test_cli_import_loads_neither_xrec_nor_hierarchy():
+    # in a fresh interpreter, as each command-line call is.  The other
+    # modules stay eager: bench/tracing.py finds every module it wraps in
+    # sys.modules once arithver.cli is imported and the workload has run
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, arithver.cli; print(' '.join("
+         "sorted(m for m in sys.modules if m.startswith('arithver'))))"],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True, text=True, check=True).stdout.split()
+    assert out == ["arithver", "arithver.alpha", "arithver.cli",
+                   "arithver.coding", "arithver.evaluator", "arithver.proofs",
+                   "arithver.syntax", "arithver.terms", "arithver.whilelang"]
+
+
+# the names `from arithver import *` binds, by the module that defines
+# each, and the modules themselves
+EXPORTS = {
+    "terms": "Add And BExists BForall Eq Exists FalseC Forall Iff Implies Lit "
+             "Lt Mul Not One Or TrueC Var Zero alpha_equal expand_to_core "
+             "free_vars mk_numeral substitute substitute_simultaneous",
+    "coding": "beta beta_index pair seq_encode split tuple_decode tuple_encode",
+    "evaluator": "FALSE TRUE Budget TriState WitnessSearchError eval_formula "
+                 "eval_term find_witnesses unknown",
+    "whilelang": "Assign If RunOutcome Seq While program_vars run",
+    "hierarchy": "HierarchyLevel classify prenexify",
+    "alpha": "HoareTriple Verdict check_triple encode_alpha encode_alpha_out "
+             "instantiate_alpha vc vc_instance",
+    "xrec": "AddF Cn Const Mn MulF Pr Proj bexists bforall cases "
+            "compile_to_while gamma gamma_instance pi1_counterexample_program "
+            "prod_of sigma0_char sigma1_to_program sigma1_to_xrec stdlib "
+            "sum_of xrec_eval",
+    "proofs": "AssignAxiom CheckReport CondRule ConseqRule ProofNode SeqRule "
+              "WhileRule check_proof",
+    "syntax": "ParseError SourceSpan format_formula format_program "
+              "format_proof format_schema parse_formula parse_program "
+              "parse_proof parse_schema parse_triple",
+}
+
+
+def test_star_import_binds_the_same_names():
+    ns = {}
+    exec("from arithver import *", ns)
+    del ns["__builtins__"]
+    want = {name: module for module, names in EXPORTS.items()
+            for name in names.split()}
+    assert len(ns) == 108
+    assert set(ns) == set(want) | set(EXPORTS)
+    assert {n for n, v in ns.items() if isinstance(v, types.ModuleType)} == set(EXPORTS)
+    for name, value in ns.items():
+        module = importlib.import_module(f"arithver.{want.get(name, name)}")
+        assert value is (module if name in EXPORTS else getattr(module, name)), name
+    arithver = importlib.import_module("arithver")
+    assert not hasattr(arithver, "no_such_name")

@@ -6,7 +6,8 @@ from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, Forall,
                             Implies, Iff, Lit, Lt, Mul, Not, Or, Var,
                             alpha_equal)
 from arithver.whilelang import Assign, If, Seq, While
-from arithver.xrec import Cn, Const, Mn, Pr, Proj, xrec_eval
+from arithver.xrec import (SCHEMAS, AddF, Cn, Const, Mn, MulF, Pr, Proj,
+                           xrec_eval)
 from arithver.proofs import (AssignAxiom, CondRule, ConseqRule, SeqRule,
                              WhileRule, check_proof)
 from arithver.syntax import (ParseError, SourceSpan, format_formula,
@@ -276,9 +277,44 @@ def test_span_validation():
         SourceSpan(5, 2)
 
 
+# every symbol alone, then run together (longest first: `<->` before `->`
+# before `<`, `:=` before `:`), numbers against identifiers, a comment
+# holding what would be tokens and an error, and each kind of blank
+TOKEN_TEXT = ("<-> -> := /\\ \\/ < = ~ + * ( ) . ; { } : ,\n"
+              "<->->:=:<<->\\//\\ 3x x'3 _0 # @ <->\n\t\r12#end")
+TOKENS = [
+    ("<->", 0, 3), ("->", 4, 6), (":=", 7, 9), ("/\\", 10, 12),
+    ("\\/", 13, 15), ("<", 16, 17), ("=", 18, 19), ("~", 20, 21),
+    ("+", 22, 23), ("*", 24, 25), ("(", 26, 27), (")", 28, 29),
+    (".", 30, 31), (";", 32, 33), ("{", 34, 35), ("}", 36, 37),
+    (":", 38, 39), (",", 40, 41),
+    ("<->", 42, 45), ("->", 45, 47), (":=", 47, 49), (":", 49, 50),
+    ("<", 50, 51), ("<->", 51, 54), ("\\/", 54, 56), ("/\\", 56, 58),
+    ("num", "3", 59, 60), ("ident", "x", 60, 61), ("ident", "x'3", 62, 65),
+    ("ident", "_0", 66, 68), ("num", "12", 79, 81), ("eof", "", 85, 85)]
+
+
+def test_tokenize_pinned():
+    # a symbol's kind is its text
+    want = [t if len(t) == 4 else (t[0], *t) for t in TOKENS]
+    got = [(t.kind, t.text, t.span.start, t.span.end)
+           for t in tokenize(TOKEN_TEXT)]
+    assert got == want
+
+
 def test_tokenize_unknown_char():
-    with pytest.raises(ParseError):
-        tokenize("x @ y")
+    # (text, the character refused, its span): a lone half of a symbol,
+    # a character after a comment, a non-ASCII letter and a blank that
+    # is not one of the four the lexer skips
+    for text, char, span in [
+            ("x @ y", "@", (2, 3)), ("a - b", "-", (2, 3)),
+            ("<-", "-", (1, 2)), ("/\\/", "/", (2, 3)),
+            ("x # @\n$", "$", (6, 7)), ("\u00e9", "\u00e9", (0, 1)),
+            ("x\x0by", "\x0b", (1, 2))]:
+        with pytest.raises(ParseError) as e:
+            tokenize(text)
+        assert (e.value.message, e.value.span) == (
+            f"unexpected character {char!r}", SourceSpan(*span)), text
 
 
 def test_schema_syntax():
@@ -338,6 +374,16 @@ def test_schema_round_trip():
                 "mn(cn(add; proj(1,2), proj(2,2)))", "const(3,1)", "add"]:
         s = parse_schema(src)
         assert parse_schema(format_schema(s)) == s
+    # every constructor of the schema table, and a cn with no inner
+    # functions, alone and nested
+    empty = Cn(Const(3, 0), ())
+    schemas = [Const(3, 1), Proj(2, 3), AddF(), MulF(),
+               Cn(AddF(), (Proj(1, 2), Proj(2, 2))), empty,
+               Pr(empty, Proj(2, 2)), Mn(Proj(1, 1))]
+    assert {type(h) for h in schemas} == set(SCHEMAS)
+    assert format_schema(empty) == "cn(const(3,0); )"
+    for h in schemas:
+        assert parse_schema(format_schema(h)) == h
 
 
 def test_triple_syntax():

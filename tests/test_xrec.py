@@ -336,6 +336,12 @@ def test_sigma1_to_xrec_rejects_non_result():
         sigma1_to_xrec(f, z)
 
 
+def test_calculus_errors_are_value_errors():
+    # the command line catches ValueError as a usage error (exit 3)
+    for cls in (NotLevelZero, ShapeError, FunctionalityError):
+        assert issubclass(cls, ValueError), cls
+
+
 def test_sigma1_functionality_check():
     f = Or(Eq(y, x), Eq(y, Add(x, Lit(1))))
     with pytest.raises(FunctionalityError):
