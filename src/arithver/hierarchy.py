@@ -1,20 +1,23 @@
 """Arithmetical-hierarchy classification and prenexing.
 
-Classification follows the generalized Sigma_n/Pi_n inductive definition;
-conditionals and biconditionals are desugared and negation is pushed to
-atoms first.  Strictness is reported for prenex shapes, counting
-quantifier-block alternations.
+Classification follows the generalized Sigma_n/Pi_n inductive definition
+and reads a formula as it stands, in one walk that builds no node:
+negation swaps the Sigma and Pi levels, a -> b is read as ~a \\/ b and
+a <-> b as (a -> b) /\\ (b -> a).  Strictness is reported for prenex
+shapes, counting quantifier-block alternations.
 
-Prenexing first renames apart: every binder gets a name of its own, free
-nowhere in the formula, from one Names supply that also names the
-collection bounds below.  Bounded quantifiers stay in the matrix.  An
-unbounded quantifier nested under a bounded one of the opposite kind is
-lifted with a fresh collection bound: over N,
+Prenexing first rewrites to negation normal form and renames apart: every
+binder gets a name of its own, free nowhere in the formula, from one
+Names supply that also names the collection bounds below.  Bounded
+quantifiers stay in the matrix.  An unbounded quantifier nested under a
+bounded one of the opposite kind is lifted with a fresh collection bound:
+over N,
     forall x<t . exists y . p   iff   exists B . forall x<t . exists y<B . p
 and dually, both by finiteness of the bounded range.
 """
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .terms import (And, BExists, BForall, Eq, Exists, FalseC, Forall, Iff,
                     Implies, Lt, Names, Not, Or, TrueC, free_vars,
@@ -38,121 +41,99 @@ class HierarchyLevel:
         return f"{name}_{self.n} ({tag}{extra})"
 
 
-def desugar(f):
-    """Eliminate Implies and Iff (a->b as ~a\\/b; a<->b as two implications)."""
-    if isinstance(f, Implies):
-        return Or(Not(desugar(f.left)), desugar(f.right))
-    if isinstance(f, Iff):
-        a, b = desugar(f.left), desugar(f.right)
-        return And(Or(Not(a), b), Or(Not(b), a))
-    if isinstance(f, Not):
-        # a `~` chain by a loop: chains run thousands long
-        n = 0
-        while isinstance(f, Not):
-            f, n = f.body, n + 1
-        f = desugar(f)
-        for _ in range(n):
-            f = Not(f)
-        return f
-    if isinstance(f, (And, Or)):
-        return type(f)(desugar(f.left), desugar(f.right))
-    if isinstance(f, (Forall, Exists)):
-        return type(f)(f.var, desugar(f.body))
-    if isinstance(f, (BForall, BExists)):
-        return type(f)(f.var, f.bound, desugar(f.body))
-    return f
+# each node class and its dual under negation
+_DUAL = {And: Or, Or: And, Exists: Forall, Forall: Exists,
+         BExists: BForall, BForall: BExists, TrueC: FalseC, FalseC: TrueC}
 
 
 def nnf(f, positive=True):
-    """Negation normal form of a desugared formula."""
-    if isinstance(f, Not):
-        # a `~` chain by a loop, keeping its parity
-        while isinstance(f, Not):
-            f, positive = f.body, not positive
-        return nnf(f, positive)
+    """Negation normal form of f, or of ~f when positive is false: `->` and
+    `<->` rewritten as classification reads them, `~` on atoms only."""
+    while isinstance(f, Not):  # a `~` chain by a loop, keeping its parity
+        f, positive = f.body, not positive
+    if isinstance(f, (Implies, Iff)):
+        inner, outer = (Or, And) if positive else (And, Or)
+        a, b = f.left, f.right
+        ab = inner(nnf(a, not positive), nnf(b, positive))
+        if isinstance(f, Implies):
+            return ab
+        return outer(ab, inner(nnf(b, not positive), nnf(a, positive)))
+    op = type(f) if positive else _DUAL.get(type(f))
     if isinstance(f, (And, Or)):
-        op = type(f) if positive else (Or if isinstance(f, And) else And)
         return op(nnf(f.left, positive), nnf(f.right, positive))
     if isinstance(f, (Forall, Exists)):
-        op = type(f) if positive else (Exists if isinstance(f, Forall) else Forall)
         return op(f.var, nnf(f.body, positive))
     if isinstance(f, (BForall, BExists)):
-        op = type(f) if positive else (BExists if isinstance(f, BForall) else BForall)
         return op(f.var, f.bound, nnf(f.body, positive))
-    if isinstance(f, TrueC):
-        return f if positive else FalseC()
-    if isinstance(f, FalseC):
-        return f if positive else TrueC()
-    # atom
-    return f if positive else Not(f)
+    if isinstance(f, (TrueC, FalseC)):
+        return op()
+    return f if positive else Not(f)  # an atom
+
+
+def _quantified(sigma, s, p):
+    """The levels of an unbounded quantifier, exists if sigma is set and
+    forall if not, over a body at levels (s, p)."""
+    if not sigma:  # forall is the dual of exists: Sigma and Pi swap
+        return _quantified(True, p, s)[::-1]
+    n = min(max(1, s), p + 1)
+    return n, n + 1
 
 
 def _levels(f):
     """(least n with f generalized Sigma_n, least n with f generalized Pi_n)."""
-    if isinstance(f, (TrueC, FalseC, Eq, Lt, Not)):
-        return 0, 0
-    if isinstance(f, (And, Or)):
+    negated = False
+    while isinstance(f, Not):  # a `~` chain by a loop, keeping its parity
+        f, negated = f.body, not negated
+    if isinstance(f, (TrueC, FalseC, Eq, Lt)):
+        s = p = 0
+    elif isinstance(f, (And, Or, Implies, Iff)):
         s1, p1 = _levels(f.left)
         s2, p2 = _levels(f.right)
-        return max(s1, s2), max(p1, p2)
-    if isinstance(f, (BForall, BExists)):
-        return _levels(f.body)
-    if isinstance(f, Exists):
+        if isinstance(f, Iff):  # each side in both polarities
+            s = p = max(s1, p1, s2, p2)
+        elif isinstance(f, Implies):  # the left side negated
+            s, p = max(p1, s2), max(s1, p2)
+        else:
+            s, p = max(s1, s2), max(p1, p2)
+    elif isinstance(f, (BForall, BExists)):
         s, p = _levels(f.body)
-        sig = min(max(1, s), p + 1)
-        return sig, sig + 1
-    if isinstance(f, Forall):
-        s, p = _levels(f.body)
-        pi = min(max(1, p), s + 1)
-        return pi + 1, pi
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _is_level0(f):
-    s, p = _levels(f)
-    return s == 0
-
-
-def _prefix_alternations(f):
-    """(leading kind, alternation count, matrix) of a prenex-shaped formula."""
-    lead = None
-    kind = None
-    n = 0
-    while isinstance(f, (Forall, Exists)):
-        k = SIGMA if isinstance(f, Exists) else PI
-        if k != kind:
-            n += 1
-            kind = k
-            if lead is None:
-                lead = k
-        f = f.body
-    return lead, n, f
+    elif isinstance(f, (Exists, Forall)):
+        s, p = _quantified(isinstance(f, Exists), *_levels(f.body))
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    return (p, s) if negated else (s, p)
 
 
 def classify(f):
     """Least generalized hierarchy level of a formula.
 
     Ties (quantifier-free formulas and other Sigma/Pi coincidences) are
-    reported as Sigma with the both marker set.
+    reported as Sigma with the both marker set.  The leading quantifiers
+    of f's negation normal form are read through its `~`s, and the
+    matrix's levels are folded back out through them.
     """
-    g = nnf(desugar(f))
-    s, p = _levels(g)
+    prefix, positive = [], True  # prefix: whether each quantifier is exists
+    while isinstance(f, (Not, Exists, Forall)):
+        if isinstance(f, Not):
+            positive = not positive
+        else:
+            prefix.append(isinstance(f, Exists) == positive)
+        f = f.body
+    s, p = _levels(f)
+    s, p = (s, p) if positive else (p, s)
+    level0 = s == 0  # the matrix has no unbounded quantifier
+    for sigma in reversed(prefix):
+        s, p = _quantified(sigma, s, p)
     n = min(s, p)
     both = s == p
     kind = SIGMA if s <= p else PI
 
-    strict = False
-    lead, alts, matrix = _prefix_alternations(g)
-    if _is_level0(matrix):
-        if alts == 0:
-            strict = True  # level-0 formulas are strict by definition
-        elif alts == n and ((kind == SIGMA and lead == SIGMA)
-                            or (kind == PI and lead == PI)
-                            or both):
-            strict = True
-            if both:
-                kind = lead
-                both = False
+    strict = level0 and not prefix  # level 0 is strict by definition
+    if level0 and sum(1 for _ in groupby(prefix)) == n > 0:
+        # as many quantifier blocks as the level: strict if led by its kind
+        lead = SIGMA if prefix[0] else PI
+        if kind == lead or both:
+            strict, kind, both = True, lead, False
     return HierarchyLevel(kind, n, strict, both)
 
 
@@ -228,7 +209,7 @@ def prenexify(f):
 
     Logically equivalent over N; bounded quantifiers stay in the matrix.
     """
-    g = nnf(desugar(f))
+    g = nnf(f)
     names = Names(free_vars(g))
     prefix, matrix = _pull(rename_apart(g, names), names)
     return _rebuild(prefix, matrix)

@@ -10,6 +10,7 @@ is reported as an unresolved side condition, never silently accepted.
 `RULES` is the one table of the five rules: each rule's keyword and the
 labels of its premises, which the parser, the printer and the checker
 read.  Each rule's structural conditions are listed once, in `_demands`.
+`check_proof` walks the premises with an explicit stack, not by recursion.
 """
 
 from dataclasses import dataclass, fields
@@ -110,11 +111,18 @@ def _sweep(formula, grid, budget):
 
 
 def check_proof(proof, grid=5, budget=Budget()):
-    """Check a proof object; returns a CheckReport with one status per node."""
+    """Check a proof object; returns a CheckReport with one status per node,
+    in pre-order.  A rejected node's premises are not checked."""
     if grid < 0:
         raise ValueError("grid must be >= 0")
     nodes = []
-    _check(proof, "root", grid, budget, nodes)
+    todo = [(proof, "root")]  # an explicit stack: proofs nest thousands deep
+    while todo:
+        p, loc = todo.pop()
+        if _check(p, loc, grid, budget, nodes):
+            kids = [(getattr(p, f.name), f"{loc}.{label}")
+                    for label, f in zip(RULES[type(p)][1], fields(p))]
+            todo += [k for k in reversed(kids) if isinstance(k[0], ProofNode)]
     return CheckReport(tuple(nodes), grid)
 
 
@@ -163,15 +171,16 @@ def _demands(p, c):
 
 
 def _check(p, loc, grid, budget, nodes):
+    """Append p's statuses to nodes; whether its premises are checked."""
     if type(p) not in RULES:
         nodes.append(NodeStatus(loc, "rejected", f"not a proof node: {p!r}"))
-        return
+        return False
     c = p.conclusion
     for found, wanted, why in _demands(p, c):
         if not (alpha_equal(found, wanted) if isinstance(found, Formula)
                 else found == wanted):
             nodes.append(NodeStatus(loc, "rejected", why.format(found, wanted)))
-            return
+            return False
     settled = True
     if type(p) is ConseqRule:
         # the logical premises, swept over the grid
@@ -182,7 +191,7 @@ def _check(p, loc, grid, budget, nodes):
             if verdict == "false":
                 nodes.append(NodeStatus(
                     loc, "rejected", f"{tag}-consequence fails: {side} — {detail}"))
-                return
+                return False
             if verdict == "unknown":
                 settled = False
                 nodes.append(NodeStatus(
@@ -190,7 +199,4 @@ def _check(p, loc, grid, budget, nodes):
                     f"{tag}-consequence {side} not settled at grid {grid}: {detail}"))
     if settled:
         nodes.append(NodeStatus(loc, "accepted"))
-    for label, field in zip(RULES[type(p)][1], fields(p)):
-        premise = getattr(p, field.name)
-        if isinstance(premise, ProofNode):
-            _check(premise, f"{loc}.{label}", grid, budget, nodes)
+    return True

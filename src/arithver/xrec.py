@@ -8,10 +8,10 @@ from dataclasses import dataclass
 from . import coding
 from .coding import beta_graph
 from .terms import (Add as AddT, And, BExists, BForall, Eq, Exists, FalseC,
-                    Lit, Lt, Mul as MulT, Names, Not, Or, TrueC, Var, conj,
-                    free_vars, strip_exists, substitute, term_vars)
+                    Iff, Implies, Lit, Lt, Mul as MulT, Names, Not, Or, TrueC,
+                    Var, conj, free_vars, strip_exists, substitute, term_vars)
 from .evaluator import assignments, compile_formula, eval_term
-from .hierarchy import classify, prenexify, desugar
+from .hierarchy import classify, prenexify
 from .whilelang import Assign, Seq, While
 
 
@@ -463,7 +463,7 @@ def sigma0_char(f, var_order=None):
         raise NotLevelZero(f"formula is {lvl}, not level 0")
     if var_order is None:
         var_order = sorted(free_vars(f), key=lambda v: v.name)
-    return _char(desugar(f), list(var_order))
+    return _char(f, list(var_order))
 
 
 def _char(f, order):
@@ -480,6 +480,12 @@ def _char(f, order):
                    _term_schema(f.right, order))
     if isinstance(f, Not):
         return _cn(monus_schema(), Const(1, n), _char(f.body, order))
+    if isinstance(f, (Implies, Iff)):
+        # a -> b as ~a \/ b, and a <-> b as (a -> b) /\ (b -> a)
+        a, b = _char(f.left, order), _char(f.right, order)
+        ab = _cn(max_schema(), _cn(monus_schema(), Const(1, n), a), b)
+        ba = _cn(max_schema(), _cn(monus_schema(), Const(1, n), b), a)
+        return ab if isinstance(f, Implies) else _cn(min_schema(), ab, ba)
     if isinstance(f, And):
         return _cn(min_schema(), _char(f.left, order), _char(f.right, order))
     if isinstance(f, Or):

@@ -9,7 +9,9 @@ and substitutions of random formulas, the values that compiled schemas
 and Sigma_1 formulas compute, the grid sweeps: triple verdicts, proof
 reports and least-witness searches, the reports on malformed variants
 of two hand-written proofs, and the schema texts: each library schema
-printed with its print/parse round trip, and the pinned parse errors.
+printed with its print/parse round trip, and the pinned parse errors;
+last, the levels, prenex forms and level-0 characteristic functions of
+formulas under extra `~`, `->`, `<->` and quantifier layers.
 Run it against two trees and compare the outputs byte for byte:
 
     PYTHONPATH=src python tests/dump_outputs.py > new.txt
@@ -30,7 +32,7 @@ from arithver.alpha import (HoareTriple, check_triple, instantiate_alpha,
                             vc_instance)
 from arithver.evaluator import (Budget, WitnessSearchError, compile_formula,
                                 eval_formula, find_witnesses)
-from arithver.hierarchy import classify, desugar, nnf, prenexify
+from arithver.hierarchy import classify, nnf, prenexify
 from arithver.proofs import (AssignAxiom, ConseqRule, ProofNode, WhileRule,
                              check_proof)
 from arithver.syntax import (ParseError, format_schema, parse_bool,
@@ -40,10 +42,10 @@ from arithver.terms import (Add, Eq, Exists, Lit, Lt, TrueC, Var, free_vars,
 from arithver.whilelang import Assign, Seq, While, program_vars, run
 from arithver.xrec import (STDLIB, Proj, bexists, bforall, cases,
                            compile_to_while, gamma_instance, prod_of,
-                           sigma1_to_program, sum_of, xrec_eval)
+                           sigma0_char, sigma1_to_program, sum_of, xrec_eval)
 
-from generators import (VARS, random_bool, random_formula, random_program,
-                        random_term)
+from generators import (VARS, layered_formula, random_bool, random_formula,
+                        random_program, random_term)
 from test_acceptance import SIGMA1_FIXTURES
 from test_proofs import conditional_proof, counting_loop_proof
 from test_syntax import OPERATOR_ERRORS, SCHEMA_ERRORS
@@ -175,7 +177,7 @@ def dump_binders(rng):
         f = random_formula(rng, 3 + k % 2)
         print(f"binder {k} classify {classify(f)}")
         print(f"binder {k} prenex {prenexify(f)}")
-        print(f"binder {k} nnf {nnf(desugar(f))}")
+        print(f"binder {k} nnf {nnf(f)}")
         print(f"binder {k} free {sorted(v.name for v in free_vars(f))}")
         v, t = rng.choice(VARS), random_term(rng, 2, VARS + BINDERS)
         print(f"binder {k} subst {attempt(lambda: substitute(f, v, t))}")
@@ -327,6 +329,17 @@ def dump_schemas():
         print(f"operator-error {text!r} {attempt(lambda: parse_formula(text))}")
 
 
+def dump_levels(rng):
+    # formulas under layers of `~`, `->`, `<->` and quantifiers: their
+    # levels, prenex forms, and the characteristic functions of level 0
+    for k in range(300):
+        f = layered_formula(rng, 2 + k % 2)
+        lvl = classify(f)
+        print(f"level {k} {lvl} {prenexify(f)}")
+        if lvl.n == 0:
+            print(f"level {k} char {attempt(lambda: digest(sigma0_char(f)))}")
+
+
 def main():
     rng = random.Random(2017)
     progs = dump_instances(rng)
@@ -338,6 +351,7 @@ def main():
     dump_sweeps(random.Random(1978))
     dump_mutants(random.Random(1981))
     dump_schemas()
+    dump_levels(random.Random(2017))
 
 
 if __name__ == "__main__":

@@ -58,6 +58,22 @@ def random_formula(rng, depth=3, vars=VARS):
     return ctor(v, bound, random_formula(rng, depth - 1, inner_vars))
 
 
+def layered_formula(rng, depth=2, layers=4, vars=VARS):
+    """random_formula under up to `layers` layers of `~`, `->`, `<->` and
+    unbounded quantifiers, the nodes that decide a formula's level."""
+    f = random_formula(rng, depth, vars)
+    for _ in range(rng.randint(0, layers)):
+        k = rng.randrange(4)
+        if k == 0:
+            f = Not(f)
+        elif k in (1, 2):
+            ctor, g = (Implies, Iff)[k - 1], random_formula(rng, 1, vars)
+            f = ctor(f, g) if rng.random() < 0.5 else ctor(g, f)
+        else:
+            f = rng.choice([Exists, Forall])(Var(rng.choice("abcduvw")), f)
+    return f
+
+
 def random_bool(rng, depth=1, vars=VARS, in_loop=False):
     if depth == 0 or rng.random() < 0.6:
         return Lt(random_term(rng, 1, vars, in_loop),

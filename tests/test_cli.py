@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -196,8 +197,20 @@ def test_deep_not_chain_evaluates(capsys, n, code, out):
     pytest.param("parse-formula", "~(" * 3000 + "x = 1" + ")" * 3000 + "\n",
                  id="parse-formula")])
 def test_deep_not_chain_classifies_and_prenexes(capsys, cmd, out):
-    # desugar, nnf and Not.__str__ walk a run of `~` by loops
+    # _levels, nnf and Not.__str__ walk a run of `~` by loops
     assert run_cli(capsys, cmd, "~" * 3000 + "x = 1") == (0, out, "")
+
+
+def test_classify_iff_chain_in_linear_time():
+    # 30 chained `<->`: a walk that reads each side in both polarities
+    # takes 2**30 steps, so it fails by the timeout
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "arithver.cli", "classify",
+         " <-> ".join(["x = 1"] * 31)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=10)
+    assert (done.returncode, done.stdout) == (0, "Sigma_0 (strict, also dual)\n")
 
 
 def test_run_bad_input_assignment(capsys):

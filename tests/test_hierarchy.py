@@ -1,17 +1,21 @@
+import os
 import random
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from arithver.terms import (And, BExists, BForall, Eq, Exists, Forall, Lit,
-                            Lt, Not, Or, Var, conj, free_vars)
+from arithver import hierarchy
+from arithver.terms import (And, BExists, BForall, Eq, Exists, Forall,
+                            Implies, Lit, Lt, Not, Or, Var, conj, free_vars)
 from arithver.evaluator import Budget, eval_formula
-from arithver.hierarchy import (PI, SIGMA, classify, desugar, nnf,
-                                prenexify)
+from arithver.hierarchy import PI, SIGMA, classify, nnf, prenexify
 from arithver.syntax import parse_formula
 
-from generators import random_formula
+from generators import layered_formula, random_formula
 from hierarchy_fixtures import FIXTURES
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -29,14 +33,14 @@ def test_classification_fixtures(src, kind, n, strict, both):
 
 def test_nnf_pushes_negation():
     f = Not(Exists(y, Forall(z, Lt(y, z))))
-    g = nnf(desugar(f))
+    g = nnf(f)
     assert isinstance(g, Forall) and isinstance(g.body, Exists)
     assert g.body.body == Not(Lt(y, z))
 
 
 def test_nnf_bounded_duality():
     f = Not(BForall(y, x, Lt(y, x)))
-    g = nnf(desugar(f))
+    g = nnf(f)
     assert isinstance(g, BExists)
     assert g.bound == x
 
@@ -158,3 +162,47 @@ def test_classify_desugars_connectives():
     f = parse_formula("(exists y. y = x) -> false")
     lvl = classify(f)
     assert (lvl.kind, lvl.n) == (PI, 1)
+
+
+# 30 `<->` in a chain: each side is read in both polarities, so a walk
+# that expands them takes 2**30 steps
+IFF_CHAIN = " <-> ".join(["x = 1"] * 31)
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_classify_iff_chain_is_linear():
+    # in a subprocess, so an exponential walk fails by the timeout
+    code = ("import sys; from arithver.hierarchy import classify; "
+            "from arithver.syntax import parse_formula; "
+            "print(classify(parse_formula(sys.argv[1])))")
+    out = subprocess.run([sys.executable, "-c", code, IFF_CHAIN],
+                         env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, timeout=10, check=True)
+    assert out.stdout == "Sigma_0 (strict, also dual)\n"
+
+
+@given(st.integers(0, 2 ** 32))
+def test_classify_agrees_with_its_negation_normal_form(seed):
+    # classify reads polarity and `->`/`<->` in place, and nnf rewrites
+    # them: the two must give one level
+    f = layered_formula(random.Random(seed), 3)
+    g = nnf(f)
+    assert classify(f) == classify(g)
+    assert nnf(g) == g
+
+
+def test_deep_implies_chain_classifies_and_prenexes():
+    # one stack frame per `->`, at the default recursion limit
+    f = Eq(x, Lit(1))
+    for _ in range(900):
+        f = Implies(Lt(x, Lit(1)), f)
+    assert classify(f) == classify(Eq(x, Lit(1)))
+    assert classify(prenexify(f)).n == 0
+
+
+def test_classify_builds_no_normal_form(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("classify called nnf")
+    monkeypatch.setattr(hierarchy, "nnf", refuse)
+    lvl = classify(parse_formula("~(exists y. ~(forall z. ~(y + z = x)))"))
+    assert (lvl.kind, lvl.n, lvl.strict) == (PI, 1, True)

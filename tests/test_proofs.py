@@ -251,3 +251,15 @@ def test_each_rejection_message(case):
 def test_grid_validation():
     with pytest.raises(ValueError):
         check_proof(counting_loop_proof(), grid=-1)
+
+
+def test_deep_proof_checks_without_recursion():
+    # 3,000 consequence rules around one axiom, at the default recursion
+    # limit: premises are walked by an explicit stack, parents first
+    t = HoareTriple(Eq(x, x), Assign(x, x), Eq(x, x))
+    pf = AssignAxiom(t)
+    for _ in range(3000):
+        pf = ConseqRule(pf, t)
+    rep = check_proof(pf, grid=1)
+    assert rep.accepted and len(rep.nodes) == 3001
+    assert rep.nodes[-1].location == "root" + ".inner" * 3000
