@@ -57,11 +57,16 @@ def _emit(args, human, payload):
         print(human)
 
 
-def _emit_tree(args, node, fmt):
-    # only the form printed is built: a `;` chain too deep for the
-    # recursive --json walk still prints as text
-    _emit(args, None if args.json else fmt(node),
-          tree_json(node) if args.json else None)
+def _emit_tree(args, node, head="", wrap=None):
+    """Print a term, formula or program: as text after the lines head, or
+    with --json as its tree, inside wrap(tree) when wrap is given.  Only
+    the form printed is built: a `;` chain too deep for the recursive
+    --json walk still prints as text, and under --json no text is built."""
+    if args.json:
+        tree = tree_json(node)
+        _emit(args, None, tree if wrap is None else wrap(tree))
+    else:
+        _emit(args, head + syntax.format_formula(node), None)
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +130,13 @@ def _read_file(path):
 
 def cmd_parse_formula(args):
     f = syntax.parse_formula(args.text)
-    _emit_tree(args, f, syntax.format_formula)
+    _emit_tree(args, f)
     return OK
 
 
 def cmd_parse_program(args):
     p = syntax.parse_program(args.text)
-    _emit_tree(args, p, syntax.format_program)
+    _emit_tree(args, p)
     return OK
 
 
@@ -154,18 +159,18 @@ def cmd_encode_alpha(args):
     if args.out_index is not None:
         inputs = _parse_vars(args.inputs)
         f, ins, y = alpha.encode_alpha_out(prog, args.out_index, inputs)
-        payload = {"kind": "alpha-out", "formula": tree_json(f),
-                   "inputs": [v.name for v in ins], "result": y.name}
-        human = (f"inputs: {', '.join(v.name for v in ins) or '(none)'}\n"
-                 f"result: {y.name}\n{f}")
+        head = (f"inputs: {', '.join(v.name for v in ins) or '(none)'}\n"
+                f"result: {y.name}\n")
+        _emit_tree(args, f, head, lambda tree: {
+            "kind": "alpha-out", "formula": tree,
+            "inputs": [v.name for v in ins], "result": y.name})
     else:
         f, xs, ys = alpha.encode_alpha(prog)
-        payload = {"kind": "alpha", "formula": tree_json(f),
-                   "vars": [v.name for v in xs],
-                   "out_vars": [v.name for v in ys]}
-        human = (f"vars: {', '.join(v.name for v in xs)}\n"
-                 f"out vars: {', '.join(v.name for v in ys)}\n{f}")
-    _emit(args, human, payload)
+        head = (f"vars: {', '.join(v.name for v in xs)}\n"
+                f"out vars: {', '.join(v.name for v in ys)}\n")
+        _emit_tree(args, f, head, lambda tree: {
+            "kind": "alpha", "formula": tree, "vars": [v.name for v in xs],
+            "out_vars": [v.name for v in ys]})
     return OK
 
 
@@ -182,7 +187,7 @@ def cmd_prenex(args):
     from . import hierarchy
     f = syntax.parse_formula(args.text)
     g = hierarchy.prenexify(f)
-    _emit_tree(args, g, syntax.format_formula)
+    _emit_tree(args, g)
     return OK
 
 
@@ -206,7 +211,7 @@ def _triple_from_args(args):
 def cmd_vc(args):
     t = _triple_from_args(args)
     f = alpha.vc(t)
-    _emit_tree(args, f, syntax.format_formula)
+    _emit_tree(args, f)
     return OK
 
 
@@ -246,17 +251,19 @@ def cmd_xrec(args):
         return OK
     if args.action == "gamma":
         f, xs, y = xrec.gamma(h)
-        human = (f"inputs: {', '.join(v.name for v in xs) or '(none)'}\n"
-                 f"result: {y.name}\n{f}")
-        _emit(args, human, {"kind": "gamma", "formula": tree_json(f),
-                            "inputs": [v.name for v in xs], "result": y.name})
+        head = (f"inputs: {', '.join(v.name for v in xs) or '(none)'}\n"
+                f"result: {y.name}\n")
+        _emit_tree(args, f, head, lambda tree: {
+            "kind": "gamma", "formula": tree,
+            "inputs": [v.name for v in xs], "result": y.name})
         return OK
     # compile
     prog, res, ps = xrec.compile_to_while(h)
-    human = (f"inputs: {', '.join(v.name for v in ps) or '(none)'}\n"
-             f"result: {res.name}\n{prog}")
-    _emit(args, human, {"kind": "compiled", "program": tree_json(prog),
-                        "inputs": [v.name for v in ps], "result": res.name})
+    head = (f"inputs: {', '.join(v.name for v in ps) or '(none)'}\n"
+            f"result: {res.name}\n")
+    _emit_tree(args, prog, head, lambda tree: {
+        "kind": "compiled", "program": tree,
+        "inputs": [v.name for v in ps], "result": res.name})
     return OK
 
 
@@ -264,13 +271,13 @@ def cmd_sigma1_compile(args):
     from . import xrec
     f = syntax.parse_formula(args.text)
     prog, res, ps, xs = xrec.sigma1_to_program(f, Var(args.result))
-    human = (f"formula inputs: {', '.join(v.name for v in xs) or '(none)'}\n"
-             f"program inputs: {', '.join(v.name for v in ps) or '(none)'}\n"
-             f"result: {res.name}\n{prog}")
-    _emit(args, human,
-          {"kind": "compiled", "program": tree_json(prog),
-           "formula_inputs": [v.name for v in xs],
-           "inputs": [v.name for v in ps], "result": res.name})
+    head = (f"formula inputs: {', '.join(v.name for v in xs) or '(none)'}\n"
+            f"program inputs: {', '.join(v.name for v in ps) or '(none)'}\n"
+            f"result: {res.name}\n")
+    _emit_tree(args, prog, head, lambda tree: {
+        "kind": "compiled", "program": tree,
+        "formula_inputs": [v.name for v in xs],
+        "inputs": [v.name for v in ps], "result": res.name})
     return OK
 
 
@@ -278,10 +285,11 @@ def cmd_pi1_program(args):
     from . import xrec
     psi = syntax.parse_formula(args.text)
     prog, res, ps, _ = xrec.pi1_counterexample_program(psi, Var(args.var))
-    human = (f"program inputs: {', '.join(v.name for v in ps)}\n"
-             f"result: {res.name}\n{prog}")
-    _emit(args, human, {"kind": "compiled", "program": tree_json(prog),
-                        "inputs": [v.name for v in ps], "result": res.name})
+    head = (f"program inputs: {', '.join(v.name for v in ps)}\n"
+            f"result: {res.name}\n")
+    _emit_tree(args, prog, head, lambda tree: {
+        "kind": "compiled", "program": tree,
+        "inputs": [v.name for v in ps], "result": res.name})
     return OK
 
 

@@ -8,7 +8,7 @@ otherwise the verdict is Unknown.  Connectives follow strong Kleene.
 eval_formula interprets the tree; compile_formula turns it into closures
 once, with the same verdicts, for loops that evaluate one formula at
 many assignments.  The two paths share each rule: `~`, `->` and `<->`
-by _neg, _disj and _iff, a chain's operands by _operands, and an
+by _neg, _disj and _iff, a chain's operands by terms.operands, and an
 unbounded search that finds nothing by _none.  Each has one branch for
 all four quantifiers, which differ only in the values searched and in
 the verdict when the search finds nothing.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .terms import (Add, And, BExists, BForall, Eq, Exists, FalseC, Forall,
                     Iff, Implies, Lit, Lt, Mul, Not, One, Or, TrueC, Var,
-                    Zero, strip_exists)
+                    Zero, operands, strip_exists)
 
 
 @dataclass(frozen=True)
@@ -104,23 +104,6 @@ def _iff(a, b):
     return a if not a.is_exact() else b
 
 
-def _operands(f):
-    """The operands of the And or Or chain f, left to right.
-
-    The parser nests chains to the left and conj to the right, both
-    thousands long, so both spines are walked by an explicit stack.
-    """
-    kind = type(f)
-    parts, todo = [], [f]
-    while todo:
-        g = todo.pop()
-        if isinstance(g, kind):
-            todo += (g.right, g.left)
-        else:
-            parts.append(g)
-    return parts
-
-
 def _none(f, budget):
     kind = "witness" if isinstance(f, Exists) else "counterexample"
     return unknown(f"no {kind} <= {budget.q_bound}")
@@ -161,7 +144,7 @@ def _eval(f, v, budget, depth, memo):
         # Unknown, otherwise True; Or is the dual
         hit, out = (FALSE, TRUE) if type(f) is And else (TRUE, FALSE)
         pending = None
-        for g in _operands(f):
+        for g in operands(f, type(f)):
             r = _eval(g, v, budget, depth, memo)
             if r is hit:
                 return hit
@@ -251,7 +234,7 @@ def _compile(f, budget, depth):
         return (lambda v: _neg(g(v))) if odd else g
     if isinstance(f, (And, Or)):
         hit, out = (FALSE, TRUE) if type(f) is And else (TRUE, FALSE)
-        parts = tuple(_compile(g, budget, depth) for g in _operands(f))
+        parts = tuple(_compile(g, budget, depth) for g in operands(f, type(f)))
 
         def junction(v):
             pending = None

@@ -21,7 +21,7 @@ from itertools import groupby
 
 from .terms import (And, BExists, BForall, Eq, Exists, FalseC, Forall, Iff,
                     Implies, Lt, Names, Not, Or, TrueC, free_vars,
-                    rename_apart)
+                    operands, rename_apart)
 
 SIGMA = "sigma"
 PI = "pi"
@@ -86,15 +86,15 @@ def _levels(f):
         f, negated = f.body, not negated
     if isinstance(f, (TrueC, FalseC, Eq, Lt)):
         s = p = 0
-    elif isinstance(f, (And, Or, Implies, Iff)):
+    elif isinstance(f, (And, Or)):  # a chain, thousands long, read flat
+        s, p = map(max, zip(*map(_levels, operands(f, type(f)))))
+    elif isinstance(f, (Implies, Iff)):
         s1, p1 = _levels(f.left)
         s2, p2 = _levels(f.right)
         if isinstance(f, Iff):  # each side in both polarities
             s = p = max(s1, p1, s2, p2)
-        elif isinstance(f, Implies):  # the left side negated
+        else:  # the left side negated
             s, p = max(p1, s2), max(s1, p2)
-        else:
-            s, p = max(s1, s2), max(p1, p2)
     elif isinstance(f, (BForall, BExists)):
         s, p = _levels(f.body)
     elif isinstance(f, (Exists, Forall)):

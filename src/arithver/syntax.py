@@ -34,14 +34,20 @@ Grammar (operators listed loosest-first):
 
 Identifiers may carry trailing primes (y', x'').  `#` starts a comment to
 end of line.  All parse errors carry a SourceSpan of byte offsets.
+
+One printer, format_formula, which format_program names too, writes
+every term, formula, guard and program, and is what str of a node
+returns.  It reads one template per node class, those of the binary
+operators built from `_BINARY`, and walks the tree by an explicit stack.
 """
 
 import functools
 import re
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .terms import (Add, And, BExists, BForall, Eq, Exists, FalseC, Forall,
-                    Iff, Implies, Lit, Lt, Mul, Not, Or, TrueC, Var)
+                    Iff, Implies, Lit, Lt, Mul, Not, One, Or, TrueC, Var, Zero)
 from .whilelang import Assign, If, Seq as SeqP, While, is_guard
 from .alpha import HoareTriple
 from .proofs import RULES
@@ -427,15 +433,54 @@ def parse_triple(text):
     return _parse(text, _Parser.triple)
 
 
-# -- printers (the ASTs' str forms are already in the grammar) ----------
+# -- printers ----------------------------------------------------------
+
+# each node's text: literals, and its fields in braces where they are
+# printed.  Every binary node and quantifier is parenthesised and each
+# `~` wraps its body, so the parser reads the text back without any
+# precedence, and a `;` chain prints flat however it nests
+_TEMPLATES = {
+    Var: "{name}", Lit: "{n}", Zero: "0", One: "1",
+    TrueC: "true", FalseC: "false",
+    Eq: "{left} = {right}", Lt: "{left} < {right}", Not: "~({body})",
+    **{ctor: f"({{left}} {sym} {{right}})" for sym, ctor, _ in _BINARY},
+    Forall: "(forall {var} . {body})", Exists: "(exists {var} . {body})",
+    BForall: "(forall {var} < {bound} . {body})",
+    BExists: "(exists {var} < {bound} . {body})",
+    Assign: "{var} := {expr}", SeqP: "{first}; {second}",
+    If: "if {guard} then {then} else {els} fi",
+    While: "while {guard} do {body} od"}
 
 
-def format_formula(f):
-    return str(f)
+def _layout(template):
+    """A template's leading text and, last first, each field's getter with
+    the text that follows the field."""
+    parts = re.split(r"{(\w+)}", template)
+    return parts[0], list(zip(map(attrgetter, parts[1::2]), parts[2::2]))[::-1]
 
 
-def format_program(p):
-    return str(p)
+_LAYOUT = {cls: _layout(template) for cls, template in _TEMPLATES.items()}
+
+
+def format_formula(node):
+    """The text of a term, formula, guard or program, which the parser
+    reads back.  The node is walked by an explicit stack of nodes and
+    strings, so chains thousands long print."""
+    out, todo = [], [node]
+    while todo:
+        n = todo.pop()
+        layout = _LAYOUT.get(type(n))
+        if layout is None:  # a text, a variable's name or a number
+            out.append(str(n))
+        else:
+            text, fields = layout
+            out.append(text)
+            for get, after in fields:
+                todo += (after, get(n))
+    return "".join(out)
+
+
+format_program = format_formula
 
 
 def format_schema(h):

@@ -18,6 +18,10 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 class Term:
     __slots__ = ()
 
+    def __str__(self):
+        from . import syntax  # syntax sits above terms
+        return syntax.format_formula(self)
+
 
 @dataclass(frozen=True)
 class Var(Term):
@@ -37,20 +41,15 @@ class Var(Term):
         # rebuild through __init__: a string's hash differs between processes
         return Var, (self.name,)
 
-    def __str__(self):
-        return self.name
-
 
 @dataclass(frozen=True)
 class Zero(Term):
-    def __str__(self):
-        return "0"
+    pass
 
 
 @dataclass(frozen=True)
 class One(Term):
-    def __str__(self):
-        return "1"
+    pass
 
 
 @dataclass(frozen=True)
@@ -61,17 +60,11 @@ class Lit(Term):
         if self.n < 0:
             raise ValueError("literals are naturals")
 
-    def __str__(self):
-        return str(self.n)
-
 
 @dataclass(frozen=True)
 class Add(Term):
     left: Term
     right: Term
-
-    def __str__(self):
-        return f"({self.left} + {self.right})"
 
 
 @dataclass(frozen=True)
@@ -79,24 +72,20 @@ class Mul(Term):
     left: Term
     right: Term
 
-    def __str__(self):
-        return f"({self.left} * {self.right})"
-
 
 class Formula:
     __slots__ = ()
+    __str__ = Term.__str__
 
 
 @dataclass(frozen=True)
 class TrueC(Formula):
-    def __str__(self):
-        return "true"
+    pass
 
 
 @dataclass(frozen=True)
 class FalseC(Formula):
-    def __str__(self):
-        return "false"
+    pass
 
 
 @dataclass(frozen=True)
@@ -104,29 +93,16 @@ class Eq(Formula):
     left: Term
     right: Term
 
-    def __str__(self):
-        return f"{self.left} = {self.right}"
-
 
 @dataclass(frozen=True)
 class Lt(Formula):
     left: Term
     right: Term
 
-    def __str__(self):
-        return f"{self.left} < {self.right}"
-
 
 @dataclass(frozen=True)
 class Not(Formula):
     body: Formula
-
-    def __str__(self):
-        # a run of `~` by a loop: runs are thousands long
-        n, f = 0, self
-        while isinstance(f, Not):
-            n, f = n + 1, f.body
-        return f"{'~(' * n}{f}{')' * n}"
 
 
 @dataclass(frozen=True)
@@ -134,17 +110,11 @@ class And(Formula):
     left: Formula
     right: Formula
 
-    def __str__(self):
-        return f"({self.left} /\\ {self.right})"
-
 
 @dataclass(frozen=True)
 class Or(Formula):
     left: Formula
     right: Formula
-
-    def __str__(self):
-        return f"({self.left} \\/ {self.right})"
 
 
 @dataclass(frozen=True)
@@ -152,17 +122,11 @@ class Implies(Formula):
     left: Formula
     right: Formula
 
-    def __str__(self):
-        return f"({self.left} -> {self.right})"
-
 
 @dataclass(frozen=True)
 class Iff(Formula):
     left: Formula
     right: Formula
-
-    def __str__(self):
-        return f"({self.left} <-> {self.right})"
 
 
 @dataclass(frozen=True)
@@ -170,17 +134,11 @@ class Forall(Formula):
     var: Var
     body: Formula
 
-    def __str__(self):
-        return f"(forall {self.var} . {self.body})"
-
 
 @dataclass(frozen=True)
 class Exists(Formula):
     var: Var
     body: Formula
-
-    def __str__(self):
-        return f"(exists {self.var} . {self.body})"
 
 
 @dataclass(frozen=True)
@@ -193,9 +151,6 @@ class BForall(Formula):
         if self.var in term_vars(self.bound):
             raise ValueError(f"bound term of forall {self.var}<... mentions {self.var}")
 
-    def __str__(self):
-        return f"(forall {self.var} < {self.bound} . {self.body})"
-
 
 @dataclass(frozen=True)
 class BExists(Formula):
@@ -206,9 +161,6 @@ class BExists(Formula):
     def __post_init__(self):
         if self.var in term_vars(self.bound):
             raise ValueError(f"bound term of exists {self.var}<... mentions {self.var}")
-
-    def __str__(self):
-        return f"(exists {self.var} < {self.bound} . {self.body})"
 
 
 def mk_numeral(n):
@@ -302,6 +254,27 @@ def strip_exists(f):
         block.append(f.var)
         f = f.body
     return block, f
+
+
+def operands(f, kind):
+    """The operands of the chain of kind nodes at f, left to right, or [f]
+    when f is not a kind node.  kind is And, Or or a program's Seq, whose
+    two fields, in __match_args__ order, are its operands.
+
+    Chains run thousands long and nest either way: the parser nests `/\\`
+    and `\\/` to the left and `;` to the right, conj to the right and
+    compiled programs to the left.  So both spines are walked by an
+    explicit stack.
+    """
+    left, right = kind.__match_args__
+    parts, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, kind):
+            todo += (getattr(g, right), getattr(g, left))
+        else:
+            parts.append(g)
+    return parts
 
 
 def subst_term(t, env):

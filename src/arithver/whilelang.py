@@ -16,7 +16,7 @@ and never proves divergence.
 from dataclasses import dataclass
 from functools import partial
 
-from .terms import Add, Formula, Implies, Lt, Mul, Not, Term, Var
+from .terms import Add, Formula, Implies, Lt, Mul, Not, Term, Var, operands
 from .evaluator import (TRUE, compile_formula, compile_term, eval_formula,
                         eval_term)
 
@@ -24,30 +24,21 @@ from .evaluator import (TRUE, compile_formula, compile_term, eval_formula,
 class Program:
     __slots__ = ()
 
+    def __str__(self):
+        from . import syntax  # syntax sits above whilelang
+        return syntax.format_program(self)
+
 
 @dataclass(frozen=True)
 class Assign(Program):
     var: Var
     expr: Term
 
-    def __str__(self):
-        return f"{self.var} := {self.expr}"
-
 
 @dataclass(frozen=True)
 class Seq(Program):
     first: Program
     second: Program
-
-    def __str__(self):
-        # the right spine by a loop: `;` chains run thousands long
-        parts = []
-        p = self
-        while isinstance(p, Seq):
-            parts.append(str(p.first))
-            p = p.second
-        parts.append(str(p))
-        return "; ".join(parts)
 
 
 def is_guard(g):
@@ -78,9 +69,6 @@ class If(Program):
     def __post_init__(self):
         _check_guard(self.guard)
 
-    def __str__(self):
-        return f"if {self.guard} then {self.then} else {self.els} fi"
-
 
 @dataclass(frozen=True)
 class While(Program):
@@ -89,9 +77,6 @@ class While(Program):
 
     def __post_init__(self):
         _check_guard(self.guard)
-
-    def __str__(self):
-        return f"while {self.guard} do {self.body} od"
 
 
 # the while language's names for two guard classes; bench/wl_witness.py
@@ -174,16 +159,9 @@ def _run(execute, state, fuel):
 
 def _compile(prog):
     # one closure per statement, with _exec's charges; a `;` chain becomes
-    # a tuple walked by a loop, both spines flattened by an explicit stack
+    # a tuple walked by a loop
     if isinstance(prog, Seq):
-        parts, todo = [], [prog]
-        while todo:
-            p = todo.pop()
-            if isinstance(p, Seq):
-                todo += (p.second, p.first)
-            else:
-                parts.append(_compile(p))
-        parts = tuple(parts)
+        parts = tuple(map(_compile, operands(prog, Seq)))
 
         def seq(st, fuel):
             for part in parts:

@@ -9,7 +9,8 @@ from . import coding
 from .coding import beta_graph
 from .terms import (Add as AddT, And, BExists, BForall, Eq, Exists, FalseC,
                     Iff, Implies, Lit, Lt, Mul as MulT, Names, Not, Or, TrueC,
-                    Var, conj, free_vars, strip_exists, substitute, term_vars)
+                    Var, conj, free_vars, operands, strip_exists, substitute,
+                    term_vars)
 from .evaluator import assignments, compile_formula, eval_term
 from .hierarchy import classify, prenexify
 from .whilelang import Assign, Seq, While
@@ -531,12 +532,9 @@ def _one_point(block, body):
     """exists z . (z = t /\\ phi) == phi[t/z] for z of the block not in t,
     applied to the matrix's conjuncts; then the binders the matrix no
     longer mentions are dropped.  Returns (block, body)."""
-    block, parts, k = list(block), [body], 0
+    block, parts, k = list(block), operands(body, And), 0
     while k < len(parts):
         p = parts[k]
-        if isinstance(p, And):
-            parts[k:k + 1] = [p.left, p.right]
-            continue
         k += 1
         sides = ((p.left, p.right), (p.right, p.left)) if isinstance(p, Eq) else ()
         for z, t in sides:

@@ -10,8 +10,10 @@ and Sigma_1 formulas compute, the grid sweeps: triple verdicts, proof
 reports and least-witness searches, the reports on malformed variants
 of two hand-written proofs, and the schema texts: each library schema
 printed with its print/parse round trip, and the pinned parse errors;
-last, the levels, prenex forms and level-0 characteristic functions of
-formulas under extra `~`, `->`, `<->` and quantifier layers.
+the levels, prenex forms and level-0 characteristic functions of
+formulas under extra `~`, `->`, `<->` and quantifier layers; last, the
+printed text (hashed) of the gamma formulas, compiled programs, Sigma_1
+and Pi_1 programs, alpha formulas and VCs that arithver builds.
 Run it against two trees and compare the outputs byte for byte:
 
     PYTHONPATH=src python tests/dump_outputs.py > new.txt
@@ -28,8 +30,8 @@ import itertools
 import random
 from dataclasses import fields, is_dataclass, replace
 
-from arithver.alpha import (HoareTriple, check_triple, instantiate_alpha,
-                            vc_instance)
+from arithver.alpha import (HoareTriple, check_triple, encode_alpha,
+                            instantiate_alpha, vc, vc_instance)
 from arithver.evaluator import (Budget, WitnessSearchError, compile_formula,
                                 eval_formula, find_witnesses)
 from arithver.hierarchy import classify, nnf, prenexify
@@ -41,8 +43,9 @@ from arithver.terms import (Add, Eq, Exists, Lit, Lt, TrueC, Var, free_vars,
                             substitute, substitute_simultaneous)
 from arithver.whilelang import Assign, Seq, While, program_vars, run
 from arithver.xrec import (STDLIB, Proj, bexists, bforall, cases,
-                           compile_to_while, gamma_instance, prod_of,
-                           sigma0_char, sigma1_to_program, sum_of, xrec_eval)
+                           compile_to_while, gamma, gamma_instance,
+                           pi1_counterexample_program, prod_of, sigma0_char,
+                           sigma1_to_program, sum_of, xrec_eval)
 
 from generators import (VARS, layered_formula, random_bool, random_formula,
                         random_program, random_term)
@@ -57,6 +60,8 @@ COUNT = Seq(Assign(Y, Lit(0)), While(Lt(Y, X), Assign(Y, Add(Y, Lit(1)))))
 # targets: a target may equal the name a renamed binder gets
 BINDERS = [Var(c) for c in "abcduvw"]
 PRIMED = [Var(c + "'") for c in "abcduvw"]
+PI1_BODIES = ("y < 9", "y * y < y + 3", "~(y = 3)",
+              "exists z < y . z + z = y", "forall z < y . z * z < y")
 MALFORMED = ("x = 1", "x < 1 /\\ y < 2", "true", "exists y . y < x",
              "x < 1 <-> y < 1", "x <", "~", "(x < 1", "x < 1 -> if")
 
@@ -340,6 +345,29 @@ def dump_levels(rng):
             print(f"level {k} char {attempt(lambda: digest(sigma0_char(f)))}")
 
 
+def dump_texts(rng):
+    # the text of what arithver builds, whose `;` chains nest to the left
+    def show(kind, name, node):
+        text = str(node)
+        print(f"text {kind} {name} {len(text)} "
+              f"{hashlib.sha256(text.encode()).hexdigest()[:16]}")
+
+    for name in sorted(STDLIB):
+        h = STDLIB[name]()
+        show("gamma", name, gamma(h)[0])
+        show("compiled", name, compile_to_while(h)[0])
+    for name, f, _, _ in SIGMA1_FIXTURES:
+        show("sigma1", name, sigma1_to_program(f, Y)[0])
+    for body in PI1_BODIES:
+        show("pi1", repr(body),
+             pi1_counterexample_program(parse_formula(body), Y)[0])
+    for k in range(300):
+        p = random_program(rng)
+        show("alpha", k, encode_alpha(p)[0])
+        t = HoareTriple(random_formula(rng, 1), p, random_formula(rng, 1))
+        show("vc", k, vc(t))
+
+
 def main():
     rng = random.Random(2017)
     progs = dump_instances(rng)
@@ -352,6 +380,7 @@ def main():
     dump_mutants(random.Random(1981))
     dump_schemas()
     dump_levels(random.Random(2017))
+    dump_texts(random.Random(1969))
 
 
 if __name__ == "__main__":

@@ -158,7 +158,7 @@ def test_run_deep_sequence(capsys):
 
 
 def test_parse_program_deep_sequence(capsys):
-    # printing walks the right spine of `;` with a loop
+    # the printer walks the `;` chain by an explicit stack
     prog = "; ".join(["y:=y+1"] * 3000)
     code, out, _ = run_cli(capsys, "parse-program", prog)
     assert code == 0
@@ -166,11 +166,15 @@ def test_parse_program_deep_sequence(capsys):
 
 
 @pytest.mark.parametrize("op", ["/\\", "\\/"], ids=["and", "or"])
-def test_eval_deep_chain(op, capsys):
-    # the parser nests the chain to the left; evaluation walks it by a stack
+@pytest.mark.parametrize("cmd", ["eval", "parse-formula", "classify"])
+def test_deep_chain(cmd, op, capsys):
+    # the parser nests the chain to the left; evaluation and classification
+    # read it flat, and the printer walks it by a stack
     f = f" {op} ".join(["x = 1"] * 3000)
-    code, out, _ = run_cli(capsys, "eval", f, "--assign", "x=1")
-    assert (code, out.strip()) == (0, "true")
+    out = {"eval": "true", "classify": "Sigma_0 (strict, also dual)",
+           "parse-formula": "(" * 2999 + "x = 1" + f" {op} x = 1)" * 2999}
+    assign = ["--assign", "x=1"] if cmd == "eval" else []
+    assert run_cli(capsys, cmd, f, *assign) == (0, out[cmd] + "\n", "")
 
 
 def test_crash_is_internal_error_not_verdict(capsys):
@@ -197,7 +201,7 @@ def test_deep_not_chain_evaluates(capsys, n, code, out):
     pytest.param("parse-formula", "~(" * 3000 + "x = 1" + ")" * 3000 + "\n",
                  id="parse-formula")])
 def test_deep_not_chain_classifies_and_prenexes(capsys, cmd, out):
-    # _levels, nnf and Not.__str__ walk a run of `~` by loops
+    # _levels and nnf walk a run of `~` by loops, the printer by its stack
     assert run_cli(capsys, cmd, "~" * 3000 + "x = 1") == (0, out, "")
 
 

@@ -2,7 +2,8 @@
 another module's private (underscored) name, the while language has one
 syntax tree, whose guards are formulas, every proof rule is declared in
 the one rule table, every schema constructor in the one schema table,
-the command line loads neither xrec nor hierarchy until a command runs
+no syntax node prints itself but through the one printer in syntax, the
+command line loads neither xrec nor hierarchy until a command runs
 them, and the package exports the same names it always has."""
 
 import ast
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from arithver import proofs, whilelang, xrec
+from arithver import proofs, terms, whilelang, xrec
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "arithver"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -79,6 +80,16 @@ def test_whilelang_nodes_are_programs():
              and dataclasses.is_dataclass(c) and c is not whilelang.RunOutcome]
     assert nodes
     assert all(issubclass(c, whilelang.Program) for c in nodes), nodes
+
+
+def test_only_the_base_classes_print():
+    # syntax prints every term, formula and program by one walk; a node
+    # class reaches it through its base class's __str__, and restates no
+    # concrete syntax of its own
+    printing = [c for m in (terms, whilelang)
+                for _, c in inspect.getmembers(m, inspect.isclass)
+                if c.__module__ == m.__name__ and "__str__" in vars(c)]
+    assert set(printing) == {terms.Term, terms.Formula, whilelang.Program}
 
 
 def test_every_proof_rule_is_in_the_rule_table():

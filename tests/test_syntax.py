@@ -1,10 +1,11 @@
+import functools
 import random
 
 import pytest
 
 from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, Forall,
-                            Implies, Iff, Lit, Lt, Mul, Not, Or, Var,
-                            alpha_equal)
+                            Implies, Iff, Lit, Lt, Mul, Not, One, Or, Var,
+                            alpha_equal, conj)
 from arithver.whilelang import Assign, If, Seq, While
 from arithver.xrec import (SCHEMAS, AddF, Cn, Const, Mn, MulF, Pr, Proj,
                            xrec_eval)
@@ -425,6 +426,18 @@ def test_program_round_trip_500_random():
         p = random_program(rng)
         q = parse_program(format_program(p))
         assert p == q, format_program(p)
+
+
+def test_deep_chains_print():
+    # the printer walks by an explicit stack: conj nests to the right, the
+    # parser's `/\` chains and compiled programs' `;` chains to the left
+    eq = Eq(x, One())
+    right = conj([eq] * 20000)
+    assert str(right) == "(x = 1 /\\ " * 19999 + "x = 1" + ")" * 19999
+    left = functools.reduce(And, [eq] * 20000)
+    assert str(left) == "(" * 19999 + "x = 1" + " /\\ x = 1)" * 19999
+    seq = functools.reduce(Seq, [Assign(y, Add(y, One()))] * 3000)
+    assert str(seq) == "; ".join(["y := (y + 1)"] * 3000)
 
 
 _COND = """cond {
