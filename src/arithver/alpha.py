@@ -63,13 +63,18 @@ def _alpha(prog, xs, invars, outvars, names):
         rhs = subst_term(prog.expr, dict(zip(xs, invars)))
         return conj([Eq(outvars[j], rhs if j == i else invars[j])
                      for j in range(len(xs))])
-    if isinstance(prog, Seq):
+    # a `;` chain's right spine by a loop, as chains run thousands long
+    links = []
+    while isinstance(prog, Seq):
         zs = names.fresh_vec([x.name + "''" for x in xs])
-        a1 = _alpha(prog.first, xs, invars, zs, names)
-        a2 = _alpha(prog.second, xs, zs, outvars, names)
-        out = And(a1, a2)
-        for z in reversed(zs):
-            out = Exists(z, out)
+        links.append((zs, _alpha(prog.first, xs, invars, zs, names)))
+        prog, invars = prog.second, zs
+    if links:
+        out = _alpha(prog, xs, invars, outvars, names)
+        for zs, first in reversed(links):
+            out = And(first, out)
+            for z in reversed(zs):
+                out = Exists(z, out)
         return out
     if isinstance(prog, If):
         g = _guard_at(prog.guard, xs, invars)

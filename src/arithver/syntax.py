@@ -1,15 +1,15 @@
-"""Concrete syntax: lexer, recursive-descent parsers, and printers.
+"""Concrete syntax: lexer, parsers, and printers.
 
 Grammar (operators listed loosest-first):
     terms      t ::= 0 | 1 | DECIMAL | IDENT | t + t | t * t | ( t )
-               (+ and * left-associative; * binds tighter)
     formulas   f ::= f <-> f | f -> f | f \\/ f | f /\\ f | ~f
                    | t = t | t < t | true | false
                    | forall IDENT [< t] . f | exists IDENT [< t] . f | ( f )
-               (-> and <-> right-associative; quantifier bodies extend
-               maximally to the right; the six binary operators of terms
-               and formulas are one table, `_BINARY`, of symbol, node
-               class and associativity, which one precedence loop reads)
+               (the eight binary operators are one table, `_BINARY`: <->
+               and -> nest to the right, = and < not at all, the rest to
+               the left; ~ binds between /\\ and =, and quantifier bodies
+               extend maximally to the right.  One loop reads it all by a
+               stack, so (, ~ and quantifiers nest to any depth)
     guards     b ::= f   built from t < t, ~ and -> only
                (read as a formula, then its shape is checked)
     programs   S ::= IDENT := t | S ; S | if b then S else S fi
@@ -47,7 +47,8 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 
 from .terms import (Add, And, BExists, BForall, Eq, Exists, FalseC, Forall,
-                    Iff, Implies, Lit, Lt, Mul, Not, One, Or, TrueC, Var, Zero)
+                    Iff, Implies, Lit, Lt, Mul, Not, One, Or, Term, TrueC,
+                    Var, Zero)
 from .whilelang import Assign, If, Seq as SeqP, While, is_guard
 from .alpha import HoareTriple
 from .proofs import RULES
@@ -55,12 +56,18 @@ from .proofs import RULES
 
 _RULE_NAMED = {kw: ctor for ctor, (kw, _) in RULES.items()}
 
-# the binary operators, loosest first: (symbol, node class, nests to the
-# right).  The first four join formulas, the last two terms
-_BINARY = (("<->", Iff, True), ("->", Implies, True), ("\\/", Or, False),
-           ("/\\", And, False), ("+", Add, False), ("*", Mul, False))
-_LEVEL = {sym: k for k, (sym, _, _) in enumerate(_BINARY)}
-_TERMS = _LEVEL["+"]  # the first level that joins terms
+# the binary operators, loosest first: (symbol, node class, level, nests
+# to the right).  The first four levels join formulas, the rest terms; `=`
+# and `<` share one, and a second ends their chain, as its left is a formula
+_BINARY = (("<->", Iff, 0, True), ("->", Implies, 1, True),
+           ("\\/", Or, 2, False), ("/\\", And, 3, False),
+           ("=", Eq, 4, False), ("<", Lt, 4, False),
+           ("+", Add, 5, False), ("*", Mul, 6, False))
+_OPERATOR = {sym: rest for sym, *rest in _BINARY}
+_COMPARE = _OPERATOR["="][1]  # the first level that joins terms
+# each quantifier's class without a bound and with one
+_QUANTIFIER = {"forall": (Forall, BForall), "exists": (Exists, BExists)}
+_CONSTANT = {"true": TrueC, "false": FalseC}
 
 
 def _field_types(ctor, names):
@@ -144,7 +151,6 @@ _KEYWORDS = {"true", "false", "forall", "exists", "if", "then", "else", "fi",
 
 class _Parser:
     def __init__(self, text):
-        self.text = text
         self.toks = tokenize(text)
         self.pos = 0
 
@@ -160,9 +166,6 @@ class _Parser:
         t = self.peek()
         return t.kind == kind and (text is None or t.text == text)
 
-    def at_word(self, word):
-        return self.at("ident", word)
-
     def expect(self, kind, text=None):
         t = self.peek()
         if not self.at(kind, text):
@@ -170,9 +173,6 @@ class _Parser:
             raise ParseError(f"expected {want!r}, found {t.text or 'end of input'!r}",
                              t.span)
         return self.next()
-
-    def expect_word(self, word):
-        return self.expect("ident", word)
 
     def fail(self, msg):
         raise ParseError(msg, self.peek().span)
@@ -189,104 +189,86 @@ class _Parser:
             out.append(item())
         return out
 
-    # -- binary operators -----------------------------------------------
+    # -- terms and formulas ---------------------------------------------
 
-    def term(self):
-        return self.binary(_TERMS, len(_BINARY))
-
-    def formula(self):
-        return self.binary(0, _TERMS)
-
-    def binary(self, lo, hi):
-        """A chain of the operators of levels lo to hi - 1 of `_BINARY`, by
-        precedence climbing: an operator's right operand is read from its
-        own level if it nests to the right, else from the next one."""
-        left = self.formula_unary() if hi == _TERMS else self.term_atom()
+    def expression(self, term):
+        """A term if term, else a formula, read by one loop over `_BINARY`
+        without backtracking.  What waits for an operand is a frame on a
+        stack (shunting-yard, Dijkstra 1961): a `(`, a `~`, a quantifier
+        head, or an operator with its left operand, as (keep, node class,
+        arguments, wants a term).  An operator of a level below keep closes
+        it, and a group's end, level -1, all down to its `(`, which holds
+        the outer group's sort.  An operator applies only when its left
+        operand has the sort it joins."""
+        stack = [(-1, None, None, term)]
+        group = want = term  # the sorts of the innermost group, next operand
         while True:
-            k = _LEVEL.get(self.toks[self.pos].kind)
-            if k is None or not lo <= k < hi:
-                return left
+            t = self.toks[self.pos]
             self.pos += 1
-            _, ctor, right = _BINARY[k]
-            left = ctor(left, self.binary(k if right else k + 1, hi))
-
-    # -- terms ----------------------------------------------------------
-
-    def term_atom(self):
-        t = self.peek()
-        if t.kind == "num":
-            self.next()
-            return Lit(int(t.text))
-        if t.kind == "ident":
-            if t.text in _KEYWORDS:
-                self.fail(f"keyword {t.text!r} is not a term")
-            self.next()
-            return Var(t.text)
-        if t.kind == "(":
-            self.next()
-            inner = self.term()
-            self.expect(")")
-            return inner
-        self.fail(f"expected a term, found {t.text or 'end of input'!r}")
-
-    # -- formulas -------------------------------------------------------
-
-    def formula_unary(self):
-        # a run of `~` by a loop: chains run thousands long
-        nots = 0
-        while self.at("~"):
-            self.next()
-            nots += 1
-        if self.at_word("forall") or self.at_word("exists"):
-            f = self.quantifier()
-        else:
-            f = self.formula_atom()
-        for _ in range(nots):
-            f = Not(f)
-        return f
-
-    def quantifier(self):
-        kw = self.next().text
-        v = Var(self.expect("ident").text)
-        bound = None
-        if self.at("<"):
-            self.next()
-            bound = self.term()
-        self.expect(".")
-        body = self.formula()
-        if kw == "forall":
-            return BForall(v, bound, body) if bound is not None else Forall(v, body)
-        return BExists(v, bound, body) if bound is not None else Exists(v, body)
-
-    def formula_atom(self):
-        if self.at_word("true"):
-            self.next()
-            return TrueC()
-        if self.at_word("false"):
-            self.next()
-            return FalseC()
-        if self.at("("):
-            # either a parenthesized formula or a parenthesized term
-            mark = self.pos
-            try:
-                self.next()
-                inner = self.formula()
-                self.expect(")")
-            except ParseError:
-                self.pos = mark
+            if t.kind == "(":
+                stack.append((-1, None, None, group))
+                group = want
+                continue
+            if not want and t.kind == "~":
+                stack.append((_COMPARE, Not, (), False))
+                continue
+            if not want and t.kind == "ident" and t.text in _QUANTIFIER:
+                stack.append(self.quantifier(t.text))
+                continue
+            if t.kind == "num":
+                value = Lit(int(t.text))
+            elif t.kind != "ident":
+                raise ParseError("expected a term, found "
+                                 f"{t.text or 'end of input'!r}", t.span)
+            elif t.text not in _KEYWORDS:
+                value = Var(t.text)
+            elif want or t.text not in _CONSTANT:
+                raise ParseError(f"keyword {t.text!r} is not a term", t.span)
             else:
-                if self.at("=") or self.at("<") or self.at("+") or self.at("*"):
-                    self.pos = mark  # it was a term after all
-                else:
-                    return inner
-        left = self.term()
-        if self.at("="):
-            self.next()
-            return Eq(left, self.term())
+                value = _CONSTANT[t.text]()
+            # operators, and the `)`s that close groups
+            while True:
+                op = _OPERATOR.get(self.toks[self.pos].kind)
+                if op is not None and (op[1] > _COMPARE or not group):
+                    ctor, level, right = op
+                    value = self.close(stack, level, value)
+                    want = level >= _COMPARE
+                    if isinstance(value, Term) == want:
+                        self.pos += 1
+                        stack.append((level if right else level + 1, ctor,
+                                      (value,), want))
+                        break
+                    if not want:  # a term before a formulas' operator
+                        self.fail("expected '=' or '<' after a term")
+                # the group ends, as at a formula before a terms' operator
+                value = self.close(stack, -1, value)
+                if len(stack) == 1:
+                    if not term and isinstance(value, Term):
+                        self.fail("expected '=' or '<' after a term")
+                    return value
+                self.expect(")")
+                group = stack.pop()[3]
+
+    term = functools.partialmethod(expression, True)
+    formula = functools.partialmethod(expression, False)
+
+    def close(self, stack, level, value):
+        """value as the operand of each top frame that level closes."""
+        while stack[-1][0] > level:
+            _, ctor, args, term = stack.pop()
+            if isinstance(value, Term) != term:
+                self.fail("expected '=' or '<' after a term")
+            value = ctor(*args, value)
+        return value
+
+    def quantifier(self, word):
+        """A quantifier's head, its word read, as the frame of its body."""
+        head = (Var(self.expect("ident").text),)
         if self.at("<"):
             self.next()
-            return Lt(left, self.term())
-        self.fail("expected '=' or '<' after a term")
+            head += (self.term(),)
+        self.expect(".")
+        return (0, _QUANTIFIER[word][len(head) - 1], head, False)
 
     # -- guards -------------------------------------------------------
 
@@ -310,21 +292,21 @@ class _Parser:
         return out
 
     def statement(self):
-        if self.at_word("if"):
+        if self.at("ident", "if"):
             self.next()
             guard = self.guard()
-            self.expect_word("then")
+            self.expect("ident", "then")
             then = self.program()
-            self.expect_word("else")
+            self.expect("ident", "else")
             els = self.program()
-            self.expect_word("fi")
+            self.expect("ident", "fi")
             return If(guard, then, els)
-        if self.at_word("while"):
+        if self.at("ident", "while"):
             self.next()
             guard = self.guard()
-            self.expect_word("do")
+            self.expect("ident", "do")
             body = self.program()
-            self.expect_word("od")
+            self.expect("ident", "od")
             return While(guard, body)
         t = self.peek()
         if t.kind == "ident" and t.text not in _KEYWORDS:
@@ -380,22 +362,33 @@ class _Parser:
         return HoareTriple(pre, prog, post)
 
     def proof(self):
-        t = self.expect("ident")
-        self.expect("{")
-        ctor = _RULE_NAMED.get(t.text)
-        if ctor is None:
-            raise ParseError(f"unknown proof rule {t.text!r}", t.span)
-        args = []
-        for label in RULES[ctor][1] + ("conclusion",):
-            self.expect_word(label)
-            self.expect(":")
-            # an invariant ends where the next label begins; formulas never
-            # contain 'body', so parsing it greedily is safe
-            args.append(self.formula() if label == "invariant"
-                        else self.triple() if label == "conclusion"
-                        else self.proof())
-        self.expect("}")
-        return ctor(*args)
+        """A proof, read by an explicit stack of (rule, arguments read,
+        labels left) frames, as proofs nest thousands deep: each step reads
+        a rule's head, a field or a `}`, then the next label of the top."""
+        stack, label = [], "proof"
+        while True:
+            if label is None:
+                self.expect("}")
+                ctor, args, _ = stack.pop()
+                if not stack:
+                    return ctor(*args)
+                stack[-1][1].append(ctor(*args))
+            elif label in ("invariant", "conclusion"):
+                # an invariant ends where the next label begins; formulas
+                # never contain 'body', so parsing it greedily is safe
+                stack[-1][1].append(self.formula() if label == "invariant"
+                                    else self.triple())
+            else:
+                t = self.expect("ident")
+                self.expect("{")
+                ctor = _RULE_NAMED.get(t.text)
+                if ctor is None:
+                    raise ParseError(f"unknown proof rule {t.text!r}", t.span)
+                stack.append((ctor, [], iter(RULES[ctor][1] + ("conclusion",))))
+            label = next(stack[-1][2], None)
+            if label is not None:
+                self.expect("ident", label)
+                self.expect(":")
 
 
 def _parse(text, production):
@@ -436,14 +429,15 @@ def parse_triple(text):
 # -- printers ----------------------------------------------------------
 
 # each node's text: literals, and its fields in braces where they are
-# printed.  Every binary node and quantifier is parenthesised and each
-# `~` wraps its body, so the parser reads the text back without any
-# precedence, and a `;` chain prints flat however it nests
+# printed.  Each quantifier and binary node but a comparison is
+# parenthesised and each `~` wraps its body, so the parser reads the text
+# back without precedence, and a `;` chain prints flat however it nests
 _TEMPLATES = {
     Var: "{name}", Lit: "{n}", Zero: "0", One: "1",
-    TrueC: "true", FalseC: "false",
-    Eq: "{left} = {right}", Lt: "{left} < {right}", Not: "~({body})",
-    **{ctor: f"({{left}} {sym} {{right}})" for sym, ctor, _ in _BINARY},
+    TrueC: "true", FalseC: "false", Not: "~({body})",
+    **{ctor: (f"{{left}} {sym} {{right}}" if level == _COMPARE
+              else f"({{left}} {sym} {{right}})")
+       for sym, ctor, level, _ in _BINARY},
     Forall: "(forall {var} . {body})", Exists: "(exists {var} . {body})",
     BForall: "(forall {var} < {bound} . {body})",
     BExists: "(exists {var} < {bound} . {body})",

@@ -11,9 +11,10 @@ reports and least-witness searches, the reports on malformed variants
 of two hand-written proofs, and the schema texts: each library schema
 printed with its print/parse round trip, and the pinned parse errors;
 the levels, prenex forms and level-0 characteristic functions of
-formulas under extra `~`, `->`, `<->` and quantifier layers; last, the
+formulas under extra `~`, `->`, `<->` and quantifier layers; the
 printed text (hashed) of the gamma formulas, compiled programs, Sigma_1
-and Pi_1 programs, alpha formulas and VCs that arithver builds.
+and Pi_1 programs, alpha formulas and VCs that arithver builds, and last
+the same texts read back by the parser and printed again.
 Run it against two trees and compare the outputs byte for byte:
 
     PYTHONPATH=src python tests/dump_outputs.py > new.txt
@@ -41,7 +42,8 @@ from arithver.syntax import (ParseError, format_schema, parse_bool,
                              parse_formula, parse_program, parse_schema)
 from arithver.terms import (Add, Eq, Exists, Lit, Lt, TrueC, Var, free_vars,
                             substitute, substitute_simultaneous)
-from arithver.whilelang import Assign, Seq, While, program_vars, run
+from arithver.whilelang import (Assign, Program, Seq, While, program_vars,
+                                run)
 from arithver.xrec import (STDLIB, Proj, bexists, bforall, cases,
                            compile_to_while, gamma, gamma_instance,
                            pi1_counterexample_program, prod_of, sigma0_char,
@@ -345,12 +347,19 @@ def dump_levels(rng):
             print(f"level {k} char {attempt(lambda: digest(sigma0_char(f)))}")
 
 
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def dump_texts(rng):
-    # the text of what arithver builds, whose `;` chains nest to the left
+    # the text of what arithver builds, whose `;` chains nest to the left;
+    # returns each (kind, name, node) for dump_readback
+    built = []
+
     def show(kind, name, node):
         text = str(node)
-        print(f"text {kind} {name} {len(text)} "
-              f"{hashlib.sha256(text.encode()).hexdigest()[:16]}")
+        print(f"text {kind} {name} {len(text)} {_sha(text)}")
+        built.append((kind, name, node))
 
     for name in sorted(STDLIB):
         h = STDLIB[name]()
@@ -366,6 +375,19 @@ def dump_texts(rng):
         show("alpha", k, encode_alpha(p)[0])
         t = HoareTriple(random_formula(rng, 1), p, random_formula(rng, 1))
         show("vc", k, vc(t))
+    return built
+
+
+def dump_readback(built):
+    # each text of dump_texts read back: whether the parser rebuilds the
+    # node, and the hash of the node it builds, printed again.  The
+    # compiled, Sigma_1 and Pi_1 programs nest `;` to the left and the
+    # parser to the right, so they read back as other trees
+    for kind, name, node in built:
+        parse = parse_program if isinstance(node, Program) else parse_formula
+        again = attempt(lambda: parse(str(node)))
+        text = again if isinstance(again, str) else _sha(str(again))
+        print(f"readback {kind} {name} {again == node} {text}")
 
 
 def main():
@@ -380,7 +402,7 @@ def main():
     dump_mutants(random.Random(1981))
     dump_schemas()
     dump_levels(random.Random(2017))
-    dump_texts(random.Random(1969))
+    dump_readback(dump_texts(random.Random(1969)))
 
 
 if __name__ == "__main__":

@@ -177,14 +177,49 @@ def test_deep_chain(cmd, op, capsys):
     assert run_cli(capsys, cmd, f, *assign) == (0, out[cmd] + "\n", "")
 
 
-def test_crash_is_internal_error_not_verdict(capsys):
-    # the parser still recurses once per parenthesis: the crash must not
+def test_crash_is_internal_error_not_verdict(capsys, monkeypatch):
+    # a crash, forced here so that no input need still cause one, must not
     # read as the verdict "false" (exit 1)
-    f = "(" * 3000 + "x = 1" + ")" * 3000
-    code, out, err = run_cli(capsys, "eval", f, "--assign", "x=1")
+    def crash(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("arithver.cli.eval_formula", crash)
+    code, out, err = run_cli(capsys, "eval", "x = 1", "--assign", "x=1")
     assert (code, out) == (4, "")
     assert err.startswith("internal error: RecursionError: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd, out", [
+    ("eval", "true"), ("parse-formula", "x = 1"),
+    ("classify", "Sigma_0 (strict, also dual)")],
+    ids=["eval", "parse-formula", "classify"])
+def test_deep_parentheses(capsys, cmd, out):
+    # the parser keeps each open `(` as a frame on its stack
+    f = "(" * 3000 + "x = 1" + ")" * 3000
+    assign = ["--assign", "x=1"] if cmd == "eval" else []
+    assert run_cli(capsys, cmd, f, *assign) == (0, out + "\n", "")
+
+
+def test_check_proof_deep_nesting(tmp_path, capsys):
+    # the parser reads nested premises by a stack of frames
+    pf = "assign { conclusion: {0 = 0} x := 0 {x = 0} }"
+    for _ in range(1000):
+        pf = f"conseq {{ inner: {pf} conclusion: {{0 = 0}} x := 0 {{x = 0}} }}"
+    path = tmp_path / "deep.prf"
+    path.write_text(pf)
+    code, out, err = run_cli(capsys, "check-proof", str(path), "--grid", "1")
+    assert (code, err) == (0, "") and out.startswith("accepted")
+
+
+@pytest.mark.parametrize("cmd", ["encode-alpha", "vc"])
+def test_alpha_of_deep_sequence(capsys, cmd):
+    # alpha walks the right spine of a `;` chain by a loop
+    prog = "; ".join(["y:=y+1"] * 3000)
+    triple = ["--pre", "true", "--post", "y = 3000"] if cmd == "vc" else []
+    code, out, err = run_cli(capsys, cmd, prog, *triple)
+    assert (code, err) == (0, "")
+    assert out.count("(exists ") == 2999
 
 
 @pytest.mark.parametrize("n, code, out", [(3000, 0, "true\n"),

@@ -181,6 +181,19 @@ def test_classify_iff_chain_is_linear():
     assert out.stdout == "Sigma_0 (strict, also dual)\n"
 
 
+def test_classify_deep_parenthesised_term_is_linear():
+    # in a subprocess, so a parser that re-reads the text inside each `(`
+    # fails by the timeout
+    term = "(" * 3000 + "x" + " + 1)" * 3000
+    code = ("import sys; from arithver.hierarchy import classify; "
+            "from arithver.syntax import parse_formula; "
+            "print(classify(parse_formula(sys.argv[1])))")
+    out = subprocess.run([sys.executable, "-c", code, term + " = y"],
+                         env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, timeout=10, check=True)
+    assert out.stdout == "Sigma_0 (strict, also dual)\n"
+
+
 @given(st.integers(0, 2 ** 32))
 def test_classify_agrees_with_its_negation_normal_form(seed):
     # classify reads polarity and `->`/`<->` in place, and nnf rewrites

@@ -5,7 +5,7 @@ import pytest
 
 from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, Forall,
                             Implies, Iff, Lit, Lt, Mul, Not, One, Or, Var,
-                            alpha_equal, conj)
+                            alpha_equal, conj, expand_to_core)
 from arithver.whilelang import Assign, If, Seq, While
 from arithver.xrec import (SCHEMAS, AddF, Cn, Const, Mn, MulF, Pr, Proj,
                            xrec_eval)
@@ -69,7 +69,8 @@ SCHEMA_ERRORS = [
     ("7", "expected 'ident', found '7'", (0, 1)),
     ("", "expected 'ident', found 'end of input'", (0, 0)),
 ]
-# a dangling operator at each of the six binary levels
+# a dangling operator at each of the six joining levels, and chains of
+# comparisons, which do not nest
 OPERATOR_ERRORS = [
     ("x = 0 <->", "expected a term, found 'end of input'", (9, 9)),
     ("x = 0 ->", "expected a term, found 'end of input'", (8, 8)),
@@ -83,7 +84,9 @@ OPERATOR_ERRORS = [
     ("x = 0 /\\ \\/ y = 0", "expected a term, found '\\\\/'", (9, 11)),
     ("x = 1 + * 2", "expected a term, found '*'", (8, 9)),
     ("x = 1 * + 2", "expected a term, found '+'", (8, 9)),
-    ("(x = 0 /\\) \\/ y = 0", "expected ')', found '='", (3, 4)),
+    ("(x = 0 /\\) \\/ y = 0", "expected a term, found ')'", (9, 10)),
+    ("x = y = z", "trailing input '='", (6, 7)),
+    ("x < y = z", "trailing input '='", (6, 7)),
 ]
 
 
@@ -438,6 +441,17 @@ def test_deep_chains_print():
     assert str(left) == "(" * 19999 + "x = 1" + " /\\ x = 1)" * 19999
     seq = functools.reduce(Seq, [Assign(y, Add(y, One()))] * 3000)
     assert str(seq) == "; ".join(["y := (y + 1)"] * 3000)
+
+
+def test_deep_term_reads_back():
+    # the printer parenthesises every sum, and the parser keeps each open
+    # `(` as a frame on its stack.  It reads `1` as Lit(1) where
+    # expand_to_core builds One(), so the trees are compared up to that
+    f = Eq(expand_to_core(Lit(300)), x)
+    text = str(f)
+    assert text.startswith("(" * 299 + "1 + 1)")
+    g = parse_formula(text)
+    assert alpha_equal(g, f) and str(g) == text
 
 
 _COND = """cond {
