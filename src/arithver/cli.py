@@ -52,7 +52,7 @@ def tree_json(node):
 
 def _emit(args, human, payload):
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, separators=(",", ":")))
     else:
         print(human)
 

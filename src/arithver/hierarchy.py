@@ -6,12 +6,13 @@ negation swaps the Sigma and Pi levels, a -> b is read as ~a \\/ b and
 a <-> b as (a -> b) /\\ (b -> a).  Strictness is reported for prenex
 shapes, counting quantifier-block alternations.
 
-Prenexing first rewrites to negation normal form and renames apart: every
-binder gets a name of its own, free nowhere in the formula, from one
-Names supply that also names the collection bounds below.  Bounded
-quantifiers stay in the matrix.  An unbounded quantifier nested under a
-bounded one of the opposite kind is lifted with a fresh collection bound:
-over N,
+Prenexing takes two walks.  nnf rewrites to negation normal form and
+renames apart as it goes: every binder gets a name of its own, free
+nowhere in the formula, from one Names supply that also names the
+collection bounds below.  _pull then lifts the unbounded quantifiers out
+in one pass over each prefix; bounded quantifiers stay in the matrix.  An
+unbounded quantifier nested under a bounded one of the opposite kind is
+lifted with a fresh collection bound: over N,
     forall x<t . exists y . p   iff   exists B . forall x<t . exists y<B . p
 and dually, both by finiteness of the bounded range.
 """
@@ -21,7 +22,7 @@ from itertools import groupby
 
 from .terms import (And, BExists, BForall, Eq, Exists, FalseC, Forall, Iff,
                     Implies, Lt, Names, Not, Or, TrueC, free_vars,
-                    operands, rename_apart)
+                    operands, subst_term)
 
 SIGMA = "sigma"
 PI = "pi"
@@ -41,33 +42,57 @@ class HierarchyLevel:
         return f"{name}_{self.n} ({tag}{extra})"
 
 
-# each node class and its dual under negation
+# each node class and its dual under negation, and each as it is
 _DUAL = {And: Or, Or: And, Exists: Forall, Forall: Exists,
          BExists: BForall, BForall: BExists, TrueC: FalseC, FalseC: TrueC}
+_SAME = {kind: kind for kind in _DUAL}
 
 
-def nnf(f, positive=True):
+def _chains(f, join, leaf, *args):
+    """f's tree of `/\\` and `\\/` nodes, rebuilt as it nests: leaf(g, *args)
+    of each other node g, left to right, and join(kind, left, right) at
+    each node of class kind.  Chains run thousands long, so the tree is
+    walked by a stack; leaf is called directly, adding one frame only."""
+    done, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        if g is None:  # both operands of the node below are done
+            done[-2:] = [join(todo.pop(), *done[-2:])]
+        elif isinstance(g, (And, Or)):
+            todo += (type(g), None, g.right, g.left)
+        else:
+            done.append(leaf(g, *args))
+    return done[0]
+
+
+def nnf(f, names, positive=True, env=None):
     """Negation normal form of f, or of ~f when positive is false: `->` and
-    `<->` rewritten as classification reads them, `~` on atoms only."""
+    `<->` rewritten as classification reads them, `~` on atoms only.  Each
+    binder is renamed apart from names.used, which records it, and env
+    (Var -> Var) holds the renamings in scope."""
     while isinstance(f, Not):  # a `~` chain by a loop, keeping its parity
         f, positive = f.body, not positive
-    if isinstance(f, (Implies, Iff)):
-        inner, outer = (Or, And) if positive else (And, Or)
-        a, b = f.left, f.right
-        ab = inner(nnf(a, not positive), nnf(b, positive))
-        if isinstance(f, Implies):
-            return ab
-        return outer(ab, inner(nnf(b, not positive), nnf(a, positive)))
-    op = type(f) if positive else _DUAL.get(type(f))
+    env, kinds = env or {}, _SAME if positive else _DUAL
+    if isinstance(f, Iff):  # read as (a -> b) /\ (b -> a)
+        f = And(Implies(f.left, f.right), Implies(f.right, f.left))
+    if isinstance(f, Implies):  # read as ~a \/ b
+        return kinds[Or](nnf(f.left, names, not positive, env),
+                         nnf(f.right, names, positive, env))
     if isinstance(f, (And, Or)):
-        return op(nnf(f.left, positive), nnf(f.right, positive))
-    if isinstance(f, (Forall, Exists)):
-        return op(f.var, nnf(f.body, positive))
-    if isinstance(f, (BForall, BExists)):
-        return op(f.var, f.bound, nnf(f.body, positive))
+        return _chains(f, lambda kind, a, b: kinds[kind](a, b),
+                       nnf, names, positive, env)
+    op = kinds.get(type(f))
     if isinstance(f, (TrueC, FalseC)):
         return op()
-    return f if positive else Not(f)  # an atom
+    if not isinstance(f, (Forall, Exists, BForall, BExists)):  # an atom
+        f = type(f)(subst_term(f.left, env), subst_term(f.right, env))
+        return f if positive else Not(f)
+    # a quantifier, its bound outside its scope; a taken name is renamed
+    head = (subst_term(f.bound, env),) if op in (BForall, BExists) else ()
+    if f.var.name in names.used:
+        env = {**env, f.var: names.fresh(f.var.name)}
+    names.used.add(f.var.name)
+    return op(env.get(f.var, f.var), *head, nnf(f.body, names, positive, env))
 
 
 def _quantified(sigma, s, p):
@@ -165,51 +190,40 @@ def _merge_prefixes(pa, pb):
 def _pull(f, names):
     """Return (prefix, matrix): prefix of unbounded quantifiers over a
     matrix whose unbounded quantifiers are gone (bounded ones remain)."""
-    if isinstance(f, (TrueC, FalseC, Eq, Lt, Not)):
-        return [], f
     if isinstance(f, (And, Or)):
-        pa, ma = _pull(f.left, names)
-        pb, mb = _pull(f.right, names)
-        return _merge_prefixes(pa, pb), type(f)(ma, mb)
-    if isinstance(f, Exists):
+        return _chains(f, lambda kind, a, b: (
+            _merge_prefixes(a[0], b[0]), kind(a[1], b[1])), _pull, names)
+    if isinstance(f, (Exists, Forall)):
         p, m = _pull(f.body, names)
-        return [(SIGMA, f.var)] + p, m
-    if isinstance(f, Forall):
-        p, m = _pull(f.body, names)
-        return [(PI, f.var)] + p, m
+        return [(SIGMA if isinstance(f, Exists) else PI, f.var)] + p, m
     if isinstance(f, (BForall, BExists)):
-        p, m = _pull(f.body, names)
-        if not p:
-            return [], type(f)(f.var, f.bound, m)
-        outer = SIGMA if isinstance(f, BExists) else PI
-        kind, var = p[0]
-        rest = _rebuild(p[1:], m)
-        if kind == outer:
-            # independent of the bounded variable: commute outward
-            p2, m2 = _pull(type(f)(f.var, f.bound, rest), names)
-            return [(kind, var)] + p2, m2
-        # opposite kinds: lift with a fresh collection bound
-        cap = names.fresh("w")
-        binder = BExists if kind == SIGMA else BForall
-        inner = type(f)(f.var, f.bound, binder(var, cap, rest))
-        p2, m2 = _pull(inner, names)
-        return [(kind, cap)] + p2, m2
-    raise TypeError(f"not a formula: {f!r}")
+        return _lift(type(f), f.var, f.bound, *_pull(f.body, names), names)
+    return [], f  # an atom, negated or not, true or false
 
 
-def _rebuild(prefix, matrix):
-    out = matrix
-    for kind, var in reversed(prefix):
-        out = Exists(var, out) if kind == SIGMA else Forall(var, out)
-    return out
+def _lift(binder, var, bound, prefix, matrix, names):
+    """(prefix, matrix) of binder(var, bound, prefix over matrix), in one
+    loop.  A quantifier of the binder's kind commutes outward; one of the
+    other kind, on v, takes a fresh cap w, the rest of prefix is lifted
+    under its bounded form v < w, and the loop goes on over that result."""
+    own, out, i = SIGMA if binder is BExists else PI, [], 0
+    while i < len(prefix):
+        kind, v = prefix[i]
+        i += 1
+        if kind != own:
+            cap = names.fresh("w")
+            inner = BExists if kind == SIGMA else BForall
+            prefix, matrix = _lift(inner, v, cap, prefix[i:], matrix, names)
+            v, i = cap, 0
+        out.append((kind, v))
+    return out, binder(var, bound, matrix)
 
 
 def prenexify(f):
-    """A strict prenex formula at the same generalized level as f.
-
-    Logically equivalent over N; bounded quantifiers stay in the matrix.
-    """
-    g = nnf(f)
-    names = Names(free_vars(g))
-    prefix, matrix = _pull(rename_apart(g, names), names)
-    return _rebuild(prefix, matrix)
+    """A strict prenex formula at the same generalized level as f, and
+    equivalent over N; bounded quantifiers stay in the matrix."""
+    names = Names(free_vars(f))
+    prefix, matrix = _pull(nnf(f, names), names)
+    for kind, var in reversed(prefix):
+        matrix = Exists(var, matrix) if kind == SIGMA else Forall(var, matrix)
+    return matrix

@@ -213,7 +213,7 @@ class _Parser:
                 stack.append((_COMPARE, Not, (), False))
                 continue
             if not want and t.kind == "ident" and t.text in _QUANTIFIER:
-                stack.append(self.quantifier(t.text))
+                stack.append(self.quantifier(t))
                 continue
             if t.kind == "num":
                 value = Lit(int(t.text))
@@ -262,13 +262,15 @@ class _Parser:
         return value
 
     def quantifier(self, word):
-        """A quantifier's head, its word read, as the frame of its body."""
+        """A quantifier's head, after its word token, as its body's frame."""
         head = (Var(self.expect("ident").text),)
         if self.at("<"):
             self.next()
             head += (self.term(),)
+        ctor = _QUANTIFIER[word.text][len(head) - 1]
+        self._mk(ctor, word, *head, TrueC())  # a bad bound, at the word
         self.expect(".")
-        return (0, _QUANTIFIER[word][len(head) - 1], head, False)
+        return (0, ctor, head, False)
 
     # -- guards -------------------------------------------------------
 

@@ -3,10 +3,10 @@
 Numerals are stored as Lit nodes and expanded to sums of ones only on
 demand.  All nodes are immutable; substitution returns new trees.
 
-One walk substitutes and renames binders, simultaneously and without
-capture: a binder is renamed when it would capture a substituted term or
-its substituted bound would mention it, and under rename_apart when its
-name is taken.  Each body is walked once; fresh names come from Names.
+One walk substitutes, simultaneously and without capture: a binder is
+renamed when it would capture a substituted term or its substituted
+bound would mention it.  Each body is walked once; fresh names come from
+Names.
 """
 
 from dataclasses import dataclass
@@ -204,14 +204,14 @@ def free_vars(f):
     The bound term of a bounded quantifier is outside the binder's scope,
     so its variables count as free unless bound further out.
     """
+    while isinstance(f, Not):  # a `~` run by a loop
+        f = f.body
     if isinstance(f, (TrueC, FalseC)):
         return set()
     if isinstance(f, (Eq, Lt)):
         return term_vars(f.left) | term_vars(f.right)
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return free_vars(f.left) | free_vars(f.right)
+    if isinstance(f, (And, Or, Implies, Iff)):  # a chain, read flat
+        return set().union(*map(free_vars, operands(f, type(f))))
     if isinstance(f, (Forall, Exists)):
         return free_vars(f.body) - {f.var}
     if isinstance(f, (BForall, BExists)):
@@ -258,8 +258,9 @@ def strip_exists(f):
 
 def operands(f, kind):
     """The operands of the chain of kind nodes at f, left to right, or [f]
-    when f is not a kind node.  kind is And, Or or a program's Seq, whose
-    two fields, in __match_args__ order, are its operands.
+    when f is not a kind node.  kind is a binary node class, such as And,
+    Or or a program's Seq, whose two fields, in __match_args__ order, are
+    its operands.
 
     Chains run thousands long and nest either way: the parser nests `/\\`
     and `\\/` to the left and `;` to the right, conj to the right and
@@ -291,62 +292,48 @@ def substitute_simultaneous(f, pairs):
     targets = [v for v, _ in pairs]
     if len(set(targets)) != len(targets):
         raise ValueError("substitution targets must be distinct")
-    env = {v: t for v, t in pairs if t != v}  # x := x changes nothing
-    return _walk(f, env, None) if env else f
+    return _walk(f, {v: t for v, t in pairs if t != v})  # x := x: no change
 
 
 def substitute(f, var, term):
-    return f if term == var else _walk(f, {var: term}, None)
+    return f if term == var else _walk(f, {var: term})
 
 
-def rename_apart(f, names):
-    """f with its binders renamed apart from names.used, which records them."""
-    return _walk(f, {}, names)
-
-
-def _walk(f, env, names):
-    """f with env (Var -> Term) substituted simultaneously; with a Names
-    supply, binders are renamed apart as well."""
-    if not env and names is None:
+def _walk(f, env):
+    """f with env (Var -> Term) substituted simultaneously."""
+    if not env:
         return f
     if isinstance(f, (Eq, Lt)):
-        return type(f)(subst_term(f.left, env),
-                       subst_term(f.right, env)) if env else f
+        return type(f)(subst_term(f.left, env), subst_term(f.right, env))
     if isinstance(f, Not):
-        return Not(_walk(f.body, env, names))
+        return Not(_walk(f.body, env))
     if isinstance(f, (And, Or, Implies, Iff)):
-        return type(f)(_walk(f.left, env, names), _walk(f.right, env, names))
+        return type(f)(_walk(f.left, env), _walk(f.right, env))
     if isinstance(f, (Forall, Exists)):
-        var, inner = _enter(f.var, f.body, (), env, names)
-        return type(f)(var, _walk(f.body, inner, names))
+        var, inner = _enter(f.var, f.body, (), env)
+        return type(f)(var, _walk(f.body, inner))
     if isinstance(f, (BForall, BExists)):
         bound = subst_term(f.bound, env)
-        var, inner = _enter(f.var, f.body, term_vars(bound), env, names)
-        return type(f)(var, bound, _walk(f.body, inner, names))
+        var, inner = _enter(f.var, f.body, term_vars(bound), env)
+        return type(f)(var, bound, _walk(f.body, inner))
     if isinstance(f, (TrueC, FalseC)):
         return f
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _enter(var, body, bound_vars, env, names):
+def _enter(var, body, bound_vars, env):
     """(binder, env for body) on entering the scope of var, whose
     substituted bound has the variables bound_vars.  A renaming joins env;
     a binder that keeps its name keeps its Var, and env is copied only
     when var shadows one of its targets."""
     if var in env:
         env = {v: t for v, t in env.items() if v != var}
-    if names is not None:
-        if var.name not in names.used:
-            names.used.add(var.name)
-            return var, env
-        new = names.fresh(var.name)
-    else:
-        hits = [v for v, t in env.items() if var in term_vars(t)]
-        captures = hits and not free_vars(body).isdisjoint(hits)
-        if not captures and var not in bound_vars:
-            return var, env
-        used = free_vars(body).union(bound_vars, *map(term_vars, env.values()))
-        new = Names(used).fresh(var.name)
+    hits = [v for v, t in env.items() if var in term_vars(t)]
+    captures = hits and not free_vars(body).isdisjoint(hits)
+    if not captures and var not in bound_vars:
+        return var, env
+    used = free_vars(body).union(bound_vars, *map(term_vars, env.values()))
+    new = Names(used).fresh(var.name)
     return new, {**env, var: new}
 
 
@@ -379,14 +366,11 @@ def alpha_key(f, depth=0, bound=None):
         return (type(f).__name__, alpha_key(f.left, depth, bound),
                 alpha_key(f.right, depth, bound))
     if isinstance(f, (Forall, Exists)):
-        inner = dict(bound)
-        inner[f.var] = depth
-        return (type(f).__name__, alpha_key(f.body, depth + 1, inner))
+        return (type(f).__name__,
+                alpha_key(f.body, depth + 1, {**bound, f.var: depth}))
     if isinstance(f, (BForall, BExists)):
-        inner = dict(bound)
-        inner[f.var] = depth
         return (type(f).__name__, term_key(f.bound),
-                alpha_key(f.body, depth + 1, inner))
+                alpha_key(f.body, depth + 1, {**bound, f.var: depth}))
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -40,8 +40,8 @@ from arithver.proofs import (AssignAxiom, ConseqRule, ProofNode, WhileRule,
                              check_proof)
 from arithver.syntax import (ParseError, format_schema, parse_bool,
                              parse_formula, parse_program, parse_schema)
-from arithver.terms import (Add, Eq, Exists, Lit, Lt, TrueC, Var, free_vars,
-                            substitute, substitute_simultaneous)
+from arithver.terms import (Add, Eq, Exists, Lit, Lt, Names, TrueC, Var,
+                            free_vars, substitute, substitute_simultaneous)
 from arithver.whilelang import (Assign, Program, Seq, While, program_vars,
                                 run)
 from arithver.xrec import (STDLIB, Proj, bexists, bforall, cases,
@@ -184,7 +184,7 @@ def dump_binders(rng):
         f = random_formula(rng, 3 + k % 2)
         print(f"binder {k} classify {classify(f)}")
         print(f"binder {k} prenex {prenexify(f)}")
-        print(f"binder {k} nnf {nnf(f)}")
+        print(f"binder {k} nnf {nnf(f, Names(free_vars(f)))}")
         print(f"binder {k} free {sorted(v.name for v in free_vars(f))}")
         v, t = rng.choice(VARS), random_term(rng, 2, VARS + BINDERS)
         print(f"binder {k} subst {attempt(lambda: substitute(f, v, t))}")

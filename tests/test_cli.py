@@ -479,6 +479,16 @@ def test_pi1_program(capsys):
     assert tree["kind"] == "compiled"
 
 
+def test_json_is_one_compact_line(capsys):
+    # the tree of a compiled program is large: indented, it ran to 960 kB
+    code, out, _ = run_cli(capsys, "pi1-program", "y < 7", "--var", "y",
+                           "--json")
+    assert code == 0
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert len(out.encode()) < 200_000
+    assert json.loads(out)["kind"] == "compiled"
+
+
 def test_check_proof(tmp_path, capsys):
     good = tmp_path / "good.prf"
     good.write_text("""

@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 
 from arithver import hierarchy
 from arithver.terms import (And, BExists, BForall, Eq, Exists, Forall,
-                            Implies, Lit, Lt, Not, Or, Var, conj, free_vars)
+                            Implies, Lit, Lt, Names, Not, Or, Var, conj,
+                            free_vars)
 from arithver.evaluator import Budget, eval_formula
 from arithver.hierarchy import PI, SIGMA, classify, nnf, prenexify
 from arithver.syntax import parse_formula
@@ -33,16 +34,27 @@ def test_classification_fixtures(src, kind, n, strict, both):
 
 def test_nnf_pushes_negation():
     f = Not(Exists(y, Forall(z, Lt(y, z))))
-    g = nnf(f)
+    g = nnf(f, Names())
     assert isinstance(g, Forall) and isinstance(g.body, Exists)
     assert g.body.body == Not(Lt(y, z))
 
 
 def test_nnf_bounded_duality():
     f = Not(BForall(y, x, Lt(y, x)))
-    g = nnf(f)
+    g = nnf(f, Names([x]))
     assert isinstance(g, BExists)
     assert g.bound == x
+
+
+def test_nnf_renames_clashing_binders():
+    # a binder whose name is taken gets a fresh one, in its body and in
+    # the bounds below it, but not in its own bound
+    f = And(Exists(y, Lt(x, y)),
+            BForall(x, y, Exists(y, BExists(z, y, Eq(x, z)))))
+    g = nnf(f, Names([x, y]))
+    x1, y1, y2 = Var("x'"), Var("y'"), Var("y''")
+    assert g == And(Exists(y1, Lt(x, y1)),
+                    BForall(x1, y, Exists(y2, BExists(z, y2, Eq(x1, z)))))
 
 
 def _sample_env(fv, rng):
@@ -143,6 +155,18 @@ def _binder_names(f):
 
 
 @given(st.integers(0, 2 ** 32))
+def test_nnf_renames_apart(seed):
+    # nnf renames as it rewrites: every binder has its own name, free
+    # nowhere, before the prefix is pulled out
+    rng = random.Random(seed)
+    for f in (random_formula(rng, 4), layered_formula(rng, 3)):
+        free = free_vars(f)
+        names = _binder_names(nnf(f, Names(free)))
+        assert len(names) == len(set(names))
+        assert not set(names) & {v.name for v in free}
+
+
+@given(st.integers(0, 2 ** 32))
 def test_prenex_renames_apart(seed):
     # every binder of the prenex form has its own name, free nowhere
     f = random_formula(random.Random(seed), 4)
@@ -199,9 +223,24 @@ def test_classify_agrees_with_its_negation_normal_form(seed):
     # classify reads polarity and `->`/`<->` in place, and nnf rewrites
     # them: the two must give one level
     f = layered_formula(random.Random(seed), 3)
-    g = nnf(f)
+    g = nnf(f, Names(free_vars(f)))
     assert classify(f) == classify(g)
-    assert nnf(g) == g
+    assert nnf(g, Names(free_vars(g))) == g
+
+
+def test_lift_through_bounded_binder_is_linear():
+    # in a subprocess, so a lift that rebuilds the bounded binder's body
+    # and pulls it again, once per quantifier, fails by the timeout
+    exists = " ".join(f"exists y{k}." for k in range(160))
+    matrix = " /\\ ".join(f"y{k % 160} < x + {k}" for k in range(200))
+    code = ("import sys; from arithver.hierarchy import classify, prenexify; "
+            "from arithver.syntax import parse_formula; "
+            "print(classify(prenexify(parse_formula(sys.argv[1]))))")
+    out = subprocess.run([sys.executable, "-c", code,
+                          f"forall i < x. {exists} {matrix}"],
+                         env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, timeout=10, check=True)
+    assert out.stdout == "Sigma_1 (strict)\n"
 
 
 def test_deep_implies_chain_classifies_and_prenexes():

@@ -69,8 +69,8 @@ SCHEMA_ERRORS = [
     ("7", "expected 'ident', found '7'", (0, 1)),
     ("", "expected 'ident', found 'end of input'", (0, 0)),
 ]
-# a dangling operator at each of the six joining levels, and chains of
-# comparisons, which do not nest
+# a dangling operator at each of the six joining levels, chains of
+# comparisons, which do not nest, and bounds that mention their variable
 OPERATOR_ERRORS = [
     ("x = 0 <->", "expected a term, found 'end of input'", (9, 9)),
     ("x = 0 ->", "expected a term, found 'end of input'", (8, 8)),
@@ -87,6 +87,10 @@ OPERATOR_ERRORS = [
     ("(x = 0 /\\) \\/ y = 0", "expected a term, found ')'", (9, 10)),
     ("x = y = z", "trailing input '='", (6, 7)),
     ("x < y = z", "trailing input '='", (6, 7)),
+    ("exists y < y + 1 . y = 0", "bound term of exists y<... mentions y",
+     (0, 6)),
+    ("x = 0 /\\ (forall i < 2 * i . i = 0)",
+     "bound term of forall i<... mentions i", (10, 16)),
 ]
 
 
