@@ -7,11 +7,14 @@ otherwise the verdict is Unknown.  Connectives follow strong Kleene.
 
 eval_formula interprets the tree; compile_formula turns it into closures
 once, with the same verdicts, for loops that evaluate one formula at
-many assignments.  The two paths share each rule: `~`, `->` and `<->`
-by _neg, _disj and _iff, a chain's operands by terms.operands, and an
-unbounded search that finds nothing by _none.  Each has one branch for
-all four quantifiers, which differ only in the values searched and in
-the verdict when the search finds nothing.
+many assignments.  A quantifier's search is such a loop, so eval_formula
+interprets a body at the first value and compiles it once the search
+goes on to a second value with a third still to come; a search that
+stops sooner compiles nothing.  The two paths share each rule: `~`,
+`->` and `<->` by _neg, _disj and _iff, a chain's operands by
+terms.operands, and an unbounded search that finds nothing by _none.
+Each has one branch for all four quantifiers, which differ only in the
+values searched and in the verdict when the search finds nothing.
 """
 
 import itertools
@@ -69,16 +72,22 @@ def eval_term(t, v):
     """Value of a term under an assignment (missing variables read as 0)."""
     if isinstance(t, Var):
         return v.get(t, 0)
+    if isinstance(t, Lit):
+        return t.n
+    if isinstance(t, Add):
+        # a left-nested sum by a loop: the parser nests `+` to the left,
+        # and sums run thousands long
+        n = 0
+        while isinstance(t, Add):
+            n += eval_term(t.right, v)
+            t = t.left
+        return n + eval_term(t, v)
+    if isinstance(t, Mul):
+        return eval_term(t.left, v) * eval_term(t.right, v)
     if isinstance(t, Zero):
         return 0
     if isinstance(t, One):
         return 1
-    if isinstance(t, Lit):
-        return t.n
-    if isinstance(t, Add):
-        return eval_term(t.left, v) + eval_term(t.right, v)
-    if isinstance(t, Mul):
-        return eval_term(t.left, v) * eval_term(t.right, v)
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -175,11 +184,22 @@ def _eval(f, v, budget, depth, memo):
             return unknown("unbounded-quantifier depth guard exceeded")
         else:
             values, depth = range(budget.q_bound + 1), depth + 1
-        pending = None
+        # the first value is interpreted; a search that goes on to a
+        # second compiles the body then, once, for the rest (ski rental:
+        # a search that stops at once pays no compiling, and one that goes
+        # on pays at most one interpretive pass beyond it).  A body left
+        # with one value to run is interpreted: compiling walks all of it,
+        # where the interpreter's short circuits may skip most of it.
+        pending = body = None
         w = dict(v)  # one dict for all the binder's values
-        for i in values:
+        for i in values:  # 0, 1, 2, ...
             w[f.var] = i
-            r = _eval(f.body, w, budget, depth, None)
+            if i == 1 and len(values) > 2:
+                body = _compile(f.body, budget, depth)
+            if body is None:
+                r = _eval(f.body, w, budget, depth, None)
+            else:
+                r = body(w)
             if r is hit:
                 return hit
             if r is not out:
@@ -210,7 +230,8 @@ def compile_formula(f, budget=Budget()):
 
     Each node is dispatched once, here, instead of once per assignment.
     The grid sweeps compile before their loops; a formula evaluated once
-    is cheaper through eval_formula, which builds no closures.
+    is cheaper through eval_formula, which compiles only the bodies of
+    the searches that go on past their second value.
     """
     return _compile(f, budget, 0)
 

@@ -10,35 +10,54 @@ Names.
 """
 
 from dataclasses import dataclass
+from functools import cache
 import re
+import weakref
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
+
+
+@cache
+def _printer():
+    from . import syntax  # syntax sits above terms
+    return syntax.format_formula
 
 
 class Term:
     __slots__ = ()
 
     def __str__(self):
-        from . import syntax  # syntax sits above terms
-        return syntax.format_formula(self)
+        return _printer()(self)
 
 
-@dataclass(frozen=True)
+_VARS = weakref.WeakValueDictionary()  # name -> the one live Var
+
+
+@dataclass(frozen=True, init=False)
 class Var(Term):
+    """A variable.  Each name has one live Var, so the assignment dicts
+    that variables key find it by identity."""
     name: str
 
-    def __post_init__(self):
-        if not _IDENT_RE.match(self.name):
-            raise ValueError(f"bad variable name: {self.name!r}")
-        # variables key every assignment, so the hash is computed once; it
-        # is the dataclass's own, hash((name,)), so set order is unchanged
-        object.__setattr__(self, "_hash", hash((self.name,)))
+    def __new__(cls, name):
+        v = _VARS.get(name)
+        if v is None:
+            if not _IDENT_RE.match(name):
+                raise ValueError(f"bad variable name: {name!r}")
+            v = object.__new__(cls)
+            object.__setattr__(v, "name", name)
+            # the hash is computed once; it is the dataclass's own,
+            # hash((name,)), so set order is unchanged
+            object.__setattr__(v, "_hash", hash((name,)))
+            _VARS[name] = v
+        return v
 
     def __hash__(self):
         return self._hash
 
     def __reduce__(self):
-        # rebuild through __init__: a string's hash differs between processes
+        # rebuild through __new__: a string's hash differs between
+        # processes, and the copy must be the interned Var
         return Var, (self.name,)
 
 

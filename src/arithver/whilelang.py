@@ -23,10 +23,7 @@ from .evaluator import (TRUE, compile_formula, compile_term, eval_formula,
 
 class Program:
     __slots__ = ()
-
-    def __str__(self):
-        from . import syntax  # syntax sits above whilelang
-        return syntax.format_program(self)
+    __str__ = Term.__str__
 
 
 @dataclass(frozen=True)

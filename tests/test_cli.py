@@ -177,6 +177,18 @@ def test_deep_chain(cmd, op, capsys):
     assert run_cli(capsys, cmd, f, *assign) == (0, out[cmd] + "\n", "")
 
 
+@pytest.mark.parametrize("cmd, argv, out", [
+    ("eval", ["x = SUM", "--assign", "x=3000"], "true\n"),
+    ("run", ["x := SUM"], "terminated after 1 steps: x=3000\n")],
+    ids=["eval", "run"])
+def test_long_sum(capsys, cmd, argv, out):
+    # the parser nests `+` to the left, and eval_term walks that spine by
+    # a loop
+    total = "+".join(["1"] * 3000)
+    argv = [a.replace("SUM", total) for a in argv]
+    assert run_cli(capsys, cmd, *argv) == (0, out, "")
+
+
 def test_crash_is_internal_error_not_verdict(capsys, monkeypatch):
     # a crash, forced here so that no input need still cause one, must not
     # read as the verdict "false" (exit 1)

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from arithver import evaluator
 from arithver.syntax import format_formula, parse_formula
 from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, FalseC,
                             Forall, Iff, Implies, Lit, Lt, Mul, Not, Or,
@@ -204,6 +205,15 @@ def test_shared_subformulas_evaluate_as_unshared(seed, vals):
     assert eval_formula(shared, v, b) == eval_formula(unshared, v, b)
 
 
+def _interpreted(f, v, budget):
+    """eval_formula with every search interpreted to its end, compiling
+    nothing: the reference semantics for the compiled paths."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "_compile", lambda g, b, depth: (
+            lambda w: evaluator._eval(g, w, b, depth, None)))
+        return eval_formula(f, v, budget)
+
+
 @given(st.integers(0, 2 ** 32), st.integers(0, 3), st.integers(1, 3),
        st.integers(0, 6))
 def test_compiled_formula_agrees_with_eval_formula(seed, q, depth, limit):
@@ -217,7 +227,7 @@ def test_compiled_formula_agrees_with_eval_formula(seed, q, depth, limit):
         for _ in range(3):
             v = {w: rng.randrange(5) for w in VARS}
             before = dict(v)
-            assert compiled(v) == eval_formula(f, v, budget)
+            assert compiled(v) == _interpreted(f, v, budget)
             assert v == before
 
 
@@ -227,6 +237,59 @@ def test_compiled_term_agrees_with_eval_term(seed):
     t = random_term(rng, 4)
     v = {w: rng.randrange(5) for w in VARS[:2]}  # the third reads as 0
     assert compile_term(t)(v) == eval_term(t, v)
+
+
+@pytest.fixture
+def compiled_bodies(monkeypatch):
+    """The formulas that eval_formula hands to the compiler, in order;
+    the compiler's calls to itself are not counted."""
+    calls, real, inside = [], evaluator._compile, []
+
+    def counting(f, budget, depth):
+        if not inside:
+            calls.append(f)
+        inside.append(f)
+        try:
+            return real(f, budget, depth)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(evaluator, "_compile", counting)
+    return calls
+
+
+@pytest.mark.parametrize("f, budget", [
+    (Exists(z, Eq(z, Lit(1))), Budget(q_bound=0)),
+    (BExists(z, Lit(1), Eq(z, Lit(1))), Budget()),
+    (Exists(z, Eq(z, Lit(0))), Budget()),
+    (BForall(z, Lit(5), Eq(z, Lit(1))), Budget()),
+    # a search of two values: compiled, its last value would run once
+    (Exists(z, Eq(z, Lit(5))), Budget(q_bound=1)),
+    (BForall(z, Lit(2), Lt(z, Lit(5))), Budget()),
+], ids=["q_bound-0", "bound-1", "exists-hit-at-0", "forall-hit-at-0",
+        "q_bound-1", "bound-2"])
+def test_search_that_stops_early_compiles_nothing(f, budget, compiled_bodies):
+    eval_formula(f, {}, budget)
+    assert compiled_bodies == []
+
+
+@pytest.mark.parametrize("f", [
+    Exists(z, Eq(z, Lit(3))), Forall(z, Lt(z, Lit(9))),
+    BExists(z, Lit(4), Eq(z, Lit(9))), BForall(z, Lit(3), Lt(z, Lit(2)))])
+def test_search_that_goes_on_compiles_its_body_once(f, compiled_bodies):
+    # one compile per entry, made on reaching the second value
+    for n in (1, 2):
+        eval_formula(f, {}, Budget(q_bound=5))
+        assert compiled_bodies == [f.body] * n
+
+
+def test_quantifiers_in_a_compiled_body_compile_nothing(compiled_bodies):
+    # the inner search compiles its body while the outer one interprets
+    # its first value; the outer body, compiled at y = 1, holds the inner
+    # search already compiled
+    f = Exists(y, Exists(z, Eq(Add(y, z), Lit(100))))
+    assert eval_formula(f, {}, Budget(q_bound=5)) == unknown(
+        "no witness <= 5")
+    assert compiled_bodies == [f.body.body, f.body]
 
 
 def test_bounded_quantifiers_are_exact():

@@ -1,3 +1,4 @@
+import copy
 import pickle
 import random
 
@@ -11,6 +12,7 @@ from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, Forall,
                             strip_exists, substitute, substitute_simultaneous,
                             term_vars)
 from arithver.evaluator import Budget, eval_formula, eval_term
+from arithver.syntax import parse_formula
 
 from generators import random_formula, random_term
 
@@ -30,9 +32,14 @@ def test_var_hash_is_the_dataclass_hash():
     for name in ("x", "y'", "w_12"):
         v = Var(name)
         assert hash(v) == hash((name,))
-        copy = pickle.loads(pickle.dumps(v))
-        assert copy == v and hash(copy) == hash(v)
+        # one live Var per name, however it is made
+        assert Var(name) is v
+        assert pickle.loads(pickle.dumps(v)) is v
+        assert copy.copy(v) is v and copy.deepcopy(v) is v
+        assert Names().fresh(name) is v
     assert repr(Var("x")) == "Var(name='x')"
+    f = parse_formula("x = x")
+    assert f.left is f.right
 
 
 def test_numeral_expansion():
