@@ -13,8 +13,8 @@ import importlib
 # each module and the public names it exports
 _EXPORTS = {
     "terms": "Add And BExists BForall Eq Exists FalseC Forall Iff Implies Lit "
-             "Lt Mul Not One Or TrueC Var Zero alpha_equal expand_to_core "
-             "free_vars mk_numeral substitute substitute_simultaneous",
+             "Lt Mul Not Or TrueC Var alpha_equal free_vars substitute "
+             "substitute_simultaneous",
     "coding": "beta beta_index pair seq_encode split tuple_decode tuple_encode",
     "evaluator": "FALSE TRUE Budget TriState WitnessSearchError eval_formula "
                  "eval_term find_witnesses unknown",

@@ -128,7 +128,7 @@ def encode_alpha_out(prog, index, inputs):
     for p in inputs:
         if p not in xs:
             raise ValueError(f"{p} is not a program variable")
-    names = Names(list(free_vars(alpha)) + xs + ys)
+    names = Names(xs + ys)  # alpha's free variables are among them
     y = names.fresh("y")
     out = And(alpha, Eq(y, ys[index - 1]))
     for yv in reversed(ys):

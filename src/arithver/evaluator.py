@@ -21,8 +21,8 @@ import itertools
 from dataclasses import dataclass
 
 from .terms import (Add, And, BExists, BForall, Eq, Exists, FalseC, Forall,
-                    Iff, Implies, Lit, Lt, Mul, Not, One, Or, TrueC, Var,
-                    Zero, operands, strip_exists)
+                    Iff, Implies, Lit, Lt, Mul, Not, Or, TrueC, Var,
+                    operands, strip_exists)
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,6 @@ def eval_term(t, v):
         return n + eval_term(t, v)
     if isinstance(t, Mul):
         return eval_term(t.left, v) * eval_term(t.right, v)
-    if isinstance(t, Zero):
-        return 0
-    if isinstance(t, One):
-        return 1
     raise TypeError(f"not a term: {t!r}")
 
 

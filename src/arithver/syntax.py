@@ -32,7 +32,8 @@ Grammar (operators listed loosest-first):
                `proofs.RULES`, the table the printer and the checker
                read too; the checker lists each rule's conditions once)
 
-Identifiers may carry trailing primes (y', x'').  `#` starts a comment to
+Identifiers may carry trailing primes (y', x''); an IDENT is a
+`terms.IDENT` other than the `terms.KEYWORDS`.  `#` starts a comment to
 end of line.  All parse errors carry a SourceSpan of byte offsets.
 
 One printer, format_formula, which format_program names too, writes
@@ -47,8 +48,8 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 
 from .terms import (Add, And, BExists, BForall, Eq, Exists, FalseC, Forall,
-                    Iff, Implies, Lit, Lt, Mul, Not, One, Or, Term, TrueC,
-                    Var, Zero)
+                    IDENT, Iff, Implies, KEYWORDS, Lit, Lt, Mul, Not, Or,
+                    Term, TrueC, Var)
 from .whilelang import Assign, If, Seq as SeqP, While, is_guard
 from .alpha import HoareTriple
 from .proofs import RULES
@@ -122,7 +123,7 @@ _SYMBOLS = ["<->", "->", ":=", "/\\", "\\/",
 # blanks and comments match no group, and any other character is `bad`
 _TOKEN = re.compile("|".join((
     r"[ \t\r\n]+", r"#[^\n]*", r"(?P<num>[0-9]+)",
-    r"(?P<ident>[A-Za-z_][A-Za-z0-9_']*)",
+    f"(?P<ident>{IDENT})",
     "(?P<symbol>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
     r"(?P<bad>.)")), re.DOTALL)
 
@@ -143,10 +144,6 @@ def tokenize(text):
     n = len(text)
     toks.append(Token("eof", "", SourceSpan(n, n)))
     return toks
-
-
-_KEYWORDS = {"true", "false", "forall", "exists", "if", "then", "else", "fi",
-             "while", "do", "od"}
 
 
 class _Parser:
@@ -220,7 +217,7 @@ class _Parser:
             elif t.kind != "ident":
                 raise ParseError("expected a term, found "
                                  f"{t.text or 'end of input'!r}", t.span)
-            elif t.text not in _KEYWORDS:
+            elif t.text not in KEYWORDS:
                 value = Var(t.text)
             elif want or t.text not in _CONSTANT:
                 raise ParseError(f"keyword {t.text!r} is not a term", t.span)
@@ -263,7 +260,9 @@ class _Parser:
 
     def quantifier(self, word):
         """A quantifier's head, after its word token, as its body's frame."""
-        head = (Var(self.expect("ident").text),)
+        name = self.expect("ident")
+        # Var refuses a keyword, which is reported at its span
+        head = (self._mk(Var, name, name.text),)
         if self.at("<"):
             self.next()
             head += (self.term(),)
@@ -311,7 +310,7 @@ class _Parser:
             self.expect("ident", "od")
             return While(guard, body)
         t = self.peek()
-        if t.kind == "ident" and t.text not in _KEYWORDS:
+        if t.kind == "ident" and t.text not in KEYWORDS:
             self.next()
             self.expect(":=")
             return Assign(Var(t.text), self.term())
@@ -435,7 +434,7 @@ def parse_triple(text):
 # parenthesised and each `~` wraps its body, so the parser reads the text
 # back without precedence, and a `;` chain prints flat however it nests
 _TEMPLATES = {
-    Var: "{name}", Lit: "{n}", Zero: "0", One: "1",
+    Var: "{name}", Lit: "{n}",
     TrueC: "true", FalseC: "false", Not: "~({body})",
     **{ctor: (f"{{left}} {sym} {{right}}" if level == _COMPARE
               else f"({{left}} {sym} {{right}})")
@@ -501,17 +500,28 @@ def format_triple(t):
 
 
 def format_proof(p, indent=0):
-    if type(p) not in RULES:
-        raise TypeError(f"not a proof node: {p!r}")
-    pad = "  " * indent
-    kw, labels = RULES[type(p)]
-    conclusion = f"conclusion: {format_triple(p.conclusion)}"
-    if not labels:
-        return f"{pad}{kw} {{ {conclusion} }}"
-    lines = [f"{pad}{kw} {{"]
-    for label, field in zip(labels, fields(p)):
-        v = getattr(p, field.name)
-        text = str(v) if label == "invariant" else format_proof(v, indent + 1).lstrip()
-        lines.append(f"{pad}  {label}: {text}")
-    lines += [f"{pad}  {conclusion}", f"{pad}}}"]
-    return "\n".join(lines)
+    """The text of a proof, which parse_proof reads back, each premise
+    indented one level deeper.  The proof is walked by an explicit stack
+    of nodes and strings, as proofs nest thousands deep."""
+    out, todo = ["  " * indent], [(p, indent)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, depth = item
+        if type(node) not in RULES:
+            raise TypeError(f"not a proof node: {node!r}")
+        pad = "  " * depth
+        kw, labels = RULES[type(node)]
+        conclusion = f"conclusion: {format_triple(node.conclusion)}"
+        if not labels:
+            out.append(f"{kw} {{ {conclusion} }}")
+            continue
+        out.append(f"{kw} {{")
+        todo.append(f"\n{pad}  {conclusion}\n{pad}}}")
+        for label, field in reversed(list(zip(labels, fields(node)))):
+            v = getattr(node, field.name)
+            todo += (str(v) if label == "invariant" else (v, depth + 1),
+                     f"\n{pad}  {label}: ")
+    return "".join(out)

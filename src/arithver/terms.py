@@ -1,7 +1,9 @@
 """Terms and formulas of first-order arithmetic over {0, 1, +, *, <}.
 
-Numerals are stored as Lit nodes and expanded to sums of ones only on
-demand.  All nodes are immutable; substitution returns new trees.
+Lit is the one numeral: Lit(0) and Lit(1) are the constants 0 and 1.  A
+variable's name is an IDENT that is not one of the KEYWORDS, the lexer's
+and the parser's definitions too.  All nodes are immutable; substitution
+returns new trees.
 
 One walk substitutes, simultaneously and without capture: a binder is
 renamed when it would capture a substituted term or its substituted
@@ -14,7 +16,10 @@ from functools import cache
 import re
 import weakref
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
+IDENT = r"[A-Za-z_][A-Za-z0-9_']*"  # an identifier, with trailing primes
+KEYWORDS = frozenset({"true", "false", "forall", "exists", "if", "then",
+                      "else", "fi", "while", "do", "od"})
+_IDENT_RE = re.compile(IDENT)
 
 
 @cache
@@ -42,7 +47,9 @@ class Var(Term):
     def __new__(cls, name):
         v = _VARS.get(name)
         if v is None:
-            if not _IDENT_RE.match(name):
+            if name in KEYWORDS:
+                raise ValueError(f"keyword {name!r} is not a variable")
+            if not _IDENT_RE.fullmatch(name):
                 raise ValueError(f"bad variable name: {name!r}")
             v = object.__new__(cls)
             object.__setattr__(v, "name", name)
@@ -62,22 +69,16 @@ class Var(Term):
 
 
 @dataclass(frozen=True)
-class Zero(Term):
-    pass
-
-
-@dataclass(frozen=True)
-class One(Term):
-    pass
-
-
-@dataclass(frozen=True)
 class Lit(Term):
     n: int
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("literals are naturals")
+
+
+# bench/wl_witness.py imports these names; Lit(0) and Lit(1) are 0 and 1
+Zero = One = Lit
 
 
 @dataclass(frozen=True)
@@ -180,32 +181,6 @@ class BExists(Formula):
     def __post_init__(self):
         if self.var in term_vars(self.bound):
             raise ValueError(f"bound term of exists {self.var}<... mentions {self.var}")
-
-
-def mk_numeral(n):
-    """The numeral for n (a Lit node; see expand_to_core for the strict form)."""
-    if n < 0:
-        raise ValueError("numerals are naturals")
-    return Lit(n)
-
-
-def _ones_sum(n):
-    # left-nested 1 + 1 + ... + 1
-    if n == 0:
-        return Zero()
-    t = One()
-    for _ in range(n - 1):
-        t = Add(t, One())
-    return t
-
-
-def expand_to_core(t):
-    """Replace every Lit node by its expansion over {0, 1, +}."""
-    if isinstance(t, Lit):
-        return _ones_sum(t.n)
-    if isinstance(t, (Add, Mul)):
-        return type(t)(expand_to_core(t.left), expand_to_core(t.right))
-    return t
 
 
 def term_vars(t):
@@ -367,10 +342,6 @@ def alpha_key(f, depth=0, bound=None):
     def term_key(t):
         if isinstance(t, Var):
             return ("bv", bound[t]) if t in bound else ("fv", t.name)
-        if isinstance(t, Zero):
-            return ("lit", 0)
-        if isinstance(t, One):
-            return ("lit", 1)
         if isinstance(t, Lit):
             return ("lit", t.n)
         return (type(t).__name__, term_key(t.left), term_key(t.right))

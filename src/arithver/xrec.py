@@ -485,8 +485,10 @@ def _char(f, order):
         # a -> b as ~a \/ b, and a <-> b as (a -> b) /\ (b -> a)
         a, b = _char(f.left, order), _char(f.right, order)
         ab = _cn(max_schema(), _cn(monus_schema(), Const(1, n), a), b)
+        if isinstance(f, Implies):
+            return ab
         ba = _cn(max_schema(), _cn(monus_schema(), Const(1, n), b), a)
-        return ab if isinstance(f, Implies) else _cn(min_schema(), ab, ba)
+        return _cn(min_schema(), ab, ba)
     if isinstance(f, And):
         return _cn(min_schema(), _char(f.left, order), _char(f.right, order))
     if isinstance(f, Or):

@@ -10,8 +10,8 @@ value each iteration and overwhelm the sequence codes).
 import random
 
 from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, FalseC,
-                            Forall, Iff, Implies, Lit, Lt, Mul, Not, One, Or,
-                            TrueC, Var, Zero)
+                            Forall, Iff, Implies, Lit, Lt, Mul, Not, Or,
+                            TrueC, Var)
 from arithver.whilelang import Assign, If, Seq, While
 
 VARS = [Var("x"), Var("y"), Var("z")]

@@ -11,8 +11,8 @@ import pytest
 
 from arithver.cli import main, tree_json
 from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, FalseC,
-                            Forall, Iff, Implies, Lit, Lt, Mul, Not, One, Or,
-                            TrueC, Var, Zero)
+                            Forall, Iff, Implies, Lit, Lt, Mul, Not, Or,
+                            TrueC, Var)
 from arithver.whilelang import Assign, If, Seq, While
 
 COUNT = "y:=0; while y<x do y:=y+1 od"
@@ -50,11 +50,11 @@ def _v(name):
 def test_tree_json_every_kind():
     x, y, z, w = Var("x"), Var("y"), Var("z"), Var("w")
     f = And(Or(TrueC(), FalseC()),
-            Implies(Not(Eq(Zero(), One())),
+            Implies(Not(Eq(Lit(0), Lit(1))),
                     Iff(Forall(x, Lt(x, Lit(2))),
                         Exists(y, BForall(z, Add(x, Mul(y, Lit(3))),
                                           BExists(w, z, Eq(w, z)))))))
-    p = Seq(Assign(x, Add(Zero(), One())),
+    p = Seq(Assign(x, Add(Lit(0), Lit(1))),
             If(Implies(Lt(x, Lit(1)), Not(Lt(y, Lit(2)))),
                Assign(x, Lit(0)),
                While(Lt(y, x), Assign(y, Mul(y, Lit(1))))))
@@ -64,8 +64,8 @@ def test_tree_json_every_kind():
               "right": {"kind": "implies",
                         "left": {"kind": "not",
                                  "body": {"kind": "eq",
-                                          "left": {"kind": "zero"},
-                                          "right": {"kind": "one"}}},
+                                          "left": {"kind": "lit", "value": 0},
+                                          "right": {"kind": "lit", "value": 1}}},
                         "right": {
                             "kind": "iff",
                             "left": {"kind": "forall", "var": "x",
@@ -88,8 +88,9 @@ def test_tree_json_every_kind():
                                                       "right": _v("z")}}}}}}}
     want_p = {"kind": "seq",
               "first": {"kind": "assign", "var": "x",
-                        "expr": {"kind": "add", "left": {"kind": "zero"},
-                                 "right": {"kind": "one"}}},
+                        "expr": {"kind": "add",
+                                 "left": {"kind": "lit", "value": 0},
+                                 "right": {"kind": "lit", "value": 1}}},
               "second": {
                   "kind": "if",
                   "guard": {"kind": "implies",
@@ -224,14 +225,33 @@ def test_check_proof_deep_nesting(tmp_path, capsys):
     assert (code, err) == (0, "") and out.startswith("accepted")
 
 
-@pytest.mark.parametrize("cmd", ["encode-alpha", "vc"])
-def test_alpha_of_deep_sequence(capsys, cmd):
+@pytest.mark.parametrize("cmd, flags, blocks", [
+    ("encode-alpha", [], 2999),
+    ("vc", ["--pre", "true", "--post", "y = 3000"], 2999),
+    # alpha_S^(1) closes off the output too, and its fresh result name
+    # needs no walk of alpha
+    ("encode-alpha", ["--out-index", "1", "--inputs", "y"], 3000)],
+    ids=["encode-alpha", "vc", "encode-alpha-out-index"])
+def test_alpha_of_deep_sequence(capsys, cmd, flags, blocks):
     # alpha walks the right spine of a `;` chain by a loop
     prog = "; ".join(["y:=y+1"] * 3000)
-    triple = ["--pre", "true", "--post", "y = 3000"] if cmd == "vc" else []
-    code, out, err = run_cli(capsys, cmd, prog, *triple)
+    code, out, err = run_cli(capsys, cmd, prog, *flags)
     assert (code, err) == (0, "")
-    assert out.count("(exists ") == 2999
+    assert out.count("(exists ") == blocks
+
+
+@pytest.mark.parametrize("argv, word, span", [
+    (["parse-formula", "exists true . true"], "true", "7..11"),
+    (["vc", "x := 1", "--pre", "true", "--post", "x = 1", "--params", "forall"],
+     "forall", None),
+    (["eval", "x = 1", "--assign", "true=3"], "true", None)],
+    ids=["binder", "params", "assign"])
+def test_keyword_is_not_a_variable(capsys, argv, word, span):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert f"keyword {word!r} is not a variable" in err
+    if span:  # a parse error, at the binder
+        assert err.startswith("parse error: ") and f"(bytes {span})" in err
 
 
 @pytest.mark.parametrize("n, code, out", [(3000, 0, "true\n"),

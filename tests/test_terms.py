@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, Forall,
-                            Iff, Implies, Lit, Lt, Mul, Not, One, Or, Names,
-                            TrueC, Var, Zero, alpha_equal, conj,
-                            expand_to_core, free_vars, mk_numeral,
+                            Iff, Implies, KEYWORDS, Lit, Lt, Mul, Not, Or,
+                            Names, TrueC, Var, alpha_equal, conj, free_vars,
                             strip_exists, substitute, substitute_simultaneous,
                             term_vars)
 from arithver.evaluator import Budget, eval_formula, eval_term
-from arithver.syntax import parse_formula
+from arithver.syntax import ParseError, parse_formula, tokenize
 
 from generators import random_formula, random_term
 
@@ -25,6 +24,23 @@ def test_var_name_validation():
         Var("1abc")
     with pytest.raises(ValueError):
         Var("")
+    for word in KEYWORDS:
+        with pytest.raises(ValueError, match=f"keyword '{word}' is not a variable"):
+            Var(word)
+
+
+@given(st.text(alphabet="aAz_09'.- ~", max_size=6) | st.sampled_from(sorted(KEYWORDS)))
+def test_a_variable_is_one_identifier_and_no_keyword(s):
+    # terms states what a name is once, and the lexer reads the same
+    try:
+        toks = [(t.kind, t.text) for t in tokenize(s)]
+    except ParseError:  # a character no token begins with
+        toks = None
+    try:
+        made = Var(s).name == s
+    except ValueError:
+        made = False
+    assert made == (toks == [("ident", s), ("eof", "")] and s not in KEYWORDS)
 
 
 def test_var_hash_is_the_dataclass_hash():
@@ -42,20 +58,9 @@ def test_var_hash_is_the_dataclass_hash():
     assert f.left is f.right
 
 
-def test_numeral_expansion():
-    for n in range(12):
-        core = expand_to_core(mk_numeral(n))
-        assert eval_term(core, {}) == n
-
-
-def test_expand_to_core_recurses():
-    t = Add(Mul(Lit(3), x), Lit(2))
-    assert eval_term(expand_to_core(t), {x: 5}) == 17
-
-
 def test_term_vars():
     assert term_vars(Add(Mul(x, y), Lit(3))) == {x, y}
-    assert term_vars(Zero()) == set()
+    assert term_vars(Lit(0)) == set()
 
 
 def test_free_vars_quantifiers():
@@ -98,7 +103,7 @@ def test_substitute_capture_avoidance():
 
 def test_substitute_bounded_capture_avoidance():
     f = BForall(x, Lit(9), Lt(y, x))
-    g = substitute(f, y, Add(x, One()))
+    g = substitute(f, y, Add(x, Lit(1)))
     assert g.var != x
     assert g.bound == Lit(9)
 
@@ -151,10 +156,10 @@ def test_alpha_equal_renames():
 
 
 def test_alpha_equal_bounded():
-    f = BExists(x, y, Eq(x, Zero()))
-    g = BExists(z, y, Eq(z, Zero()))
+    f = BExists(x, y, Eq(x, Lit(0)))
+    g = BExists(z, y, Eq(z, Lit(0)))
     assert alpha_equal(f, g)
-    assert not alpha_equal(f, BExists(z, x, Eq(z, Zero())))
+    assert not alpha_equal(f, BExists(z, x, Eq(z, Lit(0))))
 
 
 def test_alpha_distinguishes_free_from_bound():
@@ -175,8 +180,7 @@ def terms_st(draw, depth=3):
     if depth == 0:
         return draw(st.one_of(
             st.builds(Var, _names),
-            st.builds(Lit, st.integers(0, 9)),
-            st.just(Zero()), st.just(One())))
+            st.builds(Lit, st.integers(0, 9))))
     kind = draw(st.integers(0, 3))
     if kind <= 1:
         return draw(terms_st(depth=0))
@@ -185,14 +189,9 @@ def terms_st(draw, depth=3):
     return ctor(draw(sub), draw(sub))
 
 
-@given(terms_st(), st.dictionaries(st.builds(Var, _names), st.integers(0, 20)))
-def test_expand_preserves_value(t, env):
-    assert eval_term(expand_to_core(t), env) == eval_term(t, env)
-
-
 @given(terms_st(), terms_st())
 def test_subst_term_then_eval(t, r):
-    f = Eq(t, Zero())
+    f = Eq(t, Lit(0))
     g = substitute(f, x, r)
     env = {y: 3, z: 5, Var("u"): 7}
     env_with = dict(env)
