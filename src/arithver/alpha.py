@@ -22,8 +22,8 @@ from .coding import beta_graph, tuple_graph, tuple_inst
 from .terms import (Add, And, BExists, BForall, Eq, Exists, Forall, Implies,
                     Lit, Names, Not, Or, conj, free_vars, subst_term,
                     substitute_simultaneous)
-from .evaluator import (Budget, assignments, compile_formula, eval_formula,
-                        eval_term, format_assignment)
+from .evaluator import (FALSE, TRUE, Budget, assignments, compile_formula,
+                        eval_formula, eval_term, format_assignment)
 from .whilelang import (Assign, If, Program, Seq, While, compile_program,
                         program_vars, run)
 
@@ -286,11 +286,12 @@ def check_triple(triple, grid, fuel, budget=Budget()):
     decided_pass = 0
     unknowns = 0
     for point in assignments(sweep, grid):
+        # exact verdicts are the TRUE and FALSE singletons
         pre_v = pre(point)
-        if pre_v.is_false():
+        if pre_v is FALSE:
             decided_pass += 1
             continue
-        if not pre_v.is_exact():
+        if pre_v is not TRUE:
             unknowns += 1
             caveats.append(f"pre Unknown at {format_assignment(point)}: "
                            f"{pre_v.reason}")
@@ -303,10 +304,10 @@ def check_triple(triple, grid, fuel, budget=Budget()):
         # the run starts from a copy of point, so its state binds every
         # swept name
         post_v = post(out.state)
-        if post_v.is_false():
+        if post_v is FALSE:
             return Verdict("counterexample", grid, fuel,
                            input=dict(point), output=dict(out.state))
-        if post_v.is_true():
+        if post_v is TRUE:
             decided_pass += 1
         else:
             unknowns += 1

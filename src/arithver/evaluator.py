@@ -207,14 +207,41 @@ def _eval(f, v, budget, depth, memo):
 
 
 def compile_term(t):
-    """t compiled once: a function fn with fn(v) == eval_term(t, v)."""
+    """t compiled once: a function fn with fn(v) == eval_term(t, v).
+
+    A sum of two operands is one closure, and when its left operand is a
+    Var and its right a Var or a Lit, that closure reads them inline as
+    v.get(x, 0) and n, with no call of their own.  A longer left-nested
+    sum is walked by a loop, as eval_term walks it, into one closure that
+    adds its operands' closures.
+    """
     if isinstance(t, Var):
         return lambda v: v.get(t, 0)
-    if isinstance(t, (Add, Mul)):
+    if isinstance(t, Mul):
         a, b = compile_term(t.left), compile_term(t.right)
-        if isinstance(t, Add):
-            return lambda v: a(v) + b(v)
         return lambda v: a(v) * b(v)
+    if isinstance(t, Add):
+        x, y = t.left, t.right
+        if isinstance(x, Var) and isinstance(y, Var):
+            return lambda v: v.get(x, 0) + v.get(y, 0)
+        if isinstance(x, Var) and isinstance(y, Lit):
+            n = y.n
+            return lambda v: v.get(x, 0) + n
+        if not isinstance(x, Add):
+            a, b = compile_term(x), compile_term(y)
+            return lambda v: a(v) + b(v)
+        parts = []
+        while isinstance(t, Add):  # the parser nests `+` to the left
+            parts.append(compile_term(t.right))
+            t = t.left
+        parts.append(compile_term(t))
+
+        def total(v):
+            n = 0
+            for p in parts:
+                n += p(v)
+            return n
+        return total
     n = eval_term(t, {})
     return lambda v: n
 
@@ -225,6 +252,10 @@ def compile_formula(f, budget=Budget()):
     same verdicts with the same reasons.
 
     Each node is dispatched once, here, instead of once per assignment.
+    An `=` or `<` atom reads a Var side inline, as v.get(x, 0), and calls
+    a closure only for its other side; compile_term says which operands
+    of a sum are read inline.  Since a Var hashes by identity, such a
+    read makes no Python call at all.
     The grid sweeps compile before their loops; a formula evaluated once
     is cheaper through eval_formula, which compiles only the bodies of
     the searches that go on past their second value.
@@ -239,10 +270,7 @@ def _compile(f, budget, depth):
     if isinstance(f, FalseC):
         return lambda v: FALSE
     if isinstance(f, (Eq, Lt)):
-        a, b = compile_term(f.left), compile_term(f.right)
-        if isinstance(f, Eq):
-            return lambda v: TRUE if a(v) == b(v) else FALSE
-        return lambda v: TRUE if a(v) < b(v) else FALSE
+        return _compare(f)
     if isinstance(f, Not):
         odd = False
         while isinstance(f, Not):
@@ -308,6 +336,28 @@ def _compile(f, budget, depth):
             return end if pending is None else pending
         return quantifier
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _compare(f):
+    # an `=` or `<` atom; a Var side is read inline, a call saved per read
+    x, y = f.left, f.right
+    a, b = compile_term(x), compile_term(y)
+    xv, yv = isinstance(x, Var), isinstance(y, Var)
+    if isinstance(f, Eq):
+        if xv and yv:
+            return lambda v: TRUE if v.get(x, 0) == v.get(y, 0) else FALSE
+        if xv:
+            return lambda v: TRUE if v.get(x, 0) == b(v) else FALSE
+        if yv:
+            return lambda v: TRUE if a(v) == v.get(y, 0) else FALSE
+        return lambda v: TRUE if a(v) == b(v) else FALSE
+    if xv and yv:
+        return lambda v: TRUE if v.get(x, 0) < v.get(y, 0) else FALSE
+    if xv:
+        return lambda v: TRUE if v.get(x, 0) < b(v) else FALSE
+    if yv:
+        return lambda v: TRUE if a(v) < v.get(y, 0) else FALSE
+    return lambda v: TRUE if a(v) < b(v) else FALSE
 
 
 def assignments(vs, bound, base=None):

@@ -17,7 +17,8 @@ from dataclasses import dataclass, fields
 
 from .terms import (And, Formula, Implies, Not, alpha_equal, free_vars,
                     substitute)
-from .evaluator import Budget, assignments, compile_formula, format_assignment
+from .evaluator import (FALSE, TRUE, Budget, assignments, compile_formula,
+                        format_assignment)
 from .whilelang import Assign, If, Seq, While
 from .alpha import HoareTriple
 
@@ -100,9 +101,9 @@ def _sweep(formula, grid, budget):
     saw_unknown = False
     for point in assignments(vs, grid):
         r = compiled(point)
-        if r.is_false():
+        if r is FALSE:  # exact verdicts are the TRUE and FALSE singletons
             return "false", f"False at {format_assignment(point)}"
-        if not r.is_exact():
+        if r is not TRUE:
             saw_unknown = True
             reason = r.reason
     if saw_unknown:

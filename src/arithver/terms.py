@@ -2,8 +2,9 @@
 
 Lit is the one numeral: Lit(0) and Lit(1) are the constants 0 and 1.  A
 variable's name is an IDENT that is not one of the KEYWORDS, the lexer's
-and the parser's definitions too.  All nodes are immutable; substitution
-returns new trees.
+and the parser's definitions too.  Each name has one live Var, which
+equals and hashes by identity; the other nodes compare by structure.
+All nodes are immutable; substitution returns new trees.
 
 One walk substitutes, simultaneously and without capture: a binder is
 renamed when it would capture a substituted term or its substituted
@@ -40,9 +41,13 @@ _VARS = weakref.WeakValueDictionary()  # name -> the one live Var
 
 @dataclass(frozen=True, init=False)
 class Var(Term):
-    """A variable.  Each name has one live Var, so the assignment dicts
-    that variables key find it by identity."""
+    """A variable.  Each name has one live Var, so a Var equals and hashes
+    by identity, and the assignment dicts that variables key find it
+    without a Python call."""
     name: str
+
+    # @dataclass keeps methods the class body defines; these are C slots
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __new__(cls, name):
         v = _VARS.get(name)
@@ -53,18 +58,12 @@ class Var(Term):
                 raise ValueError(f"bad variable name: {name!r}")
             v = object.__new__(cls)
             object.__setattr__(v, "name", name)
-            # the hash is computed once; it is the dataclass's own,
-            # hash((name,)), so set order is unchanged
-            object.__setattr__(v, "_hash", hash((name,)))
             _VARS[name] = v
         return v
 
-    def __hash__(self):
-        return self._hash
-
     def __reduce__(self):
-        # rebuild through __new__: a string's hash differs between
-        # processes, and the copy must be the interned Var
+        # rebuild through __new__: a Var equals only itself, so the copy
+        # must be the interned Var
         return Var, (self.name,)
 
 

@@ -21,6 +21,15 @@ Run it against two trees and compare the outputs byte for byte:
     PYTHONPATH=/path/to/other/src python tests/dump_outputs.py > old.txt
     cmp old.txt new.txt
 
+Run it on one tree under two hash seeds too, and compare those outputs
+the same way: a Var hashes by its address and a str by the seed, so a
+difference means some output follows the order of a set or a dict
+keyed by them.
+
+    PYTHONHASHSEED=0 PYTHONPATH=src python tests/dump_outputs.py > h0.txt
+    PYTHONHASHSEED=1 PYTHONPATH=src python tests/dump_outputs.py > h1.txt
+    cmp h0.txt h1.txt
+
 It imports arithver from whatever is on PYTHONPATH, and the test
 generators from its own directory.  The file has no `test_` prefix, so
 pytest does not collect it.

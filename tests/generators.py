@@ -115,3 +115,28 @@ def _append(p, stmt):
     if isinstance(p, Seq):
         return Seq(p.first, _append(p.second, stmt))
     return Seq(p, stmt)
+
+
+def random_operand(rng, vars=VARS):
+    """A Var or a Lit, a sum or product of two, or a left-nested sum of
+    three or four: the shapes whose Var operands compiled atoms and sums
+    read inline."""
+    def leaf():
+        return rng.choice(vars) if rng.random() < 0.6 else Lit(rng.randrange(7))
+    k = rng.randrange(4)
+    if k == 0:
+        return leaf()
+    if k == 1:
+        return Add(leaf(), leaf())
+    if k == 2:
+        return Mul(leaf(), leaf())
+    t = leaf()
+    for _ in range(rng.randint(2, 3)):
+        t = Add(t, leaf())
+    return t
+
+
+def random_atom(rng, vars=VARS):
+    """An `=` or `<` of two random_operand sides."""
+    return rng.choice([Eq, Lt])(random_operand(rng, vars),
+                                random_operand(rng, vars))

@@ -178,16 +178,27 @@ def test_deep_chain(cmd, op, capsys):
     assert run_cli(capsys, cmd, f, *assign) == (0, out[cmd] + "\n", "")
 
 
-@pytest.mark.parametrize("cmd, argv, out", [
-    ("eval", ["x = SUM", "--assign", "x=3000"], "true\n"),
-    ("run", ["x := SUM"], "terminated after 1 steps: x=3000\n")],
-    ids=["eval", "run"])
-def test_long_sum(capsys, cmd, argv, out):
-    # the parser nests `+` to the left, and eval_term walks that spine by
-    # a loop
+VERIFIED = "verified (grid 1, fuel 10000)\n"
+
+
+@pytest.mark.parametrize("cmd, argv, code, out", [
+    ("eval", ["x = SUM", "--assign", "x=3000"], 0, "true\n"),
+    ("run", ["x := SUM"], 0, "terminated after 1 steps: x=3000\n"),
+    ("check-triple", ["--pre", "true", "--post", "x = 3000", "--grid", "1",
+                      "x := SUM"], 0, VERIFIED),
+    ("check-triple", ["--pre", "x = SUM", "--post", "x = 3000", "--grid",
+                      "1", "x := x"], 0, VERIFIED),
+    # compile-on-repeat compiles the body at the second value
+    ("eval", ["--qbound", "4", "exists y. y = SUM"], 2,
+     "unknown (no witness <= 4)\n")],
+    ids=["eval", "run", "check-triple-program", "check-triple-pre",
+         "eval-search"])
+def test_long_sum(capsys, cmd, argv, code, out):
+    # the parser nests `+` to the left, and eval_term and compile_term
+    # walk that spine by a loop
     total = "+".join(["1"] * 3000)
     argv = [a.replace("SUM", total) for a in argv]
-    assert run_cli(capsys, cmd, *argv) == (0, out, "")
+    assert run_cli(capsys, cmd, *argv) == (code, out, "")
 
 
 def test_crash_is_internal_error_not_verdict(capsys, monkeypatch):
@@ -282,6 +293,25 @@ def test_classify_iff_chain_in_linear_time():
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=10)
     assert (done.returncode, done.stdout) == (0, "Sigma_0 (strict, also dual)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["vc", "x := x + p; y := y + q; z := x + y", "--pre", "p < q /\\ r < s",
+     "--post", "z = x + y \\/ r < p", "--params", "p,q,r,s"],
+    ["prenex", "(exists a. a = p + q) /\\ "
+               "(forall b. b < r + s \\/ (exists c. c = t + u))"]],
+    ids=["vc", "prenex"])
+def test_output_does_not_depend_on_hash_seed(argv):
+    # a Var hashes by its address and a str by a per-process seed, so a
+    # set of variables may iterate in another order in another process;
+    # no printed output may follow that order
+    src = Path(__file__).resolve().parents[1] / "src"
+    outs = [subprocess.run(
+        [sys.executable, "-m", "arithver.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+        capture_output=True, timeout=30) for seed in ("0", "1")]
+    assert [o.returncode for o in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout and outs[0].stdout.count(b" . ") >= 3
 
 
 def test_run_bad_input_assignment(capsys):

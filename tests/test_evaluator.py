@@ -14,7 +14,7 @@ from arithver.evaluator import (FALSE, TRUE, Budget, TriState,
                                 eval_term, find_witnesses, format_assignment,
                                 unknown)
 
-from generators import VARS, random_formula, random_term
+from generators import VARS, random_atom, random_formula, random_term
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -237,6 +237,24 @@ def test_compiled_term_agrees_with_eval_term(seed):
     t = random_term(rng, 4)
     v = {w: rng.randrange(5) for w in VARS[:2]}  # the third reads as 0
     assert compile_term(t)(v) == eval_term(t, v)
+
+
+@given(st.integers(0, 2 ** 32))
+def test_inline_reads_agree_with_the_interpreter(seed):
+    # compiled atoms and sums read a Var operand inline, and a variable
+    # the assignment leaves out reads as 0 there too; an exact verdict is
+    # TRUE or FALSE itself, as the sweeps' identity tests assume
+    rng = random.Random(seed)
+    budget = Budget(q_bound=2)
+    for _ in range(20):
+        f = random_atom(rng)
+        g = rng.choice([f, Not(f), Exists(z, f), Forall(z, f)])
+        v = {w: rng.randrange(5) for w in VARS if rng.random() < 0.6}
+        for t in (f.left, f.right):
+            assert compile_term(t)(v) == eval_term(t, v)
+        r = compile_formula(g, budget)(v)
+        assert r == _interpreted(g, v, budget)
+        assert (r is TRUE or r is FALSE) == r.is_exact()
 
 
 @pytest.fixture

@@ -1,12 +1,19 @@
-import pytest
+import random
+from functools import partial
 
-from arithver.terms import (Add, And, Eq, Exists, FalseC, Lit, Lt, Not,
-                            TrueC, Var)
-from arithver.evaluator import Budget
-from arithver.whilelang import Assign, If, Seq, While
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from arithver import alpha, evaluator, proofs
+from arithver.terms import (Add, And, Eq, Exists, FalseC, Forall, Lit, Lt,
+                            Not, TrueC, Var, substitute)
+from arithver.evaluator import Budget, eval_formula
+from arithver.whilelang import Assign, If, Seq, While, run
 from arithver.alpha import HoareTriple, check_triple
 from arithver.proofs import (AssignAxiom, CheckReport, CondRule, ConseqRule,
                              NodeStatus, SeqRule, WhileRule, check_proof)
+
+from generators import VARS, random_atom, random_operand
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -263,3 +270,41 @@ def test_deep_proof_checks_without_recursion():
     rep = check_proof(pf, grid=1)
     assert rep.accepted and len(rep.nodes) == 3001
     assert rep.nodes[-1].location == "root" + ".inner" * 3000
+
+
+def _interpreted(budget):
+    """A compile_formula that compiles nothing: every assertion runs
+    through eval_formula, whose searches are interpreted to their end."""
+    return lambda f, b=budget: (lambda v: eval_formula(f, v, b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_sweeps_agree_with_the_interpreter(seed):
+    # the compiled sweeps read atoms' Var operands inline and test their
+    # verdicts by identity; the same triples and proofs, interpreted,
+    # must give the same reports
+    rng = random.Random(seed)
+    budget = Budget(q_bound=2)
+    cases = []
+    for _ in range(5):
+        pre, post = (rng.choice([f, Exists(z, f), Forall(z, f)])
+                     for f in (random_atom(rng), random_atom(rng)))
+        var, expr = rng.choice(VARS[:2]), random_operand(rng, VARS[:2])
+        prog = Assign(var, expr)
+        # z is left out of the sweep, so where it is free it reads as 0
+        triple = HoareTriple(pre, prog, post)
+        inner = AssignAxiom(HoareTriple(substitute(post, var, expr), prog, post))
+        cases.append((triple, ConseqRule(inner, triple)))
+
+    def reports():
+        return [(check_triple(t, 2, 10, budget), check_proof(p, 2, budget))
+                for t, p in cases]
+    compiled = reports()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "_compile", lambda g, b, depth: (
+            lambda w: evaluator._eval(g, w, b, depth, None)))
+        mp.setattr(alpha, "compile_formula", _interpreted(budget))
+        mp.setattr(proofs, "compile_formula", _interpreted(budget))
+        mp.setattr(alpha, "compile_program", lambda p: partial(run, p))
+        assert reports() == compiled

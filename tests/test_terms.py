@@ -43,16 +43,18 @@ def test_a_variable_is_one_identifier_and_no_keyword(s):
     assert made == (toks == [("ident", s), ("eof", "")] and s not in KEYWORDS)
 
 
-def test_var_hash_is_the_dataclass_hash():
-    # computed once, but the same value as before, so set order is unchanged
+def test_var_is_interned_and_hashes_by_identity():
+    # one live Var per name, so identity is equality and the hash is
+    # object's own, which costs no Python call
     for name in ("x", "y'", "w_12"):
         v = Var(name)
-        assert hash(v) == hash((name,))
+        assert hash(v) == object.__hash__(v)
         # one live Var per name, however it is made
         assert Var(name) is v
         assert pickle.loads(pickle.dumps(v)) is v
         assert copy.copy(v) is v and copy.deepcopy(v) is v
         assert Names().fresh(name) is v
+    assert Var("x") != Var("y") and Var("x") != Lit(0)
     assert repr(Var("x")) == "Var(name='x')"
     f = parse_formula("x = x")
     assert f.left is f.right
