@@ -68,6 +68,11 @@ def seq_encode(xs):
     moduli 1 + (i+1)c pairwise coprime and larger than every element; b is
     found by Chinese remaindering.  No minimality of w is promised.
     """
+    return pair(*_seq_parts(xs))
+
+
+def _seq_parts(xs):
+    """The <b, c> of seq_encode(xs), before they are paired."""
     if not xs:
         raise ValueError("seq_encode needs a nonempty list")
     k = len(xs)
@@ -85,8 +90,7 @@ def seq_encode(xs):
         diff = (a - b) % mod
         b = b + m * (diff * inv % mod)
         m *= mod
-    w = pair(b, c)
-    return w
+    return b, c
 
 
 # ---------------------------------------------------------------------------
@@ -149,16 +153,15 @@ def beta_inst(w, i, v):
 def seq_inst(xs):
     """[beta_inst(w, i, x) for each position i, x] with w = seq_encode(xs).
 
-    w is split into <b,c> once, not once per position: for a long trace
-    the isqrt of the split dominates the cost of the instances.  Every
-    position holds the same pair-equation object, so an evaluation that
-    memoises by node (eval_formula) multiplies out the w-sized product
-    once per trace, not once per position.
+    b and c come from the remaindering that builds w, so w is never split
+    back: for a long trace the isqrt of a split dominates the cost of the
+    instances.  Every position holds the same pair-equation object, so an
+    evaluation that memoises by node (eval_formula) multiplies out the
+    w-sized product once per trace, not once per position.
     """
-    w = seq_encode(xs)
-    b, c = split(w)
-    pair = pair_inst(w, b, c)
-    return [_beta_at(pair, b, c, i, x) for i, x in enumerate(xs)]
+    b, c = _seq_parts(xs)
+    shared = pair_inst(pair(b, c), b, c)
+    return [_beta_at(shared, b, c, i, x) for i, x in enumerate(xs)]
 
 
 def tuple_inst(t, vals):

@@ -18,6 +18,7 @@ values searched and in the verdict when the search finds nothing.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .terms import (Add, And, BExists, BForall, Eq, Exists, FalseC, Forall,
@@ -83,7 +84,14 @@ def eval_term(t, v):
             t = t.left
         return n + eval_term(t, v)
     if isinstance(t, Mul):
-        return eval_term(t.left, v) * eval_term(t.right, v)
+        # a left-nested product by a loop too; two factors stay one
+        # multiplication, for certificates multiply w-sized numbers
+        n = eval_term(t.right, v)
+        t = t.left
+        while isinstance(t, Mul):
+            n *= eval_term(t.right, v)
+            t = t.left
+        return eval_term(t, v) * n
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -213,13 +221,17 @@ def compile_term(t):
     Var and its right a Var or a Lit, that closure reads them inline as
     v.get(x, 0) and n, with no call of their own.  A longer left-nested
     sum is walked by a loop, as eval_term walks it, into one closure that
-    adds its operands' closures.
+    adds its operands' closures.  A product is one closure over its
+    factors, read by terms.operands, and two factors one multiplication.
     """
     if isinstance(t, Var):
         return lambda v: v.get(t, 0)
     if isinstance(t, Mul):
-        a, b = compile_term(t.left), compile_term(t.right)
-        return lambda v: a(v) * b(v)
+        parts = [compile_term(g) for g in operands(t, Mul)]
+        if len(parts) == 2:
+            a, b = parts
+            return lambda v: a(v) * b(v)
+        return lambda v: math.prod(p(v) for p in parts)
     if isinstance(t, Add):
         x, y = t.left, t.right
         if isinstance(x, Var) and isinstance(y, Var):

@@ -6,13 +6,15 @@ negation swaps the Sigma and Pi levels, a -> b is read as ~a \\/ b and
 a <-> b as (a -> b) /\\ (b -> a).  Strictness is reported for prenex
 shapes, counting quantifier-block alternations.
 
-Prenexing takes two walks.  nnf rewrites to negation normal form and
-renames apart as it goes: every binder gets a name of its own, free
-nowhere in the formula, from one Names supply that also names the
-collection bounds below.  _pull then lifts the unbounded quantifiers out
-in one pass over each prefix; bounded quantifiers stay in the matrix.  An
-unbounded quantifier nested under a bounded one of the opposite kind is
-lifted with a fresh collection bound: over N,
+Prenexing takes two walks and keeps classify's level.  nnf rewrites to
+negation normal form and renames apart as it goes: every binder gets a
+name of its own, free nowhere in the formula, from one Names supply that
+also names the collection bounds below.  _pull then lifts the unbounded
+quantifiers out; bounded quantifiers stay in the matrix.  Each `/\\` or
+`\\/` tree is merged once: its levels, read as classify reads them, pick
+the kind that leads it, and its operands' prefixes are interleaved in one
+greedy pass from that kind.  An unbounded quantifier under a bounded
+one of the opposite kind is lifted with a fresh collection bound: over N,
     forall x<t . exists y . p   iff   exists B . forall x<t . exists y<B . p
 and dually, both by finiteness of the bounded range.
 """
@@ -48,16 +50,16 @@ _DUAL = {And: Or, Or: And, Exists: Forall, Forall: Exists,
 _SAME = {kind: kind for kind in _DUAL}
 
 
-def _chains(f, join, leaf, *args):
+def _chains(f, kinds, leaf, *args):
     """f's tree of `/\\` and `\\/` nodes, rebuilt as it nests: leaf(g, *args)
-    of each other node g, left to right, and join(kind, left, right) at
-    each node of class kind.  Chains run thousands long, so the tree is
-    walked by a stack; leaf is called directly, adding one frame only."""
+    of each other node g, left to right, joined at each node of class kind
+    by kinds[kind].  Chains run thousands long, so the tree is walked by a
+    stack; leaf is called directly, adding one frame only."""
     done, todo = [], [f]
     while todo:
         g = todo.pop()
         if g is None:  # both operands of the node below are done
-            done[-2:] = [join(todo.pop(), *done[-2:])]
+            done[-2:] = [kinds[todo.pop()](*done[-2:])]
         elif isinstance(g, (And, Or)):
             todo += (type(g), None, g.right, g.left)
         else:
@@ -79,8 +81,7 @@ def nnf(f, names, positive=True, env=None):
         return kinds[Or](nnf(f.left, names, not positive, env),
                          nnf(f.right, names, positive, env))
     if isinstance(f, (And, Or)):
-        return _chains(f, lambda kind, a, b: kinds[kind](a, b),
-                       nnf, names, positive, env)
+        return _chains(f, kinds, nnf, names, positive, env)
     op = kinds.get(type(f))
     if isinstance(f, (TrueC, FalseC)):
         return op()
@@ -162,43 +163,42 @@ def classify(f):
     return HierarchyLevel(kind, n, strict, both)
 
 
-def _merge_prefixes(pa, pb):
-    """Interleave two quantifier prefixes minimizing alternations.
-
-    Prefixes are lists of (kind, var).  Each step takes the leading run of
-    one kind from both prefixes.  After a step neither prefix leads with
-    its kind, so the kinds alternate and only the first is a choice: both
-    starts are simulated, and the one with fewer steps wins, Pi on a tie.
-    """
-    def merge(kind):
-        out, i, j, steps = [], 0, 0, 0
-        while i < len(pa) or j < len(pb):
-            while i < len(pa) and pa[i][0] == kind:
-                out.append(pa[i])
-                i += 1
-            while j < len(pb) and pb[j][0] == kind:
-                out.append(pb[j])
-                j += 1
-            kind = SIGMA if kind == PI else PI
-            steps += 1
-        return steps, out
-
-    (pi_steps, pi_out), (sigma_steps, sigma_out) = merge(PI), merge(SIGMA)
-    return sigma_out if sigma_steps < pi_steps else pi_out
+def _merge(prefixes, kind):
+    """The prefixes merged in one greedy pass: the rounds' kinds alternate
+    from kind, and each takes every prefix's next run that has its kind."""
+    rounds = []
+    for prefix in prefixes:
+        r, last = 0, kind
+        for q in prefix:
+            r, last = r + (q[0] is not last), q[0]
+            rounds.append((r, q))
+    rounds.sort(key=lambda rq: rq[0])  # stable: prefixes keep their order
+    return [q for _, q in rounds]
 
 
-def _pull(f, names):
-    """Return (prefix, matrix): prefix of unbounded quantifiers over a
-    matrix whose unbounded quantifiers are gone (bounded ones remain)."""
-    if isinstance(f, (And, Or)):
-        return _chains(f, lambda kind, a, b: (
-            _merge_prefixes(a[0], b[0]), kind(a[1], b[1])), _pull, names)
+def _pull(f, names, lead, out):
+    """Append f's prefix, a list of (Exists or Forall, var), to out and
+    return its matrix, whose unbounded quantifiers are gone (bounded ones
+    remain).  lead is the class of the nearest unbounded quantifier above
+    f, None at the top: a tree's prefix pays one more block unless its
+    leading kind continues lead."""
+    if isinstance(f, (And, Or)):  # the leading kind, once, as classify reads
+        s, p = _levels(f)
+        kind = Exists if s + (lead is Forall) < p + (lead is Exists) else Forall
+        parts = []
+        matrix = _chains(f, _SAME, _pull, names, kind, parts)
+        out.append(_merge(parts, kind))
+        return matrix
     if isinstance(f, (Exists, Forall)):
-        p, m = _pull(f.body, names)
-        return [(SIGMA if isinstance(f, Exists) else PI, f.var)] + p, m
+        matrix = _pull(f.body, names, type(f), out)
+        out[-1].insert(0, (type(f), f.var))
+        return matrix
     if isinstance(f, (BForall, BExists)):
-        return _lift(type(f), f.var, f.bound, *_pull(f.body, names), names)
-    return [], f  # an atom, negated or not, true or false
+        matrix = _pull(f.body, names, lead, out)
+        out[-1], matrix = _lift(type(f), f.var, f.bound, out[-1], matrix, names)
+        return matrix
+    out.append([])
+    return f  # an atom, negated or not, true or false
 
 
 def _lift(binder, var, bound, prefix, matrix, names):
@@ -206,13 +206,13 @@ def _lift(binder, var, bound, prefix, matrix, names):
     loop.  A quantifier of the binder's kind commutes outward; one of the
     other kind, on v, takes a fresh cap w, the rest of prefix is lifted
     under its bounded form v < w, and the loop goes on over that result."""
-    own, out, i = SIGMA if binder is BExists else PI, [], 0
+    own, out, i = Exists if binder is BExists else Forall, [], 0
     while i < len(prefix):
         kind, v = prefix[i]
         i += 1
-        if kind != own:
+        if kind is not own:
             cap = names.fresh("w")
-            inner = BExists if kind == SIGMA else BForall
+            inner = BExists if kind is Exists else BForall
             prefix, matrix = _lift(inner, v, cap, prefix[i:], matrix, names)
             v, i = cap, 0
         out.append((kind, v))
@@ -222,8 +222,8 @@ def _lift(binder, var, bound, prefix, matrix, names):
 def prenexify(f):
     """A strict prenex formula at the same generalized level as f, and
     equivalent over N; bounded quantifiers stay in the matrix."""
-    names = Names(free_vars(f))
-    prefix, matrix = _pull(nnf(f, names), names)
-    for kind, var in reversed(prefix):
-        matrix = Exists(var, matrix) if kind == SIGMA else Forall(var, matrix)
+    names, out = Names(free_vars(f)), []
+    matrix = _pull(nnf(f, names), names, None, out)
+    for kind, var in reversed(out[0]):
+        matrix = kind(var, matrix)
     return matrix

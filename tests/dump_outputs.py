@@ -13,8 +13,9 @@ printed with its print/parse round trip, and the pinned parse errors;
 the levels, prenex forms and level-0 characteristic functions of
 formulas under extra `~`, `->`, `<->` and quantifier layers; the
 printed text (hashed) of the gamma formulas, compiled programs, Sigma_1
-and Pi_1 programs, alpha formulas and VCs that arithver builds, and last
-the same texts read back by the parser and printed again.
+and Pi_1 programs, alpha formulas and VCs that arithver builds, the same
+texts read back by the parser and printed again, and last the levels of
+chains of layered formulas beside the levels of their prenex forms.
 Run it against two trees and compare the outputs byte for byte:
 
     PYTHONPATH=src python tests/dump_outputs.py > new.txt
@@ -58,8 +59,8 @@ from arithver.xrec import (STDLIB, Proj, bexists, bforall, cases,
                            pi1_counterexample_program, prod_of, sigma0_char,
                            sigma1_to_program, sum_of, xrec_eval)
 
-from generators import (VARS, layered_formula, random_bool, random_formula,
-                        random_program, random_term)
+from generators import (VARS, layered_chain, layered_formula, random_bool,
+                        random_formula, random_program, random_term)
 from test_acceptance import SIGMA1_FIXTURES
 from test_proofs import conditional_proof, counting_loop_proof
 from test_syntax import OPERATOR_ERRORS, SCHEMA_ERRORS
@@ -399,6 +400,14 @@ def dump_readback(built):
         print(f"readback {kind} {name} {again == node} {text}")
 
 
+def dump_prenex_levels(rng):
+    # chains of layered formulas, some under one more binder: the level of
+    # each and of its prenex form, which should be the same
+    for k in range(300):
+        f = layered_chain(rng)
+        print(f"prenex-level {k} {classify(f)} | {classify(prenexify(f))}")
+
+
 def main():
     rng = random.Random(2017)
     progs = dump_instances(rng)
@@ -412,6 +421,7 @@ def main():
     dump_schemas()
     dump_levels(random.Random(2017))
     dump_readback(dump_texts(random.Random(1969)))
+    dump_prenex_levels(random.Random(2026))
 
 
 if __name__ == "__main__":

@@ -74,6 +74,22 @@ def layered_formula(rng, depth=2, layers=4, vars=VARS):
     return f
 
 
+def layered_chain(rng, vars=VARS):
+    """One to four layered_formula draws joined by `/\\` or `\\/`, at times
+    under one more binder, bounded or not, of one of vars: the trees whose
+    operands' prefixes prenexing merges."""
+    f = layered_formula(rng, vars=vars)
+    for _ in range(rng.randrange(4)):
+        f = rng.choice([And, Or])(f, layered_formula(rng, vars=vars))
+    k, v = rng.randrange(4), rng.choice(vars)
+    if k == 1:
+        return rng.choice([Exists, Forall])(v, f)
+    if k == 2:
+        bound = random_term(rng, 1, [w for w in vars if w != v])
+        return rng.choice([BExists, BForall])(v, bound, f)
+    return f
+
+
 def random_bool(rng, depth=1, vars=VARS, in_loop=False):
     if depth == 0 or rng.random() < 0.6:
         return Lt(random_term(rng, 1, vars, in_loop),

@@ -8,7 +8,9 @@ from arithver.coding import (beta_index, beta_inst, seq_encode, tuple_encode,
 from arithver.terms import (Add, And, Eq, FalseC, Lit, Lt, Mul, Not, TrueC,
                             Var, conj, free_vars)
 from arithver.evaluator import Budget, eval_formula
-from arithver.hierarchy import SIGMA, classify
+from arithver.hierarchy import (PI, SIGMA, HierarchyLevel, classify,
+                                prenexify)
+from arithver.syntax import parse_formula
 from arithver.whilelang import (Assign, If, Seq, While, compile_program,
                                 program_vars, run)
 from arithver.alpha import (HoareTriple, check_triple, encode_alpha,
@@ -122,16 +124,16 @@ def test_instantiate_alpha_long_sequence():
     lambda: gamma_instance(monus_schema(), [3, 2], 1),
 ], ids=["instantiate_alpha", "vc_instance", "gamma_instance-nested-pr"])
 def test_each_trace_code_split_once(build, monkeypatch):
-    # the instance builders split each trace code where it is made, not
-    # once per position that reads it
-    calls = {"split": 0, "seq_encode": 0}
+    # the instance builders take each trace code's <b, c> from the
+    # remaindering that makes the code, once, and never split it back
+    calls = {"split": 0, "_seq_parts": 0}
     for name in calls:
         def counted(*args, _fn=getattr(coding, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(coding, name, counted)
     build()
-    assert calls["split"] == calls["seq_encode"] > 0
+    assert calls["split"] == 0 < calls["_seq_parts"]
 
 
 def test_instantiate_alpha_nested_loop():
@@ -192,6 +194,26 @@ def test_encode_alpha_out():
 def test_vc_is_closed():
     t = HoareTriple(TrueC(), COUNT, Not(Lt(y, x)))
     assert free_vars(vc(t)) == set()
+
+
+# the counting loop's VCs, as the levels of their pres and posts predict:
+# alpha is generalized Sigma_1, a pre counts at its dual level, and
+# forall ys.(alpha -> Q) is Pi_max(1,n) for Q in Pi_n, Pi_(n+1) for Q in
+# Sigma_n
+VC_POSTS = ["y = x", "forall z. z < y \\/ x < z + 1", "exists z. z + x = y",
+            "forall u. exists z. z = u + y",
+            "exists u. forall z. z < u \\/ y < z"]
+
+
+@pytest.mark.parametrize("pre, levels", [
+    ("true", [1, 1, 2, 2, 3]),
+    ("exists z. z + z = x", [1, 1, 2, 2, 3]),
+    ("forall z. z < x + 1", [2, 2, 2, 2, 3])])
+def test_vc_levels_of_the_counting_loop(pre, levels):
+    for post, n in zip(VC_POSTS, levels):
+        f = vc(HoareTriple(parse_formula(pre), COUNT, parse_formula(post)))
+        assert classify(f) == HierarchyLevel(PI, n, False), post
+        assert classify(prenexify(f)) == HierarchyLevel(PI, n, True), post
 
 
 def test_vc_instance_true_for_valid_triple():

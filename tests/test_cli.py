@@ -190,14 +190,19 @@ VERIFIED = "verified (grid 1, fuel 10000)\n"
                       "1", "x := x"], 0, VERIFIED),
     # compile-on-repeat compiles the body at the second value
     ("eval", ["--qbound", "4", "exists y. y = SUM"], 2,
-     "unknown (no witness <= 4)\n")],
+     "unknown (no witness <= 4)\n"),
+    ("eval", ["x = PRODUCT", "--assign", "x=1"], 0, "true\n"),
+    ("run", ["x := PRODUCT"], 0, "terminated after 1 steps: x=1\n"),
+    ("check-triple", ["--pre", "true", "--post", "x = 1", "--grid", "1",
+                      "x := PRODUCT"], 0, VERIFIED)],
     ids=["eval", "run", "check-triple-program", "check-triple-pre",
-         "eval-search"])
+         "eval-search", "eval-product", "run-product",
+         "check-triple-product"])
 def test_long_sum(capsys, cmd, argv, code, out):
-    # the parser nests `+` to the left, and eval_term and compile_term
-    # walk that spine by a loop
-    total = "+".join(["1"] * 3000)
-    argv = [a.replace("SUM", total) for a in argv]
+    # the parser nests `+` and `*` to the left, and eval_term and
+    # compile_term walk those spines by a loop
+    total, product = "+".join(["1"] * 3000), "*".join(["1"] * 3000)
+    argv = [a.replace("SUM", total).replace("PRODUCT", product) for a in argv]
     assert run_cli(capsys, cmd, *argv) == (code, out, "")
 
 

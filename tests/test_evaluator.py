@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 
 import pytest
@@ -237,6 +239,20 @@ def test_compiled_term_agrees_with_eval_term(seed):
     t = random_term(rng, 4)
     v = {w: rng.randrange(5) for w in VARS[:2]}  # the third reads as 0
     assert compile_term(t)(v) == eval_term(t, v)
+
+
+@given(st.integers(0, 2 ** 32))
+def test_products_agree_nested_either_way(seed):
+    # compile_term reads a product's factors flat and eval_term walks its
+    # left spine by a loop; both give the product of the factors
+    rng = random.Random(seed)
+    factors = [random_term(rng, 1) for _ in range(rng.randint(2, 6))]
+    v = {w: rng.randrange(5) for w in VARS[:2]}  # the third reads as 0
+    want = math.prod(eval_term(t, v) for t in factors)
+    left = functools.reduce(Mul, factors)
+    right = functools.reduce(lambda a, b: Mul(b, a), reversed(factors))
+    assert compile_term(left)(v) == eval_term(left, v) == want
+    assert compile_term(right)(v) == eval_term(right, v) == want
 
 
 @given(st.integers(0, 2 ** 32))

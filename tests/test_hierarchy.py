@@ -16,7 +16,8 @@ from arithver.evaluator import Budget, eval_formula
 from arithver.hierarchy import PI, SIGMA, classify, nnf, prenexify
 from arithver.syntax import parse_formula
 
-from generators import layered_formula, random_formula
+from generators import (VARS, layered_chain, layered_formula,
+                        random_formula)
 from hierarchy_fixtures import FIXTURES
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -114,6 +115,59 @@ def test_prenex_merges_blocks_with_minimal_alternation():
     g = prenexify(f)
     lvl = classify(g)
     assert (lvl.kind, lvl.n, lvl.strict) == (SIGMA, 1, True)
+
+
+# each is Sigma_2, and so must be its prenex form: a merge that picks the
+# leading kind per pair of operands, not once per tree, lands a level
+# higher.  In the last, the bounded binder's tree must follow the kind
+# that leads the tree above it, which its operands' prefixes do not show.
+SIGMA2_TREES = [
+    "(exists a. a = x) /\\ (forall b. b = x) /\\ (exists c. forall d. c = d)",
+    "exists x. ((exists a. a = x) /\\ (forall b. b = x))",
+    "(forall i<x. ((exists a. a = i) /\\ (forall b. b = i)))"
+    " /\\ (exists c. forall d. c = d)"]
+
+
+@pytest.mark.parametrize("src", SIGMA2_TREES)
+def test_prenex_tree_led_by_its_level(src):
+    f = parse_formula(src)
+    lvl = classify(prenexify(f))
+    assert (lvl.kind, lvl.n, lvl.strict) == (SIGMA, 2, True)
+    assert (classify(f).kind, classify(f).n) == (SIGMA, 2)
+
+
+def test_prenexify_keeps_the_level_of_chains():
+    # each `/\`/`\/` tree is merged once, led by the kind its levels
+    # give, so the strict prenex form lands at classify's level
+    rng = random.Random(2026)
+    for _ in range(400):
+        f = layered_chain(rng)
+        before, after = classify(f), classify(prenexify(f))
+        assert (after.n, after.strict) == (before.n, True), f
+        if not before.both:
+            assert after.kind == before.kind, f
+
+
+def test_prenexify_keeps_the_verdicts_of_chains():
+    # on sampled assignments, where both verdicts are exact; a search over
+    # a prefix of k quantifiers visits (q_bound + 1)**k points, so only
+    # the chains whose prenex form has k <= 4 are evaluated
+    rng = random.Random(2027)
+    budget, checked = Budget(q_bound=3), 0
+    while checked < 150:
+        f = layered_chain(rng)
+        g = h = prenexify(f)
+        k = 0
+        while isinstance(h, (Exists, Forall)):
+            h, k = h.body, k + 1
+        if k > 4:
+            continue
+        checked += 1
+        for _ in range(3):
+            env = {v: rng.randrange(4) for v in VARS}
+            rf, rg = eval_formula(f, env, budget), eval_formula(g, env, budget)
+            if rf.is_exact() and rg.is_exact():
+                assert rf.value == rg.value, (f, env)
 
 
 def test_prenex_lifts_through_bounded_quantifier():
