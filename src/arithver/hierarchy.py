@@ -14,9 +14,13 @@ quantifiers out; bounded quantifiers stay in the matrix.  Each `/\\` or
 `\\/` tree is merged once: its levels, read as classify reads them, pick
 the kind that leads it, and its operands' prefixes are interleaved in one
 greedy pass from that kind.  An unbounded quantifier under a bounded
-one of the opposite kind is lifted with a fresh collection bound: over N,
+one of the opposite kind is capped where _pull meets it, by collection
+over N:
     forall x<t . exists y . p   iff   exists B . forall x<t . exists y<B . p
-and dually, both by finiteness of the bounded range.
+and dually, both by finiteness of the bounded range.  The fresh cap B
+joins the prefix, y < B stays in place, and each quantifier below it is
+capped too; so a quantifier is capped at most once, and the prenex form
+has at most twice the binders of nnf's.
 """
 
 from dataclasses import dataclass
@@ -48,6 +52,7 @@ class HierarchyLevel:
 _DUAL = {And: Or, Or: And, Exists: Forall, Forall: Exists,
          BExists: BForall, BForall: BExists, TrueC: FalseC, FalseC: TrueC}
 _SAME = {kind: kind for kind in _DUAL}
+_BOUNDED = {Exists: BExists, Forall: BForall}
 
 
 def _chains(f, kinds, leaf, *args):
@@ -176,54 +181,39 @@ def _merge(prefixes, kind):
     return [q for _, q in rounds]
 
 
-def _pull(f, names, lead, out):
+def _pull(f, names, lead, out, passes):
     """Append f's prefix, a list of (Exists or Forall, var), to out and
     return its matrix, whose unbounded quantifiers are gone (bounded ones
     remain).  lead is the class of the nearest unbounded quantifier above
     f, None at the top: a tree's prefix pays one more block unless its
-    leading kind continues lead."""
+    leading kind continues lead.  passes holds the quantifier classes that
+    every bounded binder above f lets pass; one of another class is capped."""
     if isinstance(f, (And, Or)):  # the leading kind, once, as classify reads
         s, p = _levels(f)
         kind = Exists if s + (lead is Forall) < p + (lead is Exists) else Forall
         parts = []
-        matrix = _chains(f, _SAME, _pull, names, kind, parts)
+        matrix = _chains(f, _SAME, _pull, names, kind, parts, passes)
         out.append(_merge(parts, kind))
         return matrix
     if isinstance(f, (Exists, Forall)):
-        matrix = _pull(f.body, names, type(f), out)
-        out[-1].insert(0, (type(f), f.var))
-        return matrix
+        kind, var = type(f), f.var
+        if kind not in passes:  # by collection: a fresh cap w, and v < w here
+            var, passes = names.fresh("w"), ()
+        matrix = _pull(f.body, names, kind, out, passes)
+        out[-1].insert(0, (kind, var))
+        return matrix if var is f.var else _BOUNDED[kind](f.var, var, matrix)
     if isinstance(f, (BForall, BExists)):
-        matrix = _pull(f.body, names, lead, out)
-        out[-1], matrix = _lift(type(f), f.var, f.bound, out[-1], matrix, names)
-        return matrix
+        passes = [q for q in passes if _BOUNDED[q] is type(f)]
+        return type(f)(f.var, f.bound, _pull(f.body, names, lead, out, passes))
     out.append([])
     return f  # an atom, negated or not, true or false
-
-
-def _lift(binder, var, bound, prefix, matrix, names):
-    """(prefix, matrix) of binder(var, bound, prefix over matrix), in one
-    loop.  A quantifier of the binder's kind commutes outward; one of the
-    other kind, on v, takes a fresh cap w, the rest of prefix is lifted
-    under its bounded form v < w, and the loop goes on over that result."""
-    own, out, i = Exists if binder is BExists else Forall, [], 0
-    while i < len(prefix):
-        kind, v = prefix[i]
-        i += 1
-        if kind is not own:
-            cap = names.fresh("w")
-            inner = BExists if kind is Exists else BForall
-            prefix, matrix = _lift(inner, v, cap, prefix[i:], matrix, names)
-            v, i = cap, 0
-        out.append((kind, v))
-    return out, binder(var, bound, matrix)
 
 
 def prenexify(f):
     """A strict prenex formula at the same generalized level as f, and
     equivalent over N; bounded quantifiers stay in the matrix."""
     names, out = Names(free_vars(f)), []
-    matrix = _pull(nnf(f, names), names, None, out)
+    matrix = _pull(nnf(f, names), names, None, out, (Exists, Forall))
     for kind, var in reversed(out[0]):
         matrix = kind(var, matrix)
     return matrix

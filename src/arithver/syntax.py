@@ -499,11 +499,11 @@ def format_triple(t):
     return f"{{{t.pre}}} {t.prog} {{{t.post}}}"
 
 
-def format_proof(p, indent=0):
+def format_proof(p):
     """The text of a proof, which parse_proof reads back, each premise
     indented one level deeper.  The proof is walked by an explicit stack
     of nodes and strings, as proofs nest thousands deep."""
-    out, todo = ["  " * indent], [(p, indent)]
+    out, todo = [], [(p, 0)]
     while todo:
         item = todo.pop()
         if type(item) is str:

@@ -183,12 +183,16 @@ class BExists(Formula):
 
 
 def term_vars(t):
-    """Set of variables occurring in a term."""
-    if isinstance(t, Var):
-        return {t}
-    if isinstance(t, (Add, Mul)):
-        return term_vars(t.left) | term_vars(t.right)
-    return set()
+    """Set of variables occurring in a term.  Sums and products run
+    thousands long, so the term is walked by a list that grows as it is
+    read."""
+    found, todo = set(), [t]
+    for t in todo:
+        if isinstance(t, Var):
+            found.add(t)
+        elif isinstance(t, (Add, Mul)):
+            todo += (t.left, t.right)
+    return found
 
 
 def free_vars(f):
@@ -272,12 +276,24 @@ def operands(f, kind):
 
 
 def subst_term(t, env):
-    """Substitute env (Var -> Term) into a term."""
-    if isinstance(t, Var):
+    """Substitute env (Var -> Term) into a term.  Sums and products run
+    thousands long, so the term is walked by a stack."""
+    if isinstance(t, Var):  # most calls: an atom's or a bound's operand
         return env.get(t, t)
-    if isinstance(t, (Add, Mul)):
-        return type(t)(subst_term(t.left, env), subst_term(t.right, env))
-    return t
+    if not env or not isinstance(t, (Add, Mul)):
+        return t
+    done, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        if t is None:  # both operands of the node below are done
+            done[-2:] = [todo.pop()(*done[-2:])]
+        elif isinstance(t, Var):
+            done.append(env.get(t, t))
+        elif isinstance(t, (Add, Mul)):
+            todo += (type(t), None, t.right, t.left)
+        else:  # a Lit, not looked up: its hash is a Python call
+            done.append(t)
+    return done[0]
 
 
 def substitute_simultaneous(f, pairs):

@@ -515,13 +515,14 @@ class FunctionalityError(ValueError):
     pass
 
 
-def _check_functionality(body, block, xs, result, grid=4, search=12):
-    """Sample check that the relation is single-valued in the result."""
+def _check_functionality(body, block, xs, result):
+    """Sample check that the relation is single-valued in the result: at
+    each input up to 4, no two results up to 12 with witnesses up to 12."""
     holds_at = compile_formula(body)
-    for env in assignments(xs, grid):
+    for env in assignments(xs, 4):
         results = set()
-        for y in range(search + 1):
-            for point in assignments(block, search, {**env, result: y}):
+        for y in range(13):
+            for point in assignments(block, 12, {**env, result: y}):
                 if holds_at(point).is_true():
                     results.add(y)
                     break

@@ -14,8 +14,10 @@ the levels, prenex forms and level-0 characteristic functions of
 formulas under extra `~`, `->`, `<->` and quantifier layers; the
 printed text (hashed) of the gamma formulas, compiled programs, Sigma_1
 and Pi_1 programs, alpha formulas and VCs that arithver builds, the same
-texts read back by the parser and printed again, and last the levels of
-chains of layered formulas beside the levels of their prenex forms.
+texts read back by the parser and printed again, the levels of chains
+of layered formulas beside the levels of their prenex forms, and last
+the number of binders in prenex forms: of quantifier ladders under a
+bounded binder, and of the same chains.
 Run it against two trees and compare the outputs byte for byte:
 
     PYTHONPATH=src python tests/dump_outputs.py > new.txt
@@ -50,8 +52,9 @@ from arithver.proofs import (AssignAxiom, ConseqRule, ProofNode, WhileRule,
                              check_proof)
 from arithver.syntax import (ParseError, format_schema, parse_bool,
                              parse_formula, parse_program, parse_schema)
-from arithver.terms import (Add, Eq, Exists, Lit, Lt, Names, TrueC, Var,
-                            free_vars, substitute, substitute_simultaneous)
+from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, Forall,
+                            Lit, Lt, Names, Or, TrueC, Var, free_vars,
+                            substitute, substitute_simultaneous)
 from arithver.whilelang import (Assign, Program, Seq, While, program_vars,
                                 run)
 from arithver.xrec import (STDLIB, Proj, bexists, bforall, cases,
@@ -59,8 +62,9 @@ from arithver.xrec import (STDLIB, Proj, bexists, bforall, cases,
                            pi1_counterexample_program, prod_of, sigma0_char,
                            sigma1_to_program, sum_of, xrec_eval)
 
-from generators import (VARS, layered_chain, layered_formula, random_bool,
-                        random_formula, random_program, random_term)
+from generators import (VARS, bounded_ladder, layered_chain,
+                        layered_formula, random_bool, random_formula,
+                        random_program, random_term)
 from test_acceptance import SIGMA1_FIXTURES
 from test_proofs import conditional_proof, counting_loop_proof
 from test_syntax import OPERATOR_ERRORS, SCHEMA_ERRORS
@@ -408,6 +412,31 @@ def dump_prenex_levels(rng):
         print(f"prenex-level {k} {classify(f)} | {classify(prenexify(f))}")
 
 
+def _binders(f):
+    """The number of quantifiers, bounded or not, of a formula in negation
+    normal form, walked by a stack."""
+    count, todo = 0, [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, (And, Or)):
+            todo += (g.left, g.right)
+        elif isinstance(g, (Exists, Forall, BExists, BForall)):
+            count += 1
+            todo.append(g.body)
+    return count
+
+
+def dump_prenex_sizes(rng):
+    # the binders of prenex forms, which should grow linearly: k
+    # alternations under one bounded binder, and the prenex-level chains
+    for k in range(2, 25):
+        g = prenexify(bounded_ladder(k))
+        print(f"prenex-size ladder {k} {classify(g)} {_binders(g)}")
+    for k in range(300):
+        g = prenexify(layered_chain(rng))
+        print(f"prenex-size chain {k} {_binders(g)}")
+
+
 def main():
     rng = random.Random(2017)
     progs = dump_instances(rng)
@@ -422,6 +451,7 @@ def main():
     dump_levels(random.Random(2017))
     dump_readback(dump_texts(random.Random(1969)))
     dump_prenex_levels(random.Random(2026))
+    dump_prenex_sizes(random.Random(2026))
 
 
 if __name__ == "__main__":

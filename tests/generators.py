@@ -90,6 +90,20 @@ def layered_chain(rng, vars=VARS):
     return f
 
 
+def bounded_ladder(k):
+    """forall i < x . exists a0 . forall a1 . ... a{k-1} . a0 < i + x /\\
+    ...: k alternating quantifiers under one bounded binder, the shape
+    whose quantifiers prenexing caps."""
+    i, x = Var("i"), Var("x")
+    bs = [Var(f"a{j}") for j in range(k)]
+    f = Lt(bs[0], Add(i, x))
+    for b in bs[1:]:
+        f = And(f, Lt(b, Add(i, x)))
+    for j in reversed(range(k)):
+        f = (Forall if j % 2 else Exists)(bs[j], f)
+    return BForall(i, x, f)
+
+
 def random_bool(rng, depth=1, vars=VARS, in_loop=False):
     if depth == 0 or rng.random() < 0.6:
         return Lt(random_term(rng, 1, vars, in_loop),

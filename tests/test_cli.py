@@ -194,15 +194,29 @@ VERIFIED = "verified (grid 1, fuel 10000)\n"
     ("eval", ["x = PRODUCT", "--assign", "x=1"], 0, "true\n"),
     ("run", ["x := PRODUCT"], 0, "terminated after 1 steps: x=1\n"),
     ("check-triple", ["--pre", "true", "--post", "x = 1", "--grid", "1",
-                      "x := PRODUCT"], 0, VERIFIED)],
+                      "x := PRODUCT"], 0, VERIFIED),
+    # subst_term and term_vars walk the spines by a stack
+    ("prenex", ["x = SUM"], 0, "x = SUM\n"),
+    ("encode-alpha", ["x := SUM"], 0, "vars: x\nout vars: x'\nx' = SUM\n"),
+    ("vc", ["x := SUM", "--pre", "true", "--post", "x = 1"], 0,
+     "(forall x . (forall x' . ((true /\\ x' = SUM) -> x' = 1)))\n"),
+    ("prenex", ["x = PRODUCT"], 0, "x = PRODUCT\n"),
+    ("encode-alpha", ["x := PRODUCT"], 0,
+     "vars: x\nout vars: x'\nx' = PRODUCT\n"),
+    ("vc", ["x := PRODUCT", "--pre", "true", "--post", "x = 1"], 0,
+     "(forall x . (forall x' . ((true /\\ x' = PRODUCT) -> x' = 1)))\n")],
     ids=["eval", "run", "check-triple-program", "check-triple-pre",
          "eval-search", "eval-product", "run-product",
-         "check-triple-product"])
+         "check-triple-product", "prenex", "encode-alpha", "vc",
+         "prenex-product", "encode-alpha-product", "vc-product"])
 def test_long_sum(capsys, cmd, argv, code, out):
     # the parser nests `+` and `*` to the left, and eval_term and
     # compile_term walk those spines by a loop
     total, product = "+".join(["1"] * 3000), "*".join(["1"] * 3000)
     argv = [a.replace("SUM", total).replace("PRODUCT", product) for a in argv]
+    # printed, each nests to the left in parentheses
+    out = out.replace("SUM", "(" * 2999 + "1" + " + 1)" * 2999)
+    out = out.replace("PRODUCT", "(" * 2999 + "1" + " * 1)" * 2999)
     assert run_cli(capsys, cmd, *argv) == (code, out, "")
 
 

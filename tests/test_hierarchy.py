@@ -16,8 +16,8 @@ from arithver.evaluator import Budget, eval_formula
 from arithver.hierarchy import PI, SIGMA, classify, nnf, prenexify
 from arithver.syntax import parse_formula
 
-from generators import (VARS, layered_chain, layered_formula,
-                        random_formula)
+from generators import (VARS, bounded_ladder, layered_chain,
+                        layered_formula, random_formula)
 from hierarchy_fixtures import FIXTURES
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -295,6 +295,52 @@ def test_lift_through_bounded_binder_is_linear():
                          env={**os.environ, "PYTHONPATH": str(SRC)},
                          capture_output=True, text=True, timeout=10, check=True)
     assert out.stdout == "Sigma_1 (strict)\n"
+
+
+def test_bounded_ladder_prenexes_linearly():
+    # in a subprocess, so a lift that caps the caps it makes, and so grows
+    # the prenex form exponentially in the alternations, fails by the
+    # timeout: each of the 24 quantifiers gets one cap
+    code = ("import sys; from arithver.hierarchy import classify, prenexify; "
+            "from arithver.syntax import parse_formula; "
+            "g = prenexify(parse_formula(sys.argv[1])); s = str(g); "
+            "print(classify(g), s.count('exists') + s.count('forall'))")
+    out = subprocess.run([sys.executable, "-c", code, str(bounded_ladder(24))],
+                         env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, timeout=10, check=True)
+    assert out.stdout == "Sigma_24 (strict) 49\n"
+
+
+# a quantifier is capped only when a bounded binder of the other kind is
+# on its own scope path, and then once: (source, caps, level)
+CAPPED = [
+    ("forall i < x. ((exists a. forall b. a + b = i + b)"
+     " /\\ (forall c. c < i + c + 1))", 2, "Sigma_2 (strict)"),
+    (str(bounded_ladder(3)), 3, "Sigma_3 (strict)"),
+    ("exists d < z. ((forall u. x = u) /\\ (exists v. v = x))", 1,
+     "Pi_2 (strict)")]
+
+
+@pytest.mark.parametrize("src, caps, level", CAPPED,
+                         ids=["two-conjuncts", "ladder-3", "bounded-exists"])
+def test_prenex_caps_each_quantifier_once(src, caps, level):
+    g = prenexify(parse_formula(src))
+    names = _binder_names(g)  # caps are named w, w', ..., and bind a cap
+    assert sum(name.startswith("w") for name in names) == caps
+    assert str(classify(g)) == level
+
+
+def test_prenex_form_grows_linearly():
+    # each quantifier gets at most one cap, so the prenex form has at most
+    # twice the binders of the negation normal form, at the same level
+    rng1, rng2 = random.Random(1), random.Random(2)
+    draws = ([layered_formula(rng1) for _ in range(300)]
+             + [layered_chain(rng2) for _ in range(600)])
+    for f in draws:
+        g = prenexify(f)
+        binders = len(_binder_names(nnf(f, Names(free_vars(f)))))
+        assert len(_binder_names(g)) <= 2 * binders, f
+        assert classify(g).n == classify(f).n, f
 
 
 def test_deep_implies_chain_classifies_and_prenexes():

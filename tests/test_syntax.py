@@ -472,8 +472,6 @@ _LOOP = """loop {
 def test_format_proof_exact_cond_and_loop():
     for text in (_COND, _LOOP):
         assert format_proof(parse_proof(text)) == text
-    indented = format_proof(parse_proof(_LOOP), 1)
-    assert indented == "\n".join("  " + line for line in _LOOP.splitlines())
 
 
 def test_deep_proof_prints_and_reads_back():
