@@ -57,15 +57,23 @@ def _emit(args, human, payload):
         print(human)
 
 
-def _emit_tree(args, node, head="", wrap=None):
-    """Print a term, formula or program: as text after the lines head, or
-    with --json as its tree, inside wrap(tree) when wrap is given.  Only
-    the form printed is built: a `;` chain too deep for the recursive
-    --json walk still prints as text, and under --json no text is built."""
+def _emit_tree(args, node, kind=None, key=None, names=()):
+    """Print a term, formula or program: as text after a `label: a, b` line
+    per (label, json key, variables or one variable) triple of names, or
+    with --json as its tree, which names wrap as {"kind": kind, key: tree,
+    json key: names, ...}.  Only the form printed is built: a `;` chain
+    too deep for the recursive --json walk still prints as text, and under
+    --json no text is built."""
+    named = [(label, k, v.name if isinstance(v, Var) else [w.name for w in v])
+             for label, k, v in names]
     if args.json:
         tree = tree_json(node)
-        _emit(args, None, tree if wrap is None else wrap(tree))
+        _emit(args, None, {"kind": kind, key: tree,
+                           **{k: v for _, k, v in named}} if named else tree)
     else:
+        head = "".join(f"{label}: " + (v if isinstance(v, str)
+                                       else ", ".join(v) or "(none)") + "\n"
+                       for label, _, v in named)
         _emit(args, head + syntax.format_formula(node), None)
 
 
@@ -159,18 +167,12 @@ def cmd_encode_alpha(args):
     if args.out_index is not None:
         inputs = _parse_vars(args.inputs)
         f, ins, y = alpha.encode_alpha_out(prog, args.out_index, inputs)
-        head = (f"inputs: {', '.join(v.name for v in ins) or '(none)'}\n"
-                f"result: {y.name}\n")
-        _emit_tree(args, f, head, lambda tree: {
-            "kind": "alpha-out", "formula": tree,
-            "inputs": [v.name for v in ins], "result": y.name})
+        _emit_tree(args, f, "alpha-out", "formula",
+                   [("inputs", "inputs", ins), ("result", "result", y)])
     else:
         f, xs, ys = alpha.encode_alpha(prog)
-        head = (f"vars: {', '.join(v.name for v in xs)}\n"
-                f"out vars: {', '.join(v.name for v in ys)}\n")
-        _emit_tree(args, f, head, lambda tree: {
-            "kind": "alpha", "formula": tree, "vars": [v.name for v in xs],
-            "out_vars": [v.name for v in ys]})
+        _emit_tree(args, f, "alpha", "formula",
+                   [("vars", "vars", xs), ("out vars", "out_vars", ys)])
     return OK
 
 
@@ -251,19 +253,13 @@ def cmd_xrec(args):
         return OK
     if args.action == "gamma":
         f, xs, y = xrec.gamma(h)
-        head = (f"inputs: {', '.join(v.name for v in xs) or '(none)'}\n"
-                f"result: {y.name}\n")
-        _emit_tree(args, f, head, lambda tree: {
-            "kind": "gamma", "formula": tree,
-            "inputs": [v.name for v in xs], "result": y.name})
+        _emit_tree(args, f, "gamma", "formula",
+                   [("inputs", "inputs", xs), ("result", "result", y)])
         return OK
     # compile
     prog, res, ps = xrec.compile_to_while(h)
-    head = (f"inputs: {', '.join(v.name for v in ps) or '(none)'}\n"
-            f"result: {res.name}\n")
-    _emit_tree(args, prog, head, lambda tree: {
-        "kind": "compiled", "program": tree,
-        "inputs": [v.name for v in ps], "result": res.name})
+    _emit_tree(args, prog, "compiled", "program",
+               [("inputs", "inputs", ps), ("result", "result", res)])
     return OK
 
 
@@ -271,13 +267,9 @@ def cmd_sigma1_compile(args):
     from . import xrec
     f = syntax.parse_formula(args.text)
     prog, res, ps, xs = xrec.sigma1_to_program(f, Var(args.result))
-    head = (f"formula inputs: {', '.join(v.name for v in xs) or '(none)'}\n"
-            f"program inputs: {', '.join(v.name for v in ps) or '(none)'}\n"
-            f"result: {res.name}\n")
-    _emit_tree(args, prog, head, lambda tree: {
-        "kind": "compiled", "program": tree,
-        "formula_inputs": [v.name for v in xs],
-        "inputs": [v.name for v in ps], "result": res.name})
+    _emit_tree(args, prog, "compiled", "program",
+               [("formula inputs", "formula_inputs", xs),
+                ("program inputs", "inputs", ps), ("result", "result", res)])
     return OK
 
 
@@ -285,11 +277,8 @@ def cmd_pi1_program(args):
     from . import xrec
     psi = syntax.parse_formula(args.text)
     prog, res, ps, _ = xrec.pi1_counterexample_program(psi, Var(args.var))
-    head = (f"program inputs: {', '.join(v.name for v in ps)}\n"
-            f"result: {res.name}\n")
-    _emit_tree(args, prog, head, lambda tree: {
-        "kind": "compiled", "program": tree,
-        "inputs": [v.name for v in ps], "result": res.name})
+    _emit_tree(args, prog, "compiled", "program",
+               [("program inputs", "inputs", ps), ("result", "result", res)])
     return OK
 
 

@@ -1,7 +1,9 @@
 """Proof objects for the standard Hoare rules and a desk-scale checker.
 
 Structural rule applications (assignment, sequence, conditional, loop) are
-checked exactly, with assertion matching up to alpha-equivalence.  The
+checked exactly: each program and assertion a rule demands is compared by
+`terms.alpha_equal`, one side-by-side walk, so assertions match up to
+alpha-equivalence and no comparison recurses.  The
 consequence rule's logical premises are discharged semantically: each is
 universally closed and swept over a grid of assignments with the bounded
 evaluator, so an exact False rejects, all-True accepts, and anything else
@@ -141,8 +143,9 @@ def _demands(p, c):
     elif rule is SeqRule:
         yield type(c.prog), Seq, "sequence rule applied to a non-sequence"
         lc, rc = p.left.conclusion, p.right.conclusion
-        yield ((lc.prog, rc.prog), (c.prog.first, c.prog.second),
-               "premise programs do not match the sequence parts")
+        why = "premise programs do not match the sequence parts"
+        yield lc.prog, c.prog.first, why
+        yield rc.prog, c.prog.second, why
         yield lc.pre, c.pre, "left premise precondition differs from the conclusion's"
         yield rc.post, c.post, "right premise postcondition differs from the conclusion's"
         yield lc.post, rc.pre, "midpoint mismatch: {0} vs {1}"
@@ -150,8 +153,9 @@ def _demands(p, c):
         yield type(c.prog), If, "conditional rule applied to a non-conditional"
         b = c.prog.guard
         tc, ec = p.then_pf.conclusion, p.else_pf.conclusion
-        yield ((tc.prog, ec.prog), (c.prog.then, c.prog.els),
-               "premise programs do not match the branches")
+        why = "premise programs do not match the branches"
+        yield tc.prog, c.prog.then, why
+        yield ec.prog, c.prog.els, why
         yield tc.pre, And(c.pre, b), "then-premise precondition must be {1}"
         yield ec.pre, And(c.pre, Not(b)), "else-premise precondition must be {1}"
         why = "branch postconditions differ from the conclusion's"
@@ -178,8 +182,8 @@ def _check(p, loc, grid, budget, nodes):
         return False
     c = p.conclusion
     for found, wanted, why in _demands(p, c):
-        if not (alpha_equal(found, wanted) if isinstance(found, Formula)
-                else found == wanted):
+        if not (found is wanted if isinstance(wanted, type)
+                else alpha_equal(found, wanted)):
             nodes.append(NodeStatus(loc, "rejected", why.format(found, wanted)))
             return False
     settled = True

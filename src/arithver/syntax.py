@@ -109,13 +109,6 @@ class ParseError(Exception):
         self.span = span
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    span: SourceSpan
-
-
 # longest first: `<->` before `->` before `<`, and `:=` before `:`
 _SYMBOLS = ["<->", "->", ":=", "/\\", "\\/",
             "<", "=", "~", "+", "*", "(", ")", ".", ";", "{", "}", ":", ","]
@@ -129,21 +122,26 @@ _TOKEN = re.compile("|".join((
 
 
 def tokenize(text):
+    """text's tokens as (kind, text, start, end) tuples, the last of kind
+    eof; a symbol's kind is its text.  A SourceSpan is built only for an
+    error, from a token's start and end."""
     toks = []
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         if kind is None:
             continue
-        start, end = m.span()
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}",
-                             SourceSpan(start, end))
         s = m.group()
-        toks.append(Token(s if kind == "symbol" else kind, s,
-                          SourceSpan(start, end)))
+        if kind == "bad":
+            raise ParseError(f"unexpected character {s!r}",
+                             SourceSpan(*m.span()))
+        toks.append((s if kind == "symbol" else kind, s, *m.span()))
     n = len(text)
-    toks.append(Token("eof", "", SourceSpan(n, n)))
+    toks.append(("eof", "", n, n))
     return toks
+
+
+def _span(tok):
+    return SourceSpan(tok[2], tok[3])
 
 
 class _Parser:
@@ -161,23 +159,23 @@ class _Parser:
 
     def at(self, kind, text=None):
         t = self.peek()
-        return t.kind == kind and (text is None or t.text == text)
+        return t[0] == kind and (text is None or t[1] == text)
 
     def expect(self, kind, text=None):
         t = self.peek()
         if not self.at(kind, text):
             want = text or kind
-            raise ParseError(f"expected {want!r}, found {t.text or 'end of input'!r}",
-                             t.span)
+            raise ParseError(f"expected {want!r}, found {t[1] or 'end of input'!r}",
+                             _span(t))
         return self.next()
 
     def fail(self, msg):
-        raise ParseError(msg, self.peek().span)
+        raise ParseError(msg, _span(self.peek()))
 
     def done(self):
         t = self.peek()
-        if t.kind != "eof":
-            raise ParseError(f"trailing input {t.text!r}", t.span)
+        if t[0] != "eof":
+            raise ParseError(f"trailing input {t[1]!r}", _span(t))
 
     def listed(self, item, sep):
         out = [item()]
@@ -201,31 +199,32 @@ class _Parser:
         group = want = term  # the sorts of the innermost group, next operand
         while True:
             t = self.toks[self.pos]
+            kind, text = t[0], t[1]
             self.pos += 1
-            if t.kind == "(":
+            if kind == "(":
                 stack.append((-1, None, None, group))
                 group = want
                 continue
-            if not want and t.kind == "~":
+            if not want and kind == "~":
                 stack.append((_COMPARE, Not, (), False))
                 continue
-            if not want and t.kind == "ident" and t.text in _QUANTIFIER:
+            if not want and kind == "ident" and text in _QUANTIFIER:
                 stack.append(self.quantifier(t))
                 continue
-            if t.kind == "num":
-                value = Lit(int(t.text))
-            elif t.kind != "ident":
+            if kind == "num":
+                value = Lit(int(text))
+            elif kind != "ident":
                 raise ParseError("expected a term, found "
-                                 f"{t.text or 'end of input'!r}", t.span)
-            elif t.text not in KEYWORDS:
-                value = Var(t.text)
-            elif want or t.text not in _CONSTANT:
-                raise ParseError(f"keyword {t.text!r} is not a term", t.span)
+                                 f"{text or 'end of input'!r}", _span(t))
+            elif text not in KEYWORDS:
+                value = Var(text)
+            elif want or text not in _CONSTANT:
+                raise ParseError(f"keyword {text!r} is not a term", _span(t))
             else:
-                value = _CONSTANT[t.text]()
+                value = _CONSTANT[text]()
             # operators, and the `)`s that close groups
             while True:
-                op = _OPERATOR.get(self.toks[self.pos].kind)
+                op = _OPERATOR.get(self.toks[self.pos][0])
                 if op is not None and (op[1] > _COMPARE or not group):
                     ctor, level, right = op
                     value = self.close(stack, level, value)
@@ -262,11 +261,11 @@ class _Parser:
         """A quantifier's head, after its word token, as its body's frame."""
         name = self.expect("ident")
         # Var refuses a keyword, which is reported at its span
-        head = (self._mk(Var, name, name.text),)
+        head = (self._mk(Var, name, name[1]),)
         if self.at("<"):
             self.next()
             head += (self.term(),)
-        ctor = _QUANTIFIER[word.text][len(head) - 1]
+        ctor = _QUANTIFIER[word[1]][len(head) - 1]
         self._mk(ctor, word, *head, TrueC())  # a bad bound, at the word
         self.expect(".")
         return (0, ctor, head, False)
@@ -274,12 +273,12 @@ class _Parser:
     # -- guards -------------------------------------------------------
 
     def guard(self):
-        start = self.peek().span.start
+        start = self.peek()[2]
         g = self.formula()
         if not is_guard(g):
             raise ParseError(
                 "a guard is built from '<', '~' and '->' only",
-                SourceSpan(start, self.toks[self.pos - 1].span.end))
+                SourceSpan(start, self.toks[self.pos - 1][3]))
         return g
 
     # -- programs -------------------------------------------------------
@@ -310,26 +309,26 @@ class _Parser:
             self.expect("ident", "od")
             return While(guard, body)
         t = self.peek()
-        if t.kind == "ident" and t.text not in KEYWORDS:
+        if t[0] == "ident" and t[1] not in KEYWORDS:
             self.next()
             self.expect(":=")
-            return Assign(Var(t.text), self.term())
-        self.fail(f"expected a statement, found {t.text or 'end of input'!r}")
+            return Assign(Var(t[1]), self.term())
+        self.fail(f"expected a statement, found {t[1] or 'end of input'!r}")
 
     # -- schemas --------------------------------------------------------
 
     def schema(self):
         t = self.expect("ident")
         words = _schema_words()
-        if t.text not in words:
-            raise ParseError(f"unknown schema constructor {t.text!r}", t.span)
-        ctor, types = words[t.text]
+        if t[1] not in words:
+            raise ParseError(f"unknown schema constructor {t[1]!r}", _span(t))
+        ctor, types = words[t[1]]
         args = []
         for k, kind in enumerate(types):
             self.expect("(" if k == 0 else "," if kind is int else ";")
             # the inner functions of a cn are none when its f takes no
             # arguments, as in `cn(const(3,0); )`, and else at least one
-            args.append(int(self.expect("num").text) if kind is int
+            args.append(int(self.expect("num")[1]) if kind is int
                         else () if kind is tuple and args[0].arity == 0
                         and self.at(")")
                         else self.listed(self.schema, ",") if kind is tuple
@@ -348,7 +347,7 @@ class _Parser:
         try:
             return ctor(*args)
         except ValueError as e:
-            raise ParseError(str(e), tok.span)
+            raise ParseError(str(e), _span(tok))
 
     # -- proofs ---------------------------------------------------------
 
@@ -382,9 +381,9 @@ class _Parser:
             else:
                 t = self.expect("ident")
                 self.expect("{")
-                ctor = _RULE_NAMED.get(t.text)
+                ctor = _RULE_NAMED.get(t[1])
                 if ctor is None:
-                    raise ParseError(f"unknown proof rule {t.text!r}", t.span)
+                    raise ParseError(f"unknown proof rule {t[1]!r}", _span(t))
                 stack.append((ctor, [], iter(RULES[ctor][1] + ("conclusion",))))
             label = next(stack[-1][2], None)
             if label is not None:

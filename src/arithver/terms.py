@@ -9,7 +9,8 @@ All nodes are immutable; substitution returns new trees.
 One walk substitutes, simultaneously and without capture: a binder is
 renamed when it would capture a substituted term or its substituted
 bound would mention it.  Each body is walked once; fresh names come from
-Names.
+Names.  One side-by-side walk, alpha_equal, compares formulas, terms and
+programs up to the names of bound variables.
 """
 
 from dataclasses import dataclass
@@ -346,41 +347,43 @@ def _enter(var, body, bound_vars, env):
     return new, {**env, var: new}
 
 
-def alpha_key(f, depth=0, bound=None):
-    """Canonical form with bound variables replaced by binding depth.
-
-    Two formulas are alpha-equivalent iff their keys are equal.
-    """
-    if bound is None:
-        bound = {}
-
-    def term_key(t):
-        if isinstance(t, Var):
-            return ("bv", bound[t]) if t in bound else ("fv", t.name)
-        if isinstance(t, Lit):
-            return ("lit", t.n)
-        return (type(t).__name__, term_key(t.left), term_key(t.right))
-
-    if isinstance(f, (TrueC, FalseC)):
-        return (type(f).__name__,)
-    if isinstance(f, (Eq, Lt)):
-        return (type(f).__name__, term_key(f.left), term_key(f.right))
-    if isinstance(f, Not):
-        return ("Not", alpha_key(f.body, depth, bound))
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return (type(f).__name__, alpha_key(f.left, depth, bound),
-                alpha_key(f.right, depth, bound))
-    if isinstance(f, (Forall, Exists)):
-        return (type(f).__name__,
-                alpha_key(f.body, depth + 1, {**bound, f.var: depth}))
-    if isinstance(f, (BForall, BExists)):
-        return (type(f).__name__, term_key(f.bound),
-                alpha_key(f.body, depth + 1, {**bound, f.var: depth}))
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def alpha_equal(f, g):
-    return alpha_key(f) == alpha_key(g)
+    """Whether f and g are the same term, formula or program up to the
+    names of bound variables: one loop over an explicit stack walks both
+    trees side by side, a pair of nodes as two entries.  Entering a pair
+    of binders maps both variables to one fresh marker until the scope
+    ends; a bounded binder's bound is read outside it.  A Var compares by
+    its marker, or by identity when free; a Lit by value; any other node
+    field by field, in __match_args__ order."""
+    left, right = {}, {}  # Var -> marker of its innermost binder pair
+    todo = [f, g]
+    pop = todo.pop
+    while todo:
+        b, a = pop(), pop()
+        cls = type(a)
+        if cls is not type(b):
+            return False
+        if cls is Var:
+            if left.get(a, a) is not right.get(b, b):
+                return False
+        elif cls is Lit:
+            if a.n != b.n:
+                return False
+        elif cls is tuple:  # a scope ends: both variables' markers return
+            left[a[0]], right[b[0]] = a[1], b[1]
+        elif cls in _BINDERS:
+            x, y = a.var, b.var
+            if cls is BForall or cls is BExists:  # read once the scope ends
+                todo += (a.bound, b.bound)
+            todo += ((x, left.get(x, x)), (y, right.get(y, y)), a.body, b.body)
+            left[x] = right[y] = object()
+        else:
+            for k in reversed(cls.__match_args__):
+                todo += (getattr(a, k), getattr(b, k))
+    return True
+
+
+_BINDERS = frozenset({Forall, Exists, BForall, BExists})
 
 
 def conj(parts):

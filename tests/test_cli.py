@@ -255,6 +255,19 @@ def test_check_proof_deep_nesting(tmp_path, capsys):
     assert (code, err) == (0, "") and out.startswith("accepted")
 
 
+def test_check_proof_long_sequence(tmp_path, capsys):
+    # the checker compares the premise's 1,500-statement program with the
+    # conclusion's by one loop, then rejects the rule on its class
+    prog = "; ".join(["x := x"] * 1500)
+    path = tmp_path / "long.prf"
+    path.write_text(f"conseq {{ inner: assign {{ conclusion: {{true}} {prog} "
+                    f"{{true}} }} conclusion: {{true}} {prog} {{true}} }}")
+    code, out, err = run_cli(capsys, "check-proof", str(path))
+    assert (code, err) == (1, "")
+    assert out == ("rejected (grid 5)\nroot.inner: rejected — assignment "
+                   "axiom applied to a non-assignment\n")
+
+
 @pytest.mark.parametrize("cmd, flags, blocks", [
     ("encode-alpha", [], 2999),
     ("vc", ["--pre", "true", "--post", "y = 3000"], 2999),
@@ -408,6 +421,47 @@ def test_encode_alpha_out(capsys):
     assert code == 0
     assert tree["kind"] == "alpha-out"
     assert tree["inputs"] == ["x"]
+
+
+@pytest.mark.parametrize("argv, schema, head, keys", [
+    (["encode-alpha", COUNT, "--out-index", "1", "--inputs", "x"], None,
+     "inputs: x\nresult: y''", ["kind", "formula", "inputs", "result"]),
+    (["encode-alpha", "x := 1", "--out-index", "1"], None,
+     "inputs: (none)\nresult: y", ["kind", "formula", "inputs", "result"]),
+    (["xrec", "gamma"], "pred", "inputs: x1\nresult: y",
+     ["kind", "formula", "inputs", "result"]),
+    (["xrec", "gamma"], "const(3,0)", "inputs: (none)\nresult: y",
+     ["kind", "formula", "inputs", "result"]),
+    (["xrec", "compile"], "max", "inputs: p1, p2\nresult: res",
+     ["kind", "program", "inputs", "result"]),
+    (["xrec", "compile"], "const(3,0)", "inputs: (none)\nresult: res",
+     ["kind", "program", "inputs", "result"]),
+    (["sigma1-compile", "exists z. (z = x /\\ y = z + z)", "--result", "y"],
+     None, "formula inputs: x\nprogram inputs: p1\nresult: res",
+     ["kind", "program", "formula_inputs", "inputs", "result"]),
+    (["sigma1-compile", "y = 3", "--result", "y"], None,
+     "formula inputs: (none)\nprogram inputs: (none)\nresult: res",
+     ["kind", "program", "formula_inputs", "inputs", "result"]),
+    (["pi1-program", "y < 5", "--var", "y"], None,
+     "program inputs: p1\nresult: res",
+     ["kind", "program", "inputs", "result"])],
+    ids=["encode-alpha-out-index", "encode-alpha-out-index-no-inputs",
+         "xrec-gamma", "xrec-gamma-no-inputs", "xrec-compile",
+         "xrec-compile-no-inputs", "sigma1-compile", "sigma1-compile-closed",
+         "pi1-program"])
+def test_head_lines(tmp_path, capsys, argv, schema, head, keys):
+    # the text output is one line per name, then the tree on one line;
+    # --json puts the same names after the tree, in the same order
+    if schema is not None:
+        path = tmp_path / "h.sch"
+        path.write_text(schema)
+        argv = argv + ["--schema", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    lines = out.split("\n")
+    assert "\n".join(lines[:-2]) == head and lines[-1] == ""
+    code, tree = run_json(capsys, *argv)
+    assert code == 0 and list(tree) == keys
 
 
 def test_encode_alpha_out_bad_index(capsys):

@@ -305,9 +305,7 @@ TOKENS = [
 def test_tokenize_pinned():
     # a symbol's kind is its text
     want = [t if len(t) == 4 else (t[0], *t) for t in TOKENS]
-    got = [(t.kind, t.text, t.span.start, t.span.end)
-           for t in tokenize(TOKEN_TEXT)]
-    assert got == want
+    assert tokenize(TOKEN_TEXT) == want
 
 
 def test_tokenize_unknown_char():

@@ -5,13 +5,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, Forall,
-                            Iff, Implies, KEYWORDS, Lit, Lt, Mul, Not, Or,
-                            Names, TrueC, Var, alpha_equal, conj, free_vars,
-                            strip_exists, substitute, substitute_simultaneous,
-                            term_vars)
+from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, FalseC,
+                            Forall, Iff, Implies, KEYWORDS, Lit, Lt, Mul,
+                            Names, Not, Or, TrueC, Var, alpha_equal, conj,
+                            free_vars, strip_exists, substitute,
+                            substitute_simultaneous, term_vars)
 from arithver.evaluator import Budget, eval_formula, eval_term
-from arithver.syntax import ParseError, parse_formula, tokenize
+from arithver.alpha import encode_alpha
+from arithver.syntax import (ParseError, parse_formula, parse_program,
+                             tokenize)
 
 from generators import random_formula, random_term
 
@@ -33,7 +35,7 @@ def test_var_name_validation():
 def test_a_variable_is_one_identifier_and_no_keyword(s):
     # terms states what a name is once, and the lexer reads the same
     try:
-        toks = [(t.kind, t.text) for t in tokenize(s)]
+        toks = [t[:2] for t in tokenize(s)]
     except ParseError:  # a character no token begins with
         toks = None
     try:
@@ -166,6 +168,127 @@ def test_alpha_equal_bounded():
 
 def test_alpha_distinguishes_free_from_bound():
     assert not alpha_equal(Forall(x, Eq(x, x)), Forall(x, Eq(x, y)))
+
+
+def test_alpha_equal_restores_shadowed_binders():
+    # the inner x ends its scope before the outer x is read again
+    w = Var("w")
+    f = Forall(x, And(Forall(x, Eq(x, Lit(0))), Eq(x, Lit(1))))
+    assert alpha_equal(f, Forall(z, And(Forall(w, Eq(w, Lit(0))),
+                                        Eq(z, Lit(1)))))
+    assert not alpha_equal(f, Forall(z, And(Forall(w, Eq(w, Lit(0))),
+                                            Eq(w, Lit(1)))))
+
+
+def test_alpha_equal_compares_programs():
+    text = "x := 0; while x < y do x := x + 1 od"
+    p = parse_program(text)
+    assert alpha_equal(p, parse_program(text))
+    assert not alpha_equal(p, parse_program(text.replace("+ 1", "+ 2")))
+    assert not alpha_equal(p, parse_program(text.replace("x", "z")))
+    assert not alpha_equal(p, p.first)
+
+
+def test_alpha_equal_deep_alpha():
+    # the alpha of a 3,000-statement chain nests thousands of binders; the
+    # walk keeps them on its stack, not Python's
+    chain = "; ".join(["y := y + 1"] * 3000)
+    one, two = (encode_alpha(parse_program(chain))[0] for _ in range(2))
+    assert one is not two and alpha_equal(one, two)
+    other = encode_alpha(parse_program(chain[:-1] + "2"))[0]
+    assert not alpha_equal(one, other)
+
+
+def _key(f, depth=0, bound=None):
+    """The canonical key alpha_equal's answers are checked against: bound
+    variables replaced by their binding depth, built by recursion."""
+    bound = {} if bound is None else bound
+    cls = type(f)
+    if cls is Var:
+        return ("bv", bound[f]) if f in bound else ("fv", f.name)
+    if cls is Lit:
+        return ("lit", f.n)
+    if cls in (Forall, Exists, BForall, BExists):
+        inner = {**bound, f.var: depth}
+        bnd = ([_key(f.bound, depth, bound)] if cls in (BForall, BExists)
+               else [])
+        return (cls.__name__, *bnd, _key(f.body, depth + 1, inner))
+    return (cls.__name__, *(_key(getattr(f, k), depth, bound)
+                            for k in cls.__match_args__))
+
+
+def _mentioned(f):
+    cls = type(f)
+    if cls in (Var, Lit):
+        return {f} if cls is Var else set()
+    return set().union(*(_mentioned(getattr(f, k))
+                         for k in cls.__match_args__))
+
+
+def _rename(f, rng, env):
+    """f with each binder renamed at random, apart from every name the
+    renamed body and bound could mention, so the result is alpha-equal."""
+    cls = type(f)
+    if cls in (Var, Lit):
+        return env.get(f, f)
+    if cls in (Forall, Exists, BForall, BExists):
+        bnd = [_rename(f.bound, rng, env)] if cls in (BForall, BExists) else []
+        taken = {env.get(v, v) for v in _mentioned(f.body)}
+        taken |= set().union(*map(_mentioned, bnd))
+        pool = [v for v in map(Var, "abcduvwxyz") if v not in taken]
+        new = rng.choice(pool) if pool and rng.random() < 0.7 else Var(
+            f"r{len(env)}_{rng.randrange(10 ** 6)}")
+        return cls(new, *bnd, _rename(f.body, rng, {**env, f.var: new}))
+    return cls(*(_rename(getattr(f, k), rng, env) for k in cls.__match_args__))
+
+
+_SWAP = {Add: Mul, Mul: Add, Eq: Lt, Lt: Eq, And: Or, Or: And,
+         Implies: Iff, Iff: Implies, Forall: Exists, Exists: Forall,
+         BForall: BExists, BExists: BForall, TrueC: FalseC, FalseC: TrueC}
+
+
+def _mutate(f, rng):
+    """f with one node changed: the node a random walk from the root
+    stops at."""
+    cls = type(f)
+    if cls is Var:
+        return rng.choice([v for v in map(Var, "abcdxyz") if v is not f])
+    if cls is Lit:
+        return Lit(f.n + 1)
+    args = [getattr(f, a) for a in cls.__match_args__]
+    first = cls in (Forall, Exists, BForall, BExists)  # skip a binder's var
+    if len(args) > first and rng.random() < 0.75:
+        i = rng.randrange(first, len(args))
+        args[i] = _mutate(args[i], rng)
+        try:
+            return cls(*args)
+        except ValueError:  # a bound now mentions its binder
+            args[i] = getattr(f, cls.__match_args__[i])
+    if cls is Not:
+        return f.body
+    if first and rng.random() < 0.5:
+        try:  # a binder of another name: alpha-equal if the old is unused
+            return cls(_mutate(f.var, rng), *args[1:])
+        except ValueError:
+            pass
+    return _SWAP[cls](*args)
+
+
+def test_alpha_equal_agrees_with_a_canonical_key():
+    # differential: 4,800 pairs from 1,200 seeded formulas, each against a
+    # renaming of itself and against that renaming with one node changed
+    rng = random.Random(11)
+    seen = {True: 0, False: 0}
+    for _ in range(1200):
+        f = random_formula(rng, depth=rng.randint(1, 5))
+        g = _rename(f, rng, {})
+        assert _key(f) == _key(g), (f, g)  # the renaming is alpha-equal
+        h = _mutate(g, rng)
+        for a, b in ((f, g), (f, h), (h, f), (g, h)):
+            want = _key(a) == _key(b)
+            assert alpha_equal(a, b) == want, (a, b)
+            seen[want] += 1
+    assert seen[True] > 1200 and seen[False] > 2000, seen
 
 
 def test_conj_disj():
