@@ -7,7 +7,6 @@ crash, never read as a verdict).  Every command accepts
 """
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -33,7 +32,7 @@ _KEYS = {"n": "value", "els": "else"}
 @functools.cache
 def _shape(cls):
     return (_KINDS.get(cls, cls.__name__.lower()),
-            [(f.name, _KEYS.get(f.name, f.name)) for f in dataclasses.fields(cls)])
+            [(k, _KEYS.get(k, k)) for k in cls.__match_args__])
 
 
 def tree_json(node):

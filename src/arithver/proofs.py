@@ -15,7 +15,7 @@ read.  Each rule's structural conditions are listed once, in `_demands`.
 `check_proof` walks the premises with an explicit stack, not by recursion.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .terms import (And, Formula, Implies, Not, alpha_equal, free_vars,
                     substitute)
@@ -123,8 +123,8 @@ def check_proof(proof, grid=5, budget=Budget()):
     while todo:
         p, loc = todo.pop()
         if _check(p, loc, grid, budget, nodes):
-            kids = [(getattr(p, f.name), f"{loc}.{label}")
-                    for label, f in zip(RULES[type(p)][1], fields(p))]
+            kids = [(getattr(p, k), f"{loc}.{label}")
+                    for label, k in zip(RULES[type(p)][1], p.__match_args__)]
             todo += [k for k in reversed(kids) if isinstance(k[0], ProofNode)]
     return CheckReport(tuple(nodes), grid)
 

@@ -44,7 +44,7 @@ operators built from `_BINARY`, and walks the tree by an explicit stack.
 
 import functools
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from operator import attrgetter
 
 from .terms import (Add, And, BExists, BForall, Eq, Exists, FalseC, Forall,
@@ -71,11 +71,6 @@ _QUANTIFIER = {"forall": (Forall, BForall), "exists": (Exists, BExists)}
 _CONSTANT = {"true": TrueC, "false": FalseC}
 
 
-def _field_types(ctor, names):
-    types = {f.name: f.type for f in fields(ctor)}
-    return tuple(types[name] for name in names)
-
-
 @functools.cache
 def _schema_words():
     """Each schema word: what builds it and the types of the arguments it
@@ -85,7 +80,7 @@ def _schema_words():
     program that reads or prints schemas imports xrec."""
     from . import xrec
     return {
-        **{kw: (ctor, _field_types(ctor, names))
+        **{kw: (ctor, tuple(ctor.__annotations__[n] for n in names))
            for ctor, (kw, names) in xrec.SCHEMAS.items()},
         **{name: (ctor, ()) for name, ctor in xrec.STDLIB.items()},
         **{name: (ctor, (list,) if name == "cases" else (xrec.XRecSchema,))
@@ -519,8 +514,8 @@ def format_proof(p):
             continue
         out.append(f"{kw} {{")
         todo.append(f"\n{pad}  {conclusion}\n{pad}}}")
-        for label, field in reversed(list(zip(labels, fields(node)))):
-            v = getattr(node, field.name)
+        for label, field in reversed(list(zip(labels, node.__match_args__))):
+            v = getattr(node, field)
             todo += (str(v) if label == "invariant" else (v, depth + 1),
                      f"\n{pad}  {label}: ")
     return "".join(out)

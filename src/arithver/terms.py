@@ -10,7 +10,8 @@ One walk substitutes, simultaneously and without capture: a binder is
 renamed when it would capture a substituted term or its substituted
 bound would mention it.  Each body is walked once; fresh names come from
 Names.  One side-by-side walk, alpha_equal, compares formulas, terms and
-programs up to the names of bound variables.
+programs up to the names of bound variables, and one walk, variables,
+lists their free variables.
 """
 
 from dataclasses import dataclass
@@ -161,15 +162,18 @@ class Exists(Formula):
     body: Formula
 
 
+def _bound_outside_scope(f):
+    if f.var in term_vars(f.bound):
+        word = type(f).__name__[1:].lower()  # forall or exists
+        raise ValueError(f"bound term of {word} {f.var}<... mentions {f.var}")
+
+
 @dataclass(frozen=True)
 class BForall(Formula):
     var: Var
     bound: Term
     body: Formula
-
-    def __post_init__(self):
-        if self.var in term_vars(self.bound):
-            raise ValueError(f"bound term of forall {self.var}<... mentions {self.var}")
+    __post_init__ = _bound_outside_scope
 
 
 @dataclass(frozen=True)
@@ -177,10 +181,10 @@ class BExists(Formula):
     var: Var
     bound: Term
     body: Formula
+    __post_init__ = _bound_outside_scope
 
-    def __post_init__(self):
-        if self.var in term_vars(self.bound):
-            raise ValueError(f"bound term of exists {self.var}<... mentions {self.var}")
+
+_BINDERS = frozenset({Forall, Exists, BForall, BExists})
 
 
 def term_vars(t):
@@ -196,25 +200,41 @@ def term_vars(t):
     return found
 
 
-def free_vars(f):
-    """Variables with a free occurrence in a formula.
+def variables(node):
+    """The free variables of a term, formula, guard or program, each once,
+    in first-occurrence pre-order, as a dict's keys.  One loop over an
+    explicit stack reads each node field by field, in __match_args__
+    order.  A binder's body is read between a +1 and a -1 scope entry for
+    its variable, and a bounded binder's bound before them, outside the
+    scope, so its variables count as free unless bound further out."""
+    found, scopes = {}, {}  # free Var -> None; Var -> binders of it entered
+    todo = [node]
+    pop = todo.pop
+    while todo:
+        n = pop()
+        cls = type(n)
+        if cls is Var:
+            if not scopes.get(n):
+                found[n] = None
+        elif cls is tuple:  # a scope entry
+            v, step = n
+            scopes[v] = scopes.get(v, 0) + step
+        elif cls in _BINDERS:
+            todo += ((n.var, -1), n.body, (n.var, 1))
+            if cls is BForall or cls is BExists:
+                todo.append(n.bound)
+        elif cls is not Lit:
+            keys = getattr(cls, "__match_args__", None)
+            if keys is None:
+                raise TypeError(f"not a term, formula or program: {n!r}")
+            for k in reversed(keys):
+                todo.append(getattr(n, k))
+    return found.keys()
 
-    The bound term of a bounded quantifier is outside the binder's scope,
-    so its variables count as free unless bound further out.
-    """
-    while isinstance(f, Not):  # a `~` run by a loop
-        f = f.body
-    if isinstance(f, (TrueC, FalseC)):
-        return set()
-    if isinstance(f, (Eq, Lt)):
-        return term_vars(f.left) | term_vars(f.right)
-    if isinstance(f, (And, Or, Implies, Iff)):  # a chain, read flat
-        return set().union(*map(free_vars, operands(f, type(f))))
-    if isinstance(f, (Forall, Exists)):
-        return free_vars(f.body) - {f.var}
-    if isinstance(f, (BForall, BExists)):
-        return (free_vars(f.body) - {f.var}) | term_vars(f.bound)
-    raise TypeError(f"not a formula: {f!r}")
+
+def free_vars(f):
+    """The set of variables with a free occurrence in f."""
+    return set(variables(f))
 
 
 class Names:
@@ -339,10 +359,10 @@ def _enter(var, body, bound_vars, env):
     if var in env:
         env = {v: t for v, t in env.items() if v != var}
     hits = [v for v, t in env.items() if var in term_vars(t)]
-    captures = hits and not free_vars(body).isdisjoint(hits)
-    if not captures and var not in bound_vars:
+    free = free_vars(body) if hits or var in bound_vars else set()
+    if free.isdisjoint(hits) and var not in bound_vars:
         return var, env
-    used = free_vars(body).union(bound_vars, *map(term_vars, env.values()))
+    used = free.union(bound_vars, *map(term_vars, env.values()))
     new = Names(used).fresh(var.name)
     return new, {**env, var: new}
 
@@ -381,9 +401,6 @@ def alpha_equal(f, g):
             for k in reversed(cls.__match_args__):
                 todo += (getattr(a, k), getattr(b, k))
     return True
-
-
-_BINDERS = frozenset({Forall, Exists, BForall, BExists})
 
 
 def conj(parts):

@@ -16,7 +16,7 @@ and never proves divergence.
 from dataclasses import dataclass
 from functools import partial
 
-from .terms import Add, Formula, Implies, Lt, Mul, Not, Term, Var, operands
+from .terms import Formula, Implies, Lt, Not, Term, Var, operands, variables
 from .evaluator import (TRUE, compile_formula, compile_term, eval_formula,
                         eval_term)
 
@@ -83,30 +83,7 @@ Less, NotB = Lt, Not
 
 def program_vars(prog):
     """All program variables, each once, in first-occurrence pre-order."""
-    seen = {}
-    todo = [prog]
-    while todo:
-        n = todo.pop()
-        if isinstance(n, Var):
-            seen[n] = None
-        elif isinstance(n, (Add, Mul, Lt, Implies)):
-            todo += (n.right, n.left)
-        elif isinstance(n, Term):
-            pass  # a constant
-        elif isinstance(n, Seq):
-            todo += (n.second, n.first)
-        elif isinstance(n, Assign):
-            seen[n.var] = None
-            todo.append(n.expr)
-        elif isinstance(n, If):
-            todo += (n.els, n.then, n.guard)
-        elif isinstance(n, While):
-            todo += (n.body, n.guard)
-        elif isinstance(n, Not):
-            todo.append(n.body)
-        else:
-            raise TypeError(f"not a program or guard: {n!r}")
-    return list(seen)
+    return list(variables(prog))
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 another module's private (underscored) name, the while language has one
 syntax tree, whose guards are formulas, every proof rule is declared in
 the one rule table, every schema constructor in the one schema table,
-no syntax node prints itself but through the one printer in syntax, the
-command line loads neither xrec nor hierarchy until a command runs
-them, and the package exports the same names it always has."""
+no syntax node prints itself but through the one printer in syntax,
+every node class names all its fields in __match_args__, which the
+source reads instead of dataclasses.fields, the command line loads
+neither xrec nor hierarchy until a command runs them, and the package
+exports the same names it always has."""
 
 import ast
 import dataclasses
@@ -123,6 +125,35 @@ def test_every_schema_is_in_the_schema_table():
     keywords = [kw for kw, _ in xrec.SCHEMAS.values()]
     assert len(set(keywords)) == len(keywords)
     assert not set(keywords) & (set(xrec.STDLIB) | set(xrec.STDLIB_COMBINATORS))
+
+
+def test_node_classes_match_their_fields():
+    # terms.variables, alpha_equal and operands, the printer and the
+    # checker walk a node by __match_args__, so it must name every field
+    bases = (terms.Term, terms.Formula, whilelang.Program, proofs.ProofNode,
+             xrec.XRecSchema)
+    nodes = [c for m in (terms, whilelang, proofs, xrec)
+             for _, c in inspect.getmembers(m, inspect.isclass)
+             if c.__module__ == m.__name__ and issubclass(c, bases)
+             and c not in bases]
+    assert len(nodes) == 35
+    for c in nodes:
+        assert c.__match_args__ == tuple(
+            f.name for f in dataclasses.fields(c)), c
+
+
+def test_no_module_reads_dataclass_fields():
+    # the source reads a node's fields by __match_args__, which a class
+    # that is no dataclass can have too
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        imported = [a.name for n in ast.walk(tree)
+                    if isinstance(n, ast.ImportFrom) and n.module == "dataclasses"
+                    for a in n.names]
+        read = [n for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute) and n.attr == "fields"
+                and isinstance(n.value, ast.Name) and n.value.id == "dataclasses"]
+        assert "fields" not in imported and not read, path.name
 
 
 def test_cli_import_loads_neither_xrec_nor_hierarchy():

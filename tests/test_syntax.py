@@ -375,6 +375,26 @@ def test_dangling_operator_error_pinned(text, message, span):
     assert (e.value.message, e.value.span) == (message, SourceSpan(*span))
 
 
+# (parser, text, message, (start, end)): a constant where a term is
+# wanted, a term where a formula is, and a statement that is no statement
+SORT_ERRORS = [
+    (parse_formula, "x = true", "keyword 'true' is not a term", (4, 8)),
+    (parse_formula, "x /\\ y = 1", "expected '=' or '<' after a term", (2, 4)),
+    (parse_formula, "x + y", "expected '=' or '<' after a term", (5, 5)),
+    (parse_formula, "~ x", "expected '=' or '<' after a term", (3, 3)),
+    (parse_program, "x := 1; 3", "expected a statement, found '3'", (8, 9)),
+    (parse_program, "fi := 1", "expected a statement, found 'fi'", (0, 2)),
+]
+
+
+@pytest.mark.parametrize("parse,text,message,span", SORT_ERRORS,
+                         ids=[t for _, t, _, _ in SORT_ERRORS])
+def test_sort_and_statement_error_pinned(parse, text, message, span):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.message, e.value.span) == (message, SourceSpan(*span))
+
+
 def test_schema_round_trip():
     for src in ["pr(proj(1,1); cn(pr(const(0,0); proj(1,2)); proj(3,3)))",
                 "mn(cn(add; proj(1,2), proj(2,2)))", "const(3,1)", "add"]:

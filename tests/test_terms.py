@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,8 @@ from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, FalseC,
                             Forall, Iff, Implies, KEYWORDS, Lit, Lt, Mul,
                             Names, Not, Or, TrueC, Var, alpha_equal, conj,
                             free_vars, strip_exists, substitute,
-                            substitute_simultaneous, term_vars)
+                            substitute_simultaneous, term_vars,
+                            variables)
 from arithver.evaluator import Budget, eval_formula, eval_term
 from arithver.alpha import encode_alpha
 from arithver.syntax import (ParseError, parse_formula, parse_program,
@@ -80,9 +82,54 @@ def test_free_vars_bounded_bound_term_is_free():
     assert free_vars(f) == {y, z}
 
 
+def test_variables_read_a_bound_outside_its_scope():
+    # exists x < x' . (forall y < x . y < x): the inner bound's x is bound
+    # by the outer binder, the outer bound's x' is free
+    xp = Var("x'")
+    f = BExists(x, xp, BForall(y, x, Lt(y, x)))
+    assert list(variables(f)) == [xp]
+    g = Forall(x, BExists(y, x, Eq(y, x)))
+    assert list(variables(g)) == []
+    # the bound is read before the body
+    assert list(variables(BExists(y, x, Eq(y, z)))) == [x, z]
+
+
+def test_variables_shadowing_and_first_occurrence_order():
+    # an inner binder of x ends its scope, and the outer one still binds x
+    f = And(Eq(z, y), Forall(x, And(Exists(x, Eq(x, y)), Lt(x, Lit(1)))))
+    assert list(variables(f)) == [z, y]
+    # x is free again once its binder's scope ends, and counts once
+    g = And(Exists(x, Eq(x, z)), Eq(y, x))
+    assert list(variables(g)) == [z, y, x]
+    assert list(variables(And(Eq(x, Lit(0)), g))) == [x, z, y]
+    assert list(variables(Add(Mul(y, Lit(2)), x))) == [y, x]
+
+
+def test_variables_refuses_a_non_node():
+    for bad in (3, "x", None, [x]):
+        with pytest.raises(TypeError):
+            variables(bad)
+        with pytest.raises(TypeError):
+            free_vars(bad)
+
+
+def test_free_vars_of_deep_binders_at_the_default_recursion_limit():
+    # one stack loop: 20,000 nested binders, each kind in turn, read
+    # without recursion and in well under half a second
+    f = Eq(x, y)
+    for i in range(20000):
+        v = Var(f"v{i % 7}")
+        f = (Forall(v, f), Exists(v, f), BForall(v, z, f), BExists(v, z, f))[i % 4]
+    start = time.perf_counter()
+    assert free_vars(f) == {x, y, z}
+    assert time.perf_counter() - start < 0.5
+
+
 def test_bounded_quantifier_rejects_self_bound():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"bound term of forall x<\.\.\. mentions x"):
         BForall(x, Add(x, Lit(1)), TrueC())
+    with pytest.raises(ValueError, match=r"bound term of exists y<\.\.\. mentions y"):
+        BExists(y, Mul(Lit(2), y), TrueC())
 
 
 def test_substitute_basic():

@@ -11,6 +11,7 @@ from arithver.terms import (Add, And, BExists, Eq, Exists, Lit, Lt, Mul, Not,
 from arithver.evaluator import Budget, eval_formula
 from arithver.hierarchy import SIGMA, classify
 from arithver.whilelang import If, Program, Seq, While, program_vars, run
+from arithver.syntax import parse_formula
 from arithver.xrec import (AddF, Cn, Const, EvalResult, FunctionalityError,
                            Mn, MulF, NotLevelZero, Pr, Proj, ShapeError,
                            bexists, bforall, cases, chi_eq_schema,
@@ -249,6 +250,23 @@ def test_sigma0_char_connectives():
         for b in range(8):
             want = 1 if ((a < b and a != 0) or b == 5) else 0
             assert xrec_eval(c, [a, b], fuel=10 ** 6).value == want
+
+
+# level-0 formulas with the constants, `->` and `<->`, over x and y
+CHAR_FORMULAS = ["x < y <-> y = x", "(x = 1 <-> y = 1) -> x < y",
+                 "true -> x = y", "x < y \\/ false", "x = y /\\ true",
+                 "(false -> x = 1) <-> y < x", "~(x < y -> false)",
+                 "exists z < y . (z = x <-> true)"]
+
+
+@pytest.mark.parametrize("text", CHAR_FORMULAS)
+def test_sigma0_char_constants_and_implications(text):
+    f = parse_formula(text)
+    c = sigma0_char(f)  # order [x, y]
+    for a, b in itertools.product(range(4), repeat=2):
+        want = eval_formula(f, {x: a, y: b})
+        assert want.is_exact()
+        assert xrec_eval(c, [a, b], fuel=10 ** 6).value == int(want.is_true())
 
 
 def test_sigma0_char_rejects_higher_levels():
