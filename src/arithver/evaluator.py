@@ -1,9 +1,11 @@
 """Three-valued bounded evaluation of arithmetic formulas over N.
 
-Quantifier-free and bounded-quantifier formulas evaluate exactly.  An
-unbounded exists is searched up to the budget's q_bound and certified True
-on a witness; an unbounded forall is certified False on a counterexample;
-otherwise the verdict is Unknown.  Connectives follow strong Kleene.
+Connectives follow strong Kleene.  A bounded quantifier searches its
+range and an unbounded one 0..q_bound: an unbounded exists is True on a
+witness and an unbounded forall False on a counterexample, else Unknown.
+The searches of one evaluation, nested ones included, share PROBES
+values: each books its whole range as it starts, and one the rest
+cannot cover is Unknown, so every evaluation ends.
 
 eval_formula interprets the tree; compile_formula turns it into closures
 once, with the same verdicts, for loops that evaluate one formula at
@@ -20,6 +22,7 @@ values searched and in the verdict when the search finds nothing.
 import itertools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .terms import (Add, And, BExists, BForall, Eq, Exists, FalseC, Forall,
                     Iff, Implies, Lit, Lt, Mul, Not, Or, TrueC, Var,
@@ -56,13 +59,15 @@ def unknown(reason):
 
 @dataclass(frozen=True)
 class Budget:
-    q_bound: int = 64          # search ceiling per unbounded quantifier
-    depth: int = 16            # nesting guard for unbounded searches
-    expansion_limit: int = 10 ** 6  # per-bounded-quantifier expansion cap
+    q_bound: int = 64  # search ceiling per unbounded quantifier
 
     def __post_init__(self):
         if self.q_bound < 0:
             raise ValueError("q_bound must be >= 0")
+
+
+PROBES = 10 ** 6  # the values one evaluation may search in all
+_NESTING = 16  # unbounded searches nest at most this deep: a short stack
 
 
 class WitnessSearchError(Exception):
@@ -126,8 +131,10 @@ def eval_formula(f, v, budget=Budget()):
     # a shared Eq node is evaluated once per call: its verdict is memoised
     # by id, which stays valid because f keeps every node alive until the
     # call returns and v is not changed.  Quantifier bodies run under other
-    # assignments, so they get no memo.
-    return _eval(f, v, budget, 0, {})
+    # assignments, so they get no memo.  All the call's searches read
+    # q_bound from one small count and book their values from its left.
+    count = SimpleNamespace(q_bound=budget.q_bound, left=PROBES)
+    return _eval(f, v, count, 0, {})
 
 
 def _eval(f, v, budget, depth, memo):
@@ -181,13 +188,13 @@ def _eval(f, v, budget, depth, memo):
         bounded = isinstance(f, (BForall, BExists))
         if bounded:
             n = eval_term(f.bound, v)
-            if n > budget.expansion_limit:
-                return unknown(f"bounded range {n} exceeds expansion limit")
-            values = range(n)
-        elif depth >= budget.depth:
+        elif depth >= _NESTING:
             return unknown("unbounded-quantifier depth guard exceeded")
         else:
-            values, depth = range(budget.q_bound + 1), depth + 1
+            n, depth = budget.q_bound + 1, depth + 1
+        if n > budget.left:
+            return unknown(f"search budget spent at {f.var}")
+        budget.left -= n
         # the first value is interpreted; a search that goes on to a
         # second compiles the body then, once, for the rest (ski rental:
         # a search that stops at once pays no compiling, and one that goes
@@ -196,9 +203,9 @@ def _eval(f, v, budget, depth, memo):
         # where the interpreter's short circuits may skip most of it.
         pending = body = None
         w = dict(v)  # one dict for all the binder's values
-        for i in values:  # 0, 1, 2, ...
+        for i in range(n):  # 0, 1, 2, ...
             w[f.var] = i
-            if i == 1 and len(values) > 2:
+            if i == 1 and n > 2:
                 body = _compile(f.body, budget, depth)
             if body is None:
                 r = _eval(f.body, w, budget, depth, None)
@@ -270,9 +277,18 @@ def compile_formula(f, budget=Budget()):
     read makes no Python call at all.
     The grid sweeps compile before their loops; a formula evaluated once
     is cheaper through eval_formula, which compiles only the bodies of
-    the searches that go on past their second value.
+    the searches that go on past their second value.  Each call of fn is
+    one evaluation, with a search budget of its own.
     """
-    return _compile(f, budget, 0)
+    count = SimpleNamespace(q_bound=budget.q_bound, searches=False)
+    g = _compile(f, count, 0)  # which sets searches if it compiles one
+    if not count.searches:  # no budget to reset, as in a program's guard
+        return g
+
+    def fn(v):
+        count.left = PROBES
+        return g(v)
+    return fn
 
 
 def _compile(f, budget, depth):
@@ -321,24 +337,23 @@ def _compile(f, budget, depth):
         hit, out = (TRUE, FALSE) if exists else (FALSE, TRUE)
         if isinstance(f, (BForall, BExists)):
             bound, searched, end = compile_term(f.bound), None, out
-        elif depth >= budget.depth:
+        elif depth >= _NESTING:
             guard = unknown("unbounded-quantifier depth guard exceeded")
             return lambda v: guard
         else:
             bound, depth = None, depth + 1
-            searched, end = range(budget.q_bound + 1), _none(f, budget)
+            searched, end = budget.q_bound + 1, _none(f, budget)
         body, var = _compile(f.body, budget, depth), f.var
+        budget.searches = True
 
         def quantifier(v):
-            values = searched
-            if bound is not None:
-                n = bound(v)
-                if n > budget.expansion_limit:
-                    return unknown(f"bounded range {n} exceeds expansion limit")
-                values = range(n)
+            n = searched if bound is None else bound(v)
+            if n > budget.left:
+                return unknown(f"search budget spent at {var}")
+            budget.left -= n
             pending = None
             w = dict(v)
-            for i in values:
+            for i in range(n):
                 w[var] = i
                 r = body(w)
                 if r is hit:

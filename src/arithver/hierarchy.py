@@ -28,7 +28,7 @@ from itertools import groupby
 
 from .terms import (And, BExists, BForall, Eq, Exists, FalseC, Forall, Iff,
                     Implies, Lt, Names, Not, Or, TrueC, free_vars,
-                    operands, subst_term)
+                    map_chains, operands, subst_term)
 
 SIGMA = "sigma"
 PI = "pi"
@@ -55,23 +55,6 @@ _SAME = {kind: kind for kind in _DUAL}
 _BOUNDED = {Exists: BExists, Forall: BForall}
 
 
-def _chains(f, kinds, leaf, *args):
-    """f's tree of `/\\` and `\\/` nodes, rebuilt as it nests: leaf(g, *args)
-    of each other node g, left to right, joined at each node of class kind
-    by kinds[kind].  Chains run thousands long, so the tree is walked by a
-    stack; leaf is called directly, adding one frame only."""
-    done, todo = [], [f]
-    while todo:
-        g = todo.pop()
-        if g is None:  # both operands of the node below are done
-            done[-2:] = [kinds[todo.pop()](*done[-2:])]
-        elif isinstance(g, (And, Or)):
-            todo += (type(g), None, g.right, g.left)
-        else:
-            done.append(leaf(g, *args))
-    return done[0]
-
-
 def nnf(f, names, positive=True, env=None):
     """Negation normal form of f, or of ~f when positive is false: `->` and
     `<->` rewritten as classification reads them, `~` on atoms only.  Each
@@ -86,7 +69,7 @@ def nnf(f, names, positive=True, env=None):
         return kinds[Or](nnf(f.left, names, not positive, env),
                          nnf(f.right, names, positive, env))
     if isinstance(f, (And, Or)):
-        return _chains(f, kinds, nnf, names, positive, env)
+        return map_chains(f, kinds, nnf, names, positive, env)
     op = kinds.get(type(f))
     if isinstance(f, (TrueC, FalseC)):
         return op()
@@ -192,7 +175,7 @@ def _pull(f, names, lead, out, passes):
         s, p = _levels(f)
         kind = Exists if s + (lead is Forall) < p + (lead is Exists) else Forall
         parts = []
-        matrix = _chains(f, _SAME, _pull, names, kind, parts, passes)
+        matrix = map_chains(f, _SAME, _pull, names, kind, parts, passes)
         out.append(_merge(parts, kind))
         return matrix
     if isinstance(f, (Exists, Forall)):

@@ -296,6 +296,23 @@ def operands(f, kind):
     return parts
 
 
+def map_chains(f, kinds, leaf, *args):
+    """f's tree of `/\\` and `\\/` nodes, rebuilt as it nests: leaf(g, *args)
+    of each other node g, left to right, joined at each node of class kind
+    by kinds[kind].  Chains run thousands long, so the tree is walked by a
+    stack; leaf is called directly, adding one frame only."""
+    done, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        if g is None:  # both operands of the node below are done
+            done[-2:] = [kinds[todo.pop()](*done[-2:])]
+        elif isinstance(g, (And, Or)):
+            todo += (type(g), None, g.right, g.left)
+        else:
+            done.append(leaf(g, *args))
+    return done[0]
+
+
 def subst_term(t, env):
     """Substitute env (Var -> Term) into a term.  Sums and products run
     thousands long, so the term is walked by a stack."""
@@ -337,7 +354,9 @@ def _walk(f, env):
         return type(f)(subst_term(f.left, env), subst_term(f.right, env))
     if isinstance(f, Not):
         return Not(_walk(f.body, env))
-    if isinstance(f, (And, Or, Implies, Iff)):
+    if isinstance(f, (And, Or)):
+        return map_chains(f, {And: And, Or: Or}, _walk, env)
+    if isinstance(f, (Implies, Iff)):
         return type(f)(_walk(f.left, env), _walk(f.right, env))
     if isinstance(f, (Forall, Exists)):
         var, inner = _enter(f.var, f.body, (), env)

@@ -4,6 +4,7 @@ functions of level-0 formulas, and compilation to while-programs.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from . import coding
 from .coding import beta_graph
@@ -119,16 +120,6 @@ class EvalResult:
     fuel_spent: int = 0
 
 
-class _Fuel:
-    def __init__(self, amount):
-        self.left = amount
-
-    def spend(self, n=1):
-        if self.left < n:
-            raise _OutOfFuel
-        self.left -= n
-
-
 class _OutOfFuel(Exception):
     pass
 
@@ -141,7 +132,7 @@ def xrec_eval(h, args, fuel=10 ** 6):
         raise ValueError(f"arguments must be naturals, got {list(args)}")
     if fuel < 1:
         raise ValueError("fuel must be >= 1")
-    tank = _Fuel(fuel)
+    tank = SimpleNamespace(left=fuel)
     try:
         v = _eval(h, list(args), tank)
     except _OutOfFuel:
@@ -150,7 +141,9 @@ def xrec_eval(h, args, fuel=10 ** 6):
 
 
 def _eval(h, args, tank):
-    tank.spend()
+    tank.left -= 1
+    if tank.left < 0:
+        raise _OutOfFuel
     if isinstance(h, Const):
         return h.value
     if isinstance(h, Proj):

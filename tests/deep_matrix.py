@@ -34,14 +34,11 @@ def formulas(n):
         ("nested parentheses", "(" * n + "x = 1" + ")" * n)]
 
 
-# eval searches one value per unbounded binder: past the depth guard of 16
-# binders each binder above it searches all q_bound + 1 values, 65 ** 16
-# points at the default bound, which does not end
 FORMULA_COMMANDS = [
     ("parse", ["parse-formula"]),
     ("parse `--json`", ["parse-formula", "--json"]),
     ("classify", ["classify"]), ("prenex", ["prenex"]),
-    ("eval", ["eval", "--assign", "x=1", "--qbound", "0"])]
+    ("eval", ["eval", "--assign", "x=1"])]
 
 
 def programs(n):
@@ -77,17 +74,31 @@ def table(title, rows, commands):
         print(f"| {label} | " + " | ".join(map(str, codes)) + " |", flush=True)
 
 
-def check_proof_row(n, directory):
-    """The conseq proof over n `x := x` statements whose premise applies
-    the assignment axiom to the whole chain: a correct rejection exits 1."""
-    prog = "; ".join(["x := x"] * n)
-    path = os.path.join(directory, "conseq.prf")
+def check_proof(text, directory):
+    """check-proof's exit code on the proof text."""
+    path = os.path.join(directory, "proof.prf")
     with open(path, "w") as fh:
-        fh.write(f"conseq {{ inner: assign {{ conclusion: {{true}} {prog} "
-                 f"{{true}} }} conclusion: {{true}} {prog} {{true}} }}")
-    code = exit_code(["check-proof", path])
+        fh.write(text)
+    return exit_code(["check-proof", path])
+
+
+def proof_tables(n, directory):
+    """The conseq proof over n `x := x` statements whose premise applies
+    the assignment axiom to the whole chain: a correct rejection exits 1.
+    Then a post of n conjuncts: its vc after `x := 1` from `true`, and the
+    assignment axiom's proof for it."""
+    prog = "; ".join(["x := x"] * n)
+    conseq = check_proof(f"conseq {{ inner: assign {{ conclusion: {{true}} "
+                         f"{prog} {{true}} }} conclusion: {{true}} {prog} "
+                         f"{{true}} }}", directory)
     print(f"| proof | check-proof |\n|---|---|\n"
-          f"| conseq over `x := x` chain | {code} |")
+          f"| conseq over `x := x` chain | {conseq} |\n")
+    post, pre = (" /\\ ".join([atom] * n) for atom in ("x = 1", "1 = 1"))
+    vc = exit_code(["vc", "x := 1", "--pre", "true", "--post", post])
+    assign = check_proof(f"assign {{ conclusion: {{{pre}}} x := 1 "
+                         f"{{{post}}} }}", directory)
+    print(f"| post | vc | check-proof |\n|---|---|---|\n"
+          f"| `x = 1 /\\ …` chain | {vc} | {assign} |")
 
 
 def run(n):
@@ -97,7 +108,7 @@ def run(n):
     table("program", programs(n), PROGRAM_COMMANDS)
     print()
     with tempfile.TemporaryDirectory() as directory:
-        check_proof_row(n, directory)
+        proof_tables(n, directory)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from importlib.metadata import EntryPoint, entry_points
 from pathlib import Path
 
@@ -220,6 +221,21 @@ def test_long_sum(capsys, cmd, argv, code, out):
     assert run_cli(capsys, cmd, *argv) == (code, out, "")
 
 
+@pytest.mark.parametrize("f", [
+    "forall y1 . forall y2 . forall y3 . forall y4 . forall y5 . "
+    "y1+y2+y3+y4+y5+0 < y1+y2+y3+y4+y5+1",
+    "".join(f"exists y{i} . " for i in range(18)) + "x = 1"],
+    ids=["forall-5", "exists-18"])
+def test_eval_ends_within_the_search_budget(capsys, f):
+    # nested searches share one budget per evaluation, so these end in
+    # about a second where 65 ** 5 and 65 ** 16 bodies would not
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "eval", f, "--assign", "x=1")
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (2, "")
+    assert re.fullmatch(r"unknown \(search budget spent at y\d+\)\n", out)
+
+
 def test_crash_is_internal_error_not_verdict(capsys, monkeypatch):
     # a crash, forced here so that no input need still cause one, must not
     # read as the verdict "false" (exit 1)
@@ -266,6 +282,20 @@ def test_check_proof_long_sequence(tmp_path, capsys):
     assert (code, err) == (1, "")
     assert out == ("rejected (grid 5)\nroot.inner: rejected — assignment "
                    "axiom applied to a non-assignment\n")
+
+
+def test_long_conjunction_post(tmp_path, capsys):
+    # substitution rebuilds a `/\` chain by a stack, for the vc and for
+    # the assignment axiom's check alike
+    post, pre = (" /\\ ".join([atom] * 3000) for atom in ("x = 1", "1 = 1"))
+    code, out, err = run_cli(capsys, "vc", "x := 1", "--pre", "true",
+                             "--post", post)
+    assert (code, err) == (0, "")
+    assert out.startswith("(forall x . (forall x' . ((true /\\ x' = 1) -> ")
+    path = tmp_path / "assign.prf"
+    path.write_text(f"assign {{ conclusion: {{{pre}}} x := 1 {{{post}}} }}")
+    code, out, err = run_cli(capsys, "check-proof", str(path), "--grid", "1")
+    assert (code, err) == (0, "") and out.startswith("accepted")
 
 
 @pytest.mark.parametrize("cmd, flags, blocks", [

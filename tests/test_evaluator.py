@@ -10,11 +10,10 @@ from arithver.syntax import format_formula, parse_formula
 from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, FalseC,
                             Forall, Iff, Implies, Lit, Lt, Mul, Not, Or,
                             TrueC, Var, conj)
-from arithver.evaluator import (FALSE, TRUE, Budget, TriState,
-                                WitnessSearchError, assignments,
-                                compile_formula, compile_term, eval_formula,
-                                eval_term, find_witnesses, format_assignment,
-                                unknown)
+from arithver.evaluator import (FALSE, TRUE, Budget, WitnessSearchError,
+                                assignments, compile_formula, compile_term,
+                                eval_formula, eval_term, find_witnesses,
+                                format_assignment, unknown)
 
 from generators import VARS, random_atom, random_formula, random_term
 
@@ -100,18 +99,23 @@ def test_and_chain_reports_first_unknown():
             "no counterexample <= 5")
 
 
+# Unknown at z = 2 from an unbounded search, at z = 3 from a range past
+# the search budget, and the dual constant elsewhere
+HUGE = Lit(evaluator.PROBES + 1)
+LAST = Or(And(Eq(z, Lit(2)), Exists(x, FalseC())),
+          And(Eq(z, Lit(3)), BExists(y, HUGE, FalseC())))
+LAST_DUAL = And(Implies(Eq(z, Lit(2)), Forall(x, TrueC())),
+                Implies(Eq(z, Lit(3)), BForall(y, HUGE, TrueC())))
+
+
 @pytest.mark.parametrize("f", [
-    BExists(z, Lit(4), BExists(y, Mul(z, Lit(1000)), FalseC())),
-    Exists(z, BExists(y, Mul(z, Lit(1000)), FalseC())),
-    BForall(z, Lit(4), BForall(y, Mul(z, Lit(1000)), TrueC())),
-    Forall(z, BForall(y, Mul(z, Lit(1000)), TrueC())),
+    BExists(z, Lit(4), LAST), Exists(z, LAST),
+    BForall(z, Lit(4), LAST_DUAL), Forall(z, LAST_DUAL),
 ], ids=["BExists", "Exists", "BForall", "Forall"])
 @BOTH_PATHS
 def test_quantifier_reports_last_unknown(f, evaluate):
-    # the body is the dual constant at z = 0 and 1, and Unknown, naming
-    # its range, at z = 2 and 3
-    r = evaluate(f, {}, Budget(q_bound=3, expansion_limit=1500))
-    assert r == unknown("bounded range 3000 exceeds expansion limit")
+    r = evaluate(f, {}, Budget(q_bound=3))
+    assert r == unknown("search budget spent at y")
 
 
 class _Unreadable:
@@ -216,21 +220,22 @@ def _interpreted(f, v, budget):
         return eval_formula(f, v, budget)
 
 
-@given(st.integers(0, 2 ** 32), st.integers(0, 3), st.integers(1, 3),
-       st.integers(0, 6))
-def test_compiled_formula_agrees_with_eval_formula(seed, q, depth, limit):
-    # value and reason, the depth guard and the expansion limit included;
-    # the quantifiers' reused dicts must not leak into the caller's
+@given(st.integers(0, 2 ** 32), st.integers(0, 3), st.integers(0, 40))
+def test_compiled_formula_agrees_with_eval_formula(seed, q, probes):
+    # value and reason, where the small search budget runs out too; the
+    # quantifiers' reused dicts must not leak into the caller's
     rng = random.Random(seed)
-    budget = Budget(q_bound=q, depth=depth, expansion_limit=limit)
-    for _ in range(10):
-        f = random_formula(rng, rng.randint(1, 4))
-        compiled = compile_formula(f, budget)
-        for _ in range(3):
-            v = {w: rng.randrange(5) for w in VARS}
-            before = dict(v)
-            assert compiled(v) == _interpreted(f, v, budget)
-            assert v == before
+    budget = Budget(q_bound=q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "PROBES", probes)
+        for _ in range(10):
+            f = random_formula(rng, rng.randint(1, 4))
+            compiled = compile_formula(f, budget)
+            for _ in range(3):
+                v = {w: rng.randrange(5) for w in VARS}
+                before = dict(v)
+                assert compiled(v) == _interpreted(f, v, budget)
+                assert v == before
 
 
 @given(st.integers(0, 2 ** 32))
@@ -335,11 +340,35 @@ def test_bounded_quantifiers_are_exact():
     assert eval_formula(g, {x: 0}).is_true()  # empty range
 
 
-def test_bounded_expansion_limit():
-    f = BForall(z, x, Lt(z, Add(x, Lit(1))))
-    r = eval_formula(f, {x: 10}, Budget(expansion_limit=5))
-    assert not r.is_exact()
-    assert "expansion limit" in r.reason
+def test_search_budget_per_evaluation(monkeypatch):
+    # each search books its whole range on entry, nested searches
+    # included; an empty range costs nothing, and each evaluation, each
+    # call of a compiled formula too, starts with the whole budget
+    for evaluate in (eval_formula, _compiled):
+        monkeypatch.setattr(evaluator, "PROBES", 10)
+        f = BForall(z, x, Lt(z, Add(x, Lit(1))))
+        assert evaluate(f, {x: 10}) is TRUE
+        assert evaluate(f, {x: 11}) == unknown("search budget spent at z")
+        compiled = compile_formula(f)
+        assert compiled({x: 10}) is TRUE and compiled({x: 10}) is TRUE
+        six = BForall(y, Lit(6), TrueC())
+        pair = And(six, BExists(z, Lit(5), TrueC()))
+        assert evaluate(pair, {}) == unknown("search budget spent at z")
+        assert evaluate(And(six, pair), {}) == unknown(
+            "search budget spent at y")
+        nested = BForall(y, Lit(3), BForall(z, Lit(2), TrueC()))
+        assert evaluate(nested, {}) is TRUE  # 3 + 3 * 2 values
+        # an unbounded search books q_bound + 1 values, even one that
+        # would stop at its first
+        g = Exists(y, Eq(y, Lit(0)))
+        assert evaluate(g, {}, Budget(q_bound=9)) is TRUE
+        assert evaluate(g, {}, Budget(q_bound=10)) == unknown(
+            "search budget spent at y")
+        g = Exists(y, BForall(z, Lit(3), Lt(z, y)))  # y books 6, z 3 at y=0
+        assert evaluate(g, {}, Budget(q_bound=5)) == unknown(
+            "search budget spent at z")
+        monkeypatch.setattr(evaluator, "PROBES", 0)
+        assert evaluate(BForall(z, Lit(0), FalseC()), {}) is TRUE
 
 
 def test_unbounded_exists_found():
@@ -366,12 +395,16 @@ def test_unbounded_forall_no_counterexample_is_unknown():
 
 
 def test_depth_guard():
+    # past 16 nested unbounded binders the search is Unknown; at q_bound 1
+    # the 2 ** 16 bodies above it fit in the search budget, at the
+    # default they do not
     f = Exists(x, Eq(x, x))
     for _ in range(20):
         f = Exists(Var("v"), f)
-    r = eval_formula(f, {}, Budget(q_bound=1, depth=3))
-    # either certified by an early witness or unknown; never an error
-    assert isinstance(r, TriState)
+    for evaluate in (eval_formula, _compiled):
+        assert evaluate(f, {}, Budget(q_bound=1)) == unknown(
+            "unbounded-quantifier depth guard exceeded")
+        assert evaluate(f, {}) == unknown("search budget spent at v")
 
 
 def test_nested_alternation():
