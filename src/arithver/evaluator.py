@@ -413,11 +413,14 @@ def find_witnesses(f, v, budget=Budget()):
 
     Returns a list of (Var, value) pairs (empty for an empty block and a
     true body), or None when no witness tuple <= q_bound exists.  Raises
-    WitnessSearchError when the body cannot be evaluated exactly.
+    WitnessSearchError when the body cannot be evaluated exactly, or when
+    more than PROBES tuples are left to search.
     """
     block, body = strip_exists(f)
     compiled = compile_formula(body, budget)
-    for point in assignments(block, budget.q_bound, v):
+    for n, point in enumerate(assignments(block, budget.q_bound, v)):
+        if n == PROBES:
+            raise WitnessSearchError(f"search budget spent at {block[0]}")
         r = compiled(point)
         if not r.is_exact():
             raise WitnessSearchError(r.reason)

@@ -50,7 +50,7 @@ from operator import attrgetter
 from .terms import (Add, And, BExists, BForall, Eq, Exists, FalseC, Forall,
                     IDENT, Iff, Implies, KEYWORDS, Lit, Lt, Mul, Not, Or,
                     Term, TrueC, Var)
-from .whilelang import Assign, If, Seq as SeqP, While, is_guard
+from .whilelang import Assign, If, Seq, While, is_guard, seq
 from .alpha import HoareTriple
 from .proofs import RULES
 
@@ -279,12 +279,7 @@ class _Parser:
     # -- programs -------------------------------------------------------
 
     def program(self):
-        # read iteratively, nested to the right
-        stmts = self.listed(self.statement, ";")
-        out = stmts.pop()
-        for s in reversed(stmts):
-            out = SeqP(s, out)
-        return out
+        return seq(self.listed(self.statement, ";"))
 
     def statement(self):
         if self.at("ident", "if"):
@@ -436,7 +431,7 @@ _TEMPLATES = {
     Forall: "(forall {var} . {body})", Exists: "(exists {var} . {body})",
     BForall: "(forall {var} < {bound} . {body})",
     BExists: "(exists {var} < {bound} . {body})",
-    Assign: "{var} := {expr}", SeqP: "{first}; {second}",
+    Assign: "{var} := {expr}", Seq: "{first}; {second}",
     If: "if {guard} then {then} else {els} fi",
     While: "while {guard} do {body} od"}
 

@@ -281,9 +281,9 @@ def operands(f, kind):
     its operands.
 
     Chains run thousands long and nest either way: the parser nests `/\\`
-    and `\\/` to the left and `;` to the right, conj to the right and
-    compiled programs to the left.  So both spines are walked by an
-    explicit stack.
+    and `\\/` to the left, conj and whilelang.seq nest to the right, and a
+    chain built by hand may nest either way.  So both spines are walked
+    by an explicit stack.
     """
     left, right = kind.__match_args__
     parts, todo = [], [f]

@@ -38,6 +38,17 @@ class Seq(Program):
     second: Program
 
 
+def seq(parts):
+    """The `;` chain of parts, each part's own chain spliced in, nested to
+    the right as the parser reads it: the one builder of Seq nodes, so a
+    program's text reads back as the same tree."""
+    stmts = [s for p in parts for s in operands(p, Seq)]
+    out = stmts.pop()
+    for s in reversed(stmts):
+        out = Seq(s, out)
+    return out
+
+
 def is_guard(g):
     """Whether g is a guard: a formula built from Lt, Not and Implies only."""
     todo = [g]

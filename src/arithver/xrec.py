@@ -14,7 +14,7 @@ from .terms import (Add as AddT, And, BExists, BForall, Eq, Exists, FalseC,
                     term_vars)
 from .evaluator import assignments, compile_formula, eval_term
 from .hierarchy import classify, prenexify
-from .whilelang import Assign, Seq, While
+from .whilelang import Assign, While, seq
 
 
 class XRecSchema:
@@ -544,7 +544,7 @@ def _one_point(block, body):
     return [z for z in block if z in fv], body
 
 
-def sigma1_to_xrec(f, result_var, check=True):
+def sigma1_to_xrec(f, result_var):
     """An X-recursive schema computing the function a Sigma_1 formula
     defines (result_var as output, remaining free variables as inputs,
     sorted by name).
@@ -561,8 +561,7 @@ def sigma1_to_xrec(f, result_var, check=True):
     if result_var not in free_vars(f):
         raise ShapeError(f"result variable {result_var} is not free in the formula")
     xs = sorted(free_vars(f) - {result_var}, key=lambda v: v.name)
-    if check:
-        _check_functionality(body, block, xs, result_var)
+    _check_functionality(body, block, xs, result_var)
 
     names = Names(free_vars(g0) | set(block))
     cap = names.fresh("w")
@@ -588,18 +587,8 @@ def compile_to_while(h):
     res = names.fresh("res")
     ps = names.fresh_vec([f"p{i}" for i in range(1, h.arity + 1)])
     body = _emit(h, ps, res, names)
-    prog = Assign(res, Lit(0))
-    for p in ps:
-        prog = Seq(prog, Assign(p, p))
-    prog = Seq(prog, body)
+    prog = seq([Assign(res, Lit(0)), *(Assign(p, p) for p in ps), body])
     return prog, res, ps
-
-
-def _seq(parts):
-    out = parts[0]
-    for p in parts[1:]:
-        out = Seq(out, p)
-    return out
 
 
 def _emit(h, args, target, names):
@@ -607,36 +596,36 @@ def _emit(h, args, target, names):
         ts = names.fresh_vec(["t" for _ in h.gs])
         parts = [_emit(g, args, t, names) for g, t in zip(h.gs, ts)]
         parts.append(_emit(h.f, ts, target, names))
-        return _seq(parts)
+        return seq(parts)
     if isinstance(h, Pr):
         vec, count = args[:-1], args[-1]
         acc = names.fresh("acc")
         i = names.fresh("i")
         tmp = names.fresh("s")
         parts = [_emit(h.f, vec, acc, names), Assign(i, Lit(0))]
-        body = _seq([_emit(h.g, vec + [i, acc], tmp, names),
-                     Assign(acc, tmp),
-                     Assign(i, AddT(i, Lit(1)))])
+        body = seq([_emit(h.g, vec + [i, acc], tmp, names),
+                    Assign(acc, tmp),
+                    Assign(i, AddT(i, Lit(1)))])
         parts.append(While(Lt(i, count), body))
         parts.append(Assign(target, acc))
-        return _seq(parts)
+        return seq(parts)
     if isinstance(h, Mn):
         # n := 0; m := 1; while 0 < m do y := n; m := f(args, n); n := n + 1 od
         n, probe, y = names.fresh("n"), names.fresh("m"), names.fresh("y")
-        body = _seq([Assign(y, n), _emit(h.f, args + [n], probe, names),
-                     Assign(n, AddT(n, Lit(1)))])
-        return _seq([Assign(n, Lit(0)), Assign(probe, Lit(1)),
-                     While(Lt(Lit(0), probe), body), Assign(target, y)])
+        body = seq([Assign(y, n), _emit(h.f, args + [n], probe, names),
+                    Assign(n, AddT(n, Lit(1)))])
+        return seq([Assign(n, Lit(0)), Assign(probe, Lit(1)),
+                    While(Lt(Lit(0), probe), body), Assign(target, y)])
     return Assign(target, _basic(h, args))
 
 
-def sigma1_to_program(f, result_var, check=True):
+def sigma1_to_program(f, result_var):
     """Compile a functional Sigma_1 formula to a while-program.
 
     Returns (program, result_var_of_program, input_vars_of_program,
     formula_input_vars).
     """
-    schema, xs = sigma1_to_xrec(f, result_var, check=check)
+    schema, xs = sigma1_to_xrec(f, result_var)
     prog, res, ps = compile_to_while(schema)
     return prog, res, ps, xs
 
@@ -658,4 +647,4 @@ def pi1_counterexample_program(psi, y):
     i = names.fresh("i")
     phi = And(Eq(x, x),
               And(Not(psi), BForall(i, y, substitute(psi, y, i))))
-    return sigma1_to_program(phi, y, check=False)
+    return sigma1_to_program(phi, y)

@@ -53,8 +53,8 @@ from arithver.proofs import (AssignAxiom, ConseqRule, ProofNode, WhileRule,
 from arithver.syntax import (ParseError, format_schema, parse_bool,
                              parse_formula, parse_program, parse_schema)
 from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, Forall,
-                            Lit, Lt, Names, Or, TrueC, Var, free_vars,
-                            substitute, substitute_simultaneous)
+                            Lit, Lt, Names, Or, TrueC, Var, alpha_equal,
+                            free_vars, substitute, substitute_simultaneous)
 from arithver.whilelang import (Assign, Program, Seq, While, program_vars,
                                 run)
 from arithver.xrec import (STDLIB, Proj, bexists, bforall, cases,
@@ -366,8 +366,8 @@ def _sha(text):
 
 
 def dump_texts(rng):
-    # the text of what arithver builds, whose `;` chains nest to the left;
-    # returns each (kind, name, node) for dump_readback
+    # the text of what arithver builds; returns each (kind, name, node)
+    # for dump_readback
     built = []
 
     def show(kind, name, node):
@@ -394,14 +394,18 @@ def dump_texts(rng):
 
 def dump_readback(built):
     # each text of dump_texts read back: whether the parser rebuilds the
-    # node, and the hash of the node it builds, printed again.  The
-    # compiled, Sigma_1 and Pi_1 programs nest `;` to the left and the
-    # parser to the right, so they read back as other trees
+    # node, and the hash of the node it builds, printed again.  The tree
+    # is the same when it is alpha-equal and prints the same text, which
+    # shows every name; `==` would recurse once per `;` of a long chain
     for kind, name, node in built:
         parse = parse_program if isinstance(node, Program) else parse_formula
-        again = attempt(lambda: parse(str(node)))
-        text = again if isinstance(again, str) else _sha(str(again))
-        print(f"readback {kind} {name} {again == node} {text}")
+        text = str(node)
+        again = attempt(lambda: parse(text))
+        if isinstance(again, str):
+            print(f"readback {kind} {name} False {again}")
+            continue
+        same = alpha_equal(again, node) and str(again) == text
+        print(f"readback {kind} {name} {same} {_sha(str(again))}")
 
 
 def dump_prenex_levels(rng):

@@ -442,6 +442,19 @@ def test_find_witnesses_inexact_body_raises():
         find_witnesses(f, {}, Budget(q_bound=3))
 
 
+def test_find_witnesses_stops_at_the_search_budget():
+    # 65^3 points fit in PROBES and are all searched; 65^4 do not
+    for k, want in ((3, None), (4, "search budget spent at y0")):
+        ys = [Var(f"y{i}") for i in range(k)]
+        f = functools.reduce(lambda body, v: Exists(v, body), reversed(ys),
+                             Eq(ys[0], Lit(100)))
+        if want is None:
+            assert find_witnesses(f, {}) is None
+        else:
+            with pytest.raises(WitnessSearchError, match=want):
+                find_witnesses(f, {})
+
+
 def test_budget_validation():
     with pytest.raises(ValueError):
         Budget(q_bound=-1)

@@ -1,12 +1,13 @@
 """Source hygiene: no module imports a name it never uses, none imports
 another module's private (underscored) name, the while language has one
-syntax tree, whose guards are formulas, every proof rule is declared in
-the one rule table, every schema constructor in the one schema table,
-no syntax node prints itself but through the one printer in syntax,
-every node class names all its fields in __match_args__, which the
-source reads instead of dataclasses.fields, the command line loads
-neither xrec nor hierarchy until a command runs them, and the package
-exports the same names it always has."""
+syntax tree, whose guards are formulas, and one builder of `;` chains,
+every proof rule is declared in the one rule table, every schema
+constructor in the one schema table, no syntax node prints itself but
+through the one printer in syntax, every node class names all its
+fields in __match_args__, which the source reads instead of
+dataclasses.fields, the command line loads neither xrec nor hierarchy
+until a command runs them, and the package exports the same names it
+always has."""
 
 import ast
 import dataclasses
@@ -82,6 +83,24 @@ def test_whilelang_nodes_are_programs():
              and dataclasses.is_dataclass(c) and c is not whilelang.RunOutcome]
     assert nodes
     assert all(issubclass(c, whilelang.Program) for c in nodes), nodes
+
+
+def _seq_calls(tree):
+    return [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name) and n.func.id == "Seq"]
+
+
+def test_only_seq_builds_seq_nodes():
+    # whilelang.seq nests `;` as the parser reads it, so every program the
+    # library builds prints a text that reads back as the same tree
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        calls = set(_seq_calls(tree))
+        if path.name == "whilelang.py":
+            builder, = (f for f in tree.body if isinstance(f, ast.FunctionDef)
+                        and f.name == "seq")
+            calls -= set(_seq_calls(builder))
+        assert not calls, path.name
 
 
 def test_only_the_base_classes_print():

@@ -455,7 +455,7 @@ def test_program_round_trip_500_random():
 
 def test_deep_chains_print():
     # the printer walks by an explicit stack: conj nests to the right, the
-    # parser's `/\` chains and compiled programs' `;` chains to the left
+    # parser's `/\` chains to the left, and so may a `;` chain built by hand
     eq = Eq(x, Lit(1))
     right = conj([eq] * 20000)
     assert str(right) == "(x = 1 /\\ " * 19999 + "x = 1" + ")" * 19999

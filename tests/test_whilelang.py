@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from arithver import whilelang
-from arithver.terms import Add, Eq, Exists, Implies, Lit, Lt, Not, TrueC, Var
+from arithver.syntax import parse_program
+from arithver.terms import (Add, Eq, Exists, Implies, Lit, Lt, Not, TrueC, Var,
+                            alpha_equal)
 from arithver.whilelang import (Assign, If, Seq, While, compile_program,
-                                is_guard, program_vars, run)
+                                is_guard, program_vars, run, seq)
 
 from generators import VARS, random_bool, random_program
 
@@ -125,6 +127,21 @@ def test_nested_loop_terminates():
                                 Assign(y, Add(y, Lit(1))))))
     out = run(p, {x: 4}, 10 ** 4)
     assert out.terminated and out.state[y] == 4
+
+
+def test_seq_splices_and_nests_to_the_right():
+    a, b, c = Assign(x, Lit(1)), Assign(y, Lit(2)), Assign(z, Lit(3))
+    loop = While(Lt(y, x), Seq(Seq(a, b), c))  # a statement, not spliced
+    p = seq([Seq(Seq(a, b), c), Seq(b, Seq(c, a)), loop])
+    assert p == Seq(a, Seq(b, Seq(c, Seq(b, Seq(c, Seq(a, loop))))))
+    assert seq([a]) is a and seq([loop]) is loop
+    # the parser's tree, even for a chain too deep for `==`
+    long = seq([Seq(Seq(a, b), c)] * 1000)
+    assert alpha_equal(parse_program(str(long)), long)
+    node = long
+    while isinstance(node, Seq):
+        assert not isinstance(node.first, Seq)
+        node = node.second
 
 
 def test_deep_sequence_runs():

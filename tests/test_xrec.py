@@ -4,25 +4,26 @@ from dataclasses import fields
 
 import pytest
 
-from arithver.alpha import encode_alpha_out
+from arithver.alpha import encode_alpha, encode_alpha_out
 from arithver.coding import beta_inst, seq_encode
 from arithver.terms import (Add, And, BExists, Eq, Exists, Lit, Lt, Mul, Not,
-                            Or, Var, conj, free_vars)
+                            Or, Var, alpha_equal, conj, free_vars)
 from arithver.evaluator import Budget, eval_formula
 from arithver.hierarchy import SIGMA, classify
 from arithver.whilelang import If, Program, Seq, While, program_vars, run
-from arithver.syntax import parse_formula
-from arithver.xrec import (AddF, Cn, Const, EvalResult, FunctionalityError,
-                           Mn, MulF, NotLevelZero, Pr, Proj, ShapeError,
-                           bexists, bforall, cases, chi_eq_schema,
-                           chi_lt_schema, compile_to_while, gamma,
-                           gamma_instance, max_schema, min_schema,
+from arithver.syntax import parse_formula, parse_program
+from arithver.xrec import (STDLIB, AddF, Cn, Const, EvalResult,
+                           FunctionalityError, Mn, MulF, NotLevelZero, Pr,
+                           Proj, ShapeError, bexists, bforall, cases,
+                           chi_eq_schema, chi_lt_schema, compile_to_while,
+                           gamma, gamma_instance, max_schema, min_schema,
                            monus_schema, pi1_counterexample_program,
                            pred_schema, prod_of, sg_schema, sgbar_schema,
                            sigma0_char, sigma1_to_program, sigma1_to_xrec,
                            stdlib, sum_of, xrec_eval)
 
 from generators import random_program
+from test_acceptance import SIGMA1_FIXTURES
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -433,6 +434,50 @@ def test_pi1_searcher_input_validation():
         pi1_counterexample_program(Exists(z, Eq(z, y)), y)
     with pytest.raises(ShapeError):
         pi1_counterexample_program(Lt(x, y), y)  # stray free variable
+
+
+# ---------------------------------------------------------------------------
+# compiled programs read back
+
+
+PI1_BODIES = ("y < 9", "y * y < y + 3", "~(y = 3)",
+              "exists z < y . z + z = y", "forall z < y . z * z < y")
+CHI_LT = chi_lt_schema()
+# the stdlib, the one-schema combinators and one cases, by name
+SCHEMAS = {**{name: make() for name, make in STDLIB.items()},
+           **{f"{comb.__name__}(chi_lt)": comb(CHI_LT)
+              for comb in (sum_of, prod_of, bforall, bexists)},
+           "cases": cases([(CHI_LT, Proj(1, 2)), (CHI_LT, Proj(2, 2))])}
+# each program the three compilers build here, by name, as a thunk
+COMPILED = {
+    **{name: lambda h=h: compile_to_while(h)[0]
+       for name, h in SCHEMAS.items()},
+    **{name: lambda f=f: sigma1_to_program(f, y)[0]
+       for name, f, _, _ in SIGMA1_FIXTURES},
+    **{body: lambda body=body: pi1_counterexample_program(
+        parse_formula(body), y)[0] for body in PI1_BODIES}}
+
+
+@pytest.mark.parametrize("name", list(COMPILED))
+def test_compiled_program_reads_back(name):
+    # the compilers nest `;` as the parser does, so the text of a compiled
+    # program reads back as the same tree
+    prog = COMPILED[name]()
+    again = parse_program(str(prog))
+    assert alpha_equal(again, prog)
+    assert str(again) == str(prog)
+
+
+@pytest.mark.parametrize("name", list(SCHEMAS))
+def test_compiled_program_alpha_reads_back(name):
+    # alpha of the text read back is alpha of the compiled program.  The
+    # Sigma_1 and Pi_1 programs are left out: their alpha takes 3 to 42 s
+    # each, and coding.tuple_graph recurses once per program variable, so
+    # on parity's 1,169 variables, and on the 1,003 of one Pi_1 program,
+    # it raises RecursionError
+    prog = compile_to_while(SCHEMAS[name])[0]
+    again = parse_program(str(prog))
+    assert alpha_equal(encode_alpha(again)[0], encode_alpha(prog)[0])
 
 
 def test_xrec_eval_rejects_negative_arguments():
