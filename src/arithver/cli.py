@@ -15,7 +15,7 @@ import sys
 # command runs in a fresh interpreter, and most never reach them
 from . import alpha, proofs, syntax, whilelang
 from .evaluator import Budget, eval_formula
-from .terms import FalseC, TrueC, Var
+from .terms import FalseC, TrueC, Var, operands
 
 OK, FALSIFIED, UNKNOWN, USAGE, INTERNAL = 0, 1, 2, 3, 4
 
@@ -38,6 +38,9 @@ def _shape(cls):
 def tree_json(node):
     """The --json tree of a term, formula (guards included) or program."""
     kind, keys = _shape(type(node))
+    if kind == "seq":  # one node per `;` chain, so only if and while nest
+        return {"kind": kind, "statements": [
+            tree_json(s) for s in operands(node, whilelang.Seq)]}
     out = {"kind": kind}
     for field, key in keys:
         v = getattr(node, field)
@@ -60,9 +63,7 @@ def _emit_tree(args, node, kind=None, key=None, names=()):
     """Print a term, formula or program: as text after a `label: a, b` line
     per (label, json key, variables or one variable) triple of names, or
     with --json as its tree, which names wrap as {"kind": kind, key: tree,
-    json key: names, ...}.  Only the form printed is built: a `;` chain
-    too deep for the recursive --json walk still prints as text, and under
-    --json no text is built."""
+    json key: names, ...}.  Only the form printed is built."""
     named = [(label, k, v.name if isinstance(v, Var) else [w.name for w in v])
              for label, k, v in names]
     if args.json:

@@ -414,7 +414,8 @@ def find_witnesses(f, v, budget=Budget()):
     Returns a list of (Var, value) pairs (empty for an empty block and a
     true body), or None when no witness tuple <= q_bound exists.  Raises
     WitnessSearchError when the body cannot be evaluated exactly, or when
-    more than PROBES tuples are left to search.
+    the block has more than PROBES tuples within q_bound and none of the
+    first PROBES is a witness.  Each tuple's body gets its own search.
     """
     block, body = strip_exists(f)
     compiled = compile_formula(body, budget)

@@ -586,37 +586,36 @@ def compile_to_while(h):
     names = Names()
     res = names.fresh("res")
     ps = names.fresh_vec([f"p{i}" for i in range(1, h.arity + 1)])
-    body = _emit(h, ps, res, names)
-    prog = seq([Assign(res, Lit(0)), *(Assign(p, p) for p in ps), body])
+    prog = seq([Assign(res, Lit(0)), *(Assign(p, p) for p in ps),
+                *_emit(h, ps, res, names)])
     return prog, res, ps
 
 
 def _emit(h, args, target, names):
+    """The statements that compute h(args) into target: a list, so that
+    each `;` chain is built once, by seq, and never spliced again."""
     if isinstance(h, Cn):
         ts = names.fresh_vec(["t" for _ in h.gs])
-        parts = [_emit(g, args, t, names) for g, t in zip(h.gs, ts)]
-        parts.append(_emit(h.f, ts, target, names))
-        return seq(parts)
+        out = [s for g, t in zip(h.gs, ts) for s in _emit(g, args, t, names)]
+        return out + _emit(h.f, ts, target, names)
     if isinstance(h, Pr):
         vec, count = args[:-1], args[-1]
         acc = names.fresh("acc")
         i = names.fresh("i")
         tmp = names.fresh("s")
-        parts = [_emit(h.f, vec, acc, names), Assign(i, Lit(0))]
-        body = seq([_emit(h.g, vec + [i, acc], tmp, names),
+        out = [*_emit(h.f, vec, acc, names), Assign(i, Lit(0))]
+        body = seq([*_emit(h.g, vec + [i, acc], tmp, names),
                     Assign(acc, tmp),
                     Assign(i, AddT(i, Lit(1)))])
-        parts.append(While(Lt(i, count), body))
-        parts.append(Assign(target, acc))
-        return seq(parts)
+        return out + [While(Lt(i, count), body), Assign(target, acc)]
     if isinstance(h, Mn):
         # n := 0; m := 1; while 0 < m do y := n; m := f(args, n); n := n + 1 od
         n, probe, y = names.fresh("n"), names.fresh("m"), names.fresh("y")
-        body = seq([Assign(y, n), _emit(h.f, args + [n], probe, names),
+        body = seq([Assign(y, n), *_emit(h.f, args + [n], probe, names),
                     Assign(n, AddT(n, Lit(1)))])
-        return seq([Assign(n, Lit(0)), Assign(probe, Lit(1)),
-                    While(Lt(Lit(0), probe), body), Assign(target, y)])
-    return Assign(target, _basic(h, args))
+        return [Assign(n, Lit(0)), Assign(probe, Lit(1)),
+                While(Lt(Lit(0), probe), body), Assign(target, y)]
+    return [Assign(target, _basic(h, args))]
 
 
 def sigma1_to_program(f, result_var):

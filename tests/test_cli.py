@@ -87,30 +87,24 @@ def test_tree_json_every_kind():
                                              "body": {"kind": "eq",
                                                       "left": _v("w"),
                                                       "right": _v("z")}}}}}}}
-    want_p = {"kind": "seq",
-              "first": {"kind": "assign", "var": "x",
-                        "expr": {"kind": "add",
-                                 "left": {"kind": "lit", "value": 0},
-                                 "right": {"kind": "lit", "value": 1}}},
-              "second": {
-                  "kind": "if",
-                  "guard": {"kind": "implies",
-                            "left": {"kind": "lt", "left": _v("x"),
-                                     "right": {"kind": "lit", "value": 1}},
-                            "right": {"kind": "not",
-                                      "body": {"kind": "lt",
-                                               "left": _v("y"),
-                                               "right": {"kind": "lit",
-                                                         "value": 2}}}},
-                  "then": {"kind": "assign", "var": "x",
-                           "expr": {"kind": "lit", "value": 0}},
-                  "else": {"kind": "while",
-                           "guard": {"kind": "lt", "left": _v("y"),
-                                     "right": _v("x")},
-                           "body": {"kind": "assign", "var": "y",
-                                    "expr": {"kind": "mul", "left": _v("y"),
-                                             "right": {"kind": "lit",
-                                                       "value": 1}}}}}}
+    want_p = {"kind": "seq", "statements": [
+        {"kind": "assign", "var": "x",
+         "expr": {"kind": "add", "left": {"kind": "lit", "value": 0},
+                  "right": {"kind": "lit", "value": 1}}},
+        {"kind": "if",
+         "guard": {"kind": "implies",
+                   "left": {"kind": "lt", "left": _v("x"),
+                            "right": {"kind": "lit", "value": 1}},
+                   "right": {"kind": "not",
+                             "body": {"kind": "lt", "left": _v("y"),
+                                      "right": {"kind": "lit", "value": 2}}}},
+         "then": {"kind": "assign", "var": "x",
+                  "expr": {"kind": "lit", "value": 0}},
+         "else": {"kind": "while",
+                  "guard": {"kind": "lt", "left": _v("y"), "right": _v("x")},
+                  "body": {"kind": "assign", "var": "y",
+                           "expr": {"kind": "mul", "left": _v("y"),
+                                    "right": {"kind": "lit", "value": 1}}}}}]}
     # dumps compares key order too: kind first, then the fields in order
     assert json.dumps(tree_json(f)) == json.dumps(want_f)
     assert json.dumps(tree_json(p)) == json.dumps(want_p)
@@ -130,10 +124,42 @@ def test_parse_program_json(capsys):
     code, tree = run_json(capsys, "parse-program", COUNT)
     assert code == 0
     assert tree["kind"] == "seq"
-    assert tree["second"]["kind"] == "while"
+    first, loop = tree["statements"]
+    assert first["kind"] == "assign" and loop["kind"] == "while"
     # a guard is a formula, so it prints with the formula kinds
-    assert tree["second"]["guard"] == {"kind": "lt", "left": _v("y"),
-                                       "right": _v("x")}
+    assert loop["guard"] == {"kind": "lt", "left": _v("y"), "right": _v("x")}
+
+
+def _json_depth(tree):
+    todo, deepest = [(tree, 1)], 0
+    while todo:
+        v, d = todo.pop()
+        deepest = max(deepest, d)
+        kids = v.values() if isinstance(v, dict) else v
+        todo += [(k, d + 1) for k in kids if isinstance(k, (dict, list))]
+    return deepest
+
+
+def test_seq_chain_json_is_one_node():
+    """A `;` chain prints as one seq node listing its statements, whichever
+    way it nests."""
+    a, b, c = (Assign(Var(v), Lit(1)) for v in "xyz")
+    assert tree_json(Seq(Seq(a, b), c)) == tree_json(Seq(a, Seq(b, c))) \
+        == {"kind": "seq", "statements": [tree_json(s) for s in (a, b, c)]}
+
+
+def test_compiled_program_json(capsys):
+    """Compiled programs splice every part's chain into one `;` chain per
+    block; their --json stays as shallow as their if and while nesting."""
+    psi = ("(y < 3 -> y * y < 9) /\\ (y < 4 \\/ 5 < y) /\\ ~(y = 7) /\\ "
+           "y + y < 30 /\\ ~(y = 9) /\\ (y < 2 \\/ 3 < y)")
+    code, tree = run_json(capsys, "pi1-program", psi, "--var", "y")
+    assert code == 0 and tree["kind"] == "compiled"
+    assert tree["program"]["kind"] == "seq"
+    assert _json_depth(tree) < 200
+    chain = "; ".join(["x := 1"] * 3000)
+    code, tree = run_json(capsys, "parse-program", chain)
+    assert code == 0 and len(tree["statements"]) == 3000
 
 
 def test_run(capsys):
