@@ -274,6 +274,9 @@ def check_triple(triple, grid, fuel, budget=Budget()):
     state is a Counterexample.  Unknown assertion verdicts and exhausted
     runs become caveats and never silently verify; if nothing at all could
     be decided and Unknowns occurred, the verdict is Inconclusive.
+    The pre guards the sweep: assignments skips the points where a
+    conjunct of the pre that binds nothing is False, and each skipped
+    point counts as decided, since the pre is False there.
     """
     if grid < 0 or fuel < 1:
         raise ValueError("grid >= 0 and fuel >= 1 required")
@@ -285,7 +288,9 @@ def check_triple(triple, grid, fuel, budget=Budget()):
     caveats = []
     decided_pass = 0
     unknowns = 0
-    for point in assignments(sweep, grid):
+    visited = 0
+    for point in assignments(sweep, grid, guard=triple.pre):
+        visited += 1
         # exact verdicts are the TRUE and FALSE singletons
         pre_v = pre(point)
         if pre_v is FALSE:
@@ -313,6 +318,7 @@ def check_triple(triple, grid, fuel, budget=Budget()):
             unknowns += 1
             caveats.append(f"post Unknown at {format_assignment(point)}: "
                            f"{post_v.reason}")
+    decided_pass += (grid + 1) ** len(sweep) - visited  # skipped: pre False
     if unknowns and not decided_pass:
         return Verdict("inconclusive", grid, fuel, caveats=tuple(caveats))
     return Verdict("verified", grid, fuel, caveats=tuple(caveats))

@@ -122,13 +122,16 @@ def beta_graph(w, i, v, names):
 
 
 def tuple_graph(t, components, names):
-    """t = <c1,...,cm> (right-nested pairing); m >= 1."""
-    if len(components) == 1:
-        return Eq(t, components[0])
-    r = names.fresh("r")
-    return BExists(r, Add(t, Lit(1)),
-                   And(pair_graph(t, components[0], r),
-                       tuple_graph(r, components[1:], names)))
+    """t = <c1,...,cm> (right-nested pairing); m >= 1.
+
+    Built by a loop from the last component outwards, so m may run to
+    thousands; the rest of the tuple after c_k is r_k, with r_0 = t.
+    """
+    rs = [t, *(names.fresh("r") for _ in components[1:])]
+    f = Eq(rs[-1], components[-1])
+    for r, c, rest in reversed([*zip(rs, components, rs[1:])]):
+        f = BExists(rest, Add(r, Lit(1)), And(pair_graph(r, c, rest), f))
+    return f
 
 
 def pair_inst(z, x, y):

@@ -19,14 +19,13 @@ Each has one branch for all four quantifiers, which differ only in the
 values searched and in the verdict when the search finds nothing.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 from .terms import (Add, And, BExists, BForall, Eq, Exists, FalseC, Forall,
                     Iff, Implies, Lit, Lt, Mul, Not, Or, TrueC, Var,
-                    operands, strip_exists)
+                    binds, operands, strip_exists, variables)
 
 
 @dataclass(frozen=True)
@@ -387,19 +386,50 @@ def _compare(f):
     return lambda v: TRUE if a(v) < b(v) else FALSE
 
 
-def assignments(vs, bound, base=None):
+def assignments(vs, bound, base=None, guard=None):
     """Every assignment of 0..bound to vs on top of base, each a fresh dict.
 
     Product order: the first variable is the most significant.  An empty
-    vs yields base once.
+    vs yields base once.  The points are read off one working dict, which
+    an odometer over vs changes one position at a time.
+
+    A guard skips the points where one of its `/\\` conjuncts that binds
+    nothing is False.  Each such conjunct is compiled once and tested at
+    the first position of vs where all of its swept variables are set (a
+    variable outside vs reads from base, or as 0); where it is False, the
+    whole subtree below that position is skipped.  Its verdict is exact
+    and spends no search budget, so the guard is False at every skipped
+    point.  A conjunct with a binder is never tested: its verdict may
+    depend on the budget that one evaluation shares.
     """
-    for tup in itertools.product(range(bound + 1), repeat=len(vs)):
-        if base is None:
-            yield dict(zip(vs, tup))
-        else:
-            point = dict(base)
-            point.update(zip(vs, tup))
-            yield point
+    w = dict(base or ())
+    w.update(dict.fromkeys(vs, 0))
+    n, top = len(vs), bound + 1
+    tests = [None] * (n + 1)  # tests[i]: the conjuncts that vs[:i] decide
+    if guard is not None:
+        at = {x: i + 1 for i, x in enumerate(vs)}  # a repeat's last position
+        for g in operands(guard, And):
+            if type(g) is not TrueC and not binds(g):
+                i = max((at.get(x, 0) for x in variables(g)), default=0)
+                tests[i] = g if tests[i] is None else And(tests[i], g)
+        # a formula that binds nothing never reads the search budget
+        tests = [t if t is None else _compile(t, None, 0) for t in tests]
+    digits = [0] * n  # digits[i]: the next value of vs[i]
+    i = -1  # positions 0..i are set
+    while True:
+        test = tests[i + 1]
+        if test is None or test(w) is not FALSE:
+            if i + 1 == n:
+                yield dict(w)
+            else:
+                i += 1
+        while i >= 0 and digits[i] == top:  # back up past spent positions
+            digits[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        w[vs[i]] = digits[i]
+        digits[i] += 1
 
 
 def format_assignment(point):

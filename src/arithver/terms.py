@@ -237,6 +237,19 @@ def free_vars(f):
     return set(variables(f))
 
 
+def binds(f):
+    """Whether a binder (forall, exists or a bounded quantifier) occurs in
+    formula f.  A loop over an explicit stack, for chains run long."""
+    todo = [f]
+    while todo:
+        cls = type(f := todo.pop())
+        if cls in _BINDERS:
+            return True
+        if cls is not Eq and cls is not Lt:  # whose fields are terms
+            todo += (getattr(f, k) for k in cls.__match_args__)
+    return False
+
+
 class Names:
     """Fresh-variable supply avoiding a growing set of names: the only
     code that makes a fresh variable name.

@@ -1,24 +1,28 @@
+import functools
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arithver import coding
 from arithver.coding import (beta_index, beta_inst, seq_encode, tuple_encode,
                              tuple_inst)
-from arithver.terms import (Add, And, Eq, FalseC, Lit, Lt, Mul, Not, TrueC,
-                            Var, conj, free_vars)
-from arithver.evaluator import Budget, eval_formula
+from arithver.terms import (Add, And, Eq, Exists, FalseC, Forall, Lit, Lt,
+                            Mul, Not, TrueC, Var, conj, free_vars)
+from arithver.evaluator import (Budget, compile_formula, eval_formula,
+                                format_assignment)
 from arithver.hierarchy import (PI, SIGMA, HierarchyLevel, classify,
                                 prenexify)
 from arithver.syntax import parse_formula
 from arithver.whilelang import (Assign, If, Seq, While, compile_program,
                                 program_vars, run)
-from arithver.alpha import (HoareTriple, check_triple, encode_alpha,
+from arithver.alpha import (HoareTriple, Verdict, check_triple, encode_alpha,
                             encode_alpha_out, instantiate_alpha, vc,
                             vc_instance)
 from arithver.xrec import gamma_instance, monus_schema
 
-from generators import random_program
+from generators import VARS, random_atom, random_formula, random_program
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -288,6 +292,88 @@ def test_check_triple_sweeps_a_param_that_is_a_program_variable_once(monkeypatch
     t = HoareTriple(TrueC(), Assign(y, x), Eq(y, x), params=(x,))
     assert check_triple(t, grid=2, fuel=10).is_verified()
     assert len(points) == 9  # x and y over 0..2, each once
+
+
+def test_check_triple_counts_skipped_points_as_decided():
+    # the pre is False wherever x > 0, where the sweep skips; those points
+    # are decided, so the Unknown posts at x = 0 leave a verified verdict
+    w = Var("w")
+    post = Exists(w, Eq(w, Add(y, Lit(5))))
+    budget = Budget(q_bound=2)
+    v = check_triple(HoareTriple(Eq(x, Lit(0)), Assign(y, x), post), 2, 10,
+                     budget)
+    assert v.status == "verified" and len(v.caveats) == 3
+    v = check_triple(HoareTriple(TrueC(), Assign(y, x), post), 2, 10, budget)
+    assert v.status == "inconclusive" and len(v.caveats) == 9
+
+
+def _unpruned_check_triple(triple, grid, fuel, budget):
+    # check_triple as a plain loop over the whole product: the pre is
+    # evaluated at every point, and the interpreter runs the program
+    sweep = list(dict.fromkeys([*triple.params, *program_vars(triple.prog)]))
+    pre = compile_formula(triple.pre, budget)
+    post = compile_formula(triple.post, budget)
+    caveats, decided, unknowns = [], 0, 0
+    for values in itertools.product(range(grid + 1), repeat=len(sweep)):
+        point = dict(zip(sweep, values))
+        at = format_assignment(point)
+        pre_v = pre(point)
+        if pre_v.is_false():
+            decided += 1
+            continue
+        if not pre_v.is_exact():
+            unknowns += 1
+            caveats.append(f"pre Unknown at {at}: {pre_v.reason}")
+            continue
+        out = run(triple.prog, point, fuel)
+        if not out.terminated:
+            caveats.append(f"fuel exhausted at {at}; divergence assumed")
+            continue
+        post_v = post(out.state)
+        if post_v.is_false():
+            return Verdict("counterexample", grid, fuel, input=point,
+                           output=out.state)
+        if post_v.is_true():
+            decided += 1
+        else:
+            unknowns += 1
+            caveats.append(f"post Unknown at {at}: {post_v.reason}")
+    status = "inconclusive" if unknowns and not decided else "verified"
+    return Verdict(status, grid, fuel, caveats=tuple(caveats))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_check_triple_agrees_with_the_unpruned_sweep(seed):
+    # pres mix binder-free conjuncts, which the sweep prunes on, with
+    # quantified ones, Unknown at some points, and true; n and m read as
+    # 0 where they are not swept
+    rng = random.Random(seed)
+    n, m, w = Var("n"), Var("m"), Var("w")
+    vs = [*VARS, n, m]
+
+    def conjunct():
+        k = rng.randrange(5)
+        if k == 0:
+            return TrueC()
+        if k == 1:
+            return rng.choice([Exists, Forall])(w, random_atom(rng, [*vs, w]))
+        if k == 2:
+            return random_formula(rng, 2, vs)
+        return random_atom(rng, vs)
+    parts = [conjunct() for _ in range(rng.randint(1, 4))]
+    pre = rng.choice([conj, lambda ps: functools.reduce(And, ps)])(parts)
+    post = rng.choice([random_atom(rng, vs),
+                       Exists(w, random_atom(rng, [*vs, w]))])
+    triple = HoareTriple(pre, random_program(rng), post,
+                         tuple(rng.sample([x, n, m], rng.randrange(3))))
+    for grid, fuel, q in ((0, 1, 0), (2, 5, 1), (3, 50, 2)):
+        budget = Budget(q_bound=q)
+        got = check_triple(triple, grid, fuel, budget)
+        want = _unpruned_check_triple(triple, grid, fuel, budget)
+        assert (got.status, got.caveats) == (want.status, want.caveats)
+        assert got.input == want.input and got.output == want.output
+        assert list(got.input or ()) == list(want.input or ())
 
 
 def test_vc_binds_a_param_that_is_a_program_variable_once():

@@ -8,7 +8,7 @@ from arithver.coding import (beta, beta_graph, beta_index, beta_inst, mod_graph,
                              seq_inst, split, tuple_decode, tuple_encode,
                              tuple_graph, tuple_inst)
 from arithver.evaluator import eval_formula
-from arithver.terms import Names, Var
+from arithver.terms import Add, Eq, Lit, Names, Var
 
 
 def test_pair_known_values():
@@ -180,3 +180,19 @@ def test_tuple_graph_round_trip():
     # a 1-tuple codes as itself
     assert _holds(tuple_graph(z, [a], Names()), {z: 7, a: 7})
     assert _holds(tuple_inst(7, [7]), {}) and not _holds(tuple_inst(8, [7]), {})
+
+
+def test_tuple_graph_of_thousands_of_components():
+    # built by a loop, so 3,000 components pass at the default recursion
+    # limit; the rest of the tuple after each component is its own r
+    cs = [Var(f"c{k}") for k in range(3000)]
+    f = tuple_graph(z, cs, Names([z] + cs))
+    rest, rs = z, []
+    for c in cs[:-1]:
+        r = f.var
+        assert f.bound == Add(rest, Lit(1))
+        assert f.body.left == pair_graph(rest, c, r)
+        rs.append(r)
+        rest, f = r, f.body.right
+    assert f == Eq(rest, cs[-1])
+    assert len({r.name for r in rs} | {z.name} | {c.name for c in cs}) == 6000

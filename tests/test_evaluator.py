@@ -488,6 +488,59 @@ def test_assignments_yield_fresh_dicts():
     assert len({id(p) for p in points}) == 3
 
 
+def test_assignments_guard_keeps_product_order_and_fresh_dicts():
+    # binder-free conjuncts only: the kept points are exactly those where
+    # the guard is not False, in product order, each a dict of its own
+    w = Var("w")
+    guard = And(And(Lt(x, Lit(2)), TrueC()), And(Not(Eq(z, y)), Lt(y, w)))
+    base = {w: 2, y: 7}
+    points = list(assignments([x, y, z], 2, base, guard))
+    assert points == [p for p in assignments([x, y, z], 2, base)
+                      if eval_formula(guard, p) is not FALSE]
+    assert [list(p) for p in points] == [[w, y, x, z]] * len(points)
+    assert len(points) == 8 and len({id(p) for p in points}) == 8
+    points[0][y] = 99  # mutating one point must not leak into the next
+    assert points[1][y] == 0 and base == {w: 2, y: 7}
+
+
+def test_assignments_guard_skips_a_false_prefix(monkeypatch):
+    # each conjunct is tested once per value of its last variable, and
+    # only below the prefixes the conjuncts before it keep
+    tested = []
+    compile_ = evaluator._compile
+
+    def counted(f, budget, depth):
+        g = compile_(f, budget, depth)
+        return lambda v: tested.append(f) or g(v)
+    monkeypatch.setattr(evaluator, "_compile", counted)
+    guard = And(Eq(x, Lit(3)), Lt(y, Lit(2)))
+    points = list(assignments([x, y, z], 9, guard=guard))
+    assert points == [{x: 3, y: b, z: c} for b in range(2) for c in range(10)]
+    assert tested.count(guard.left) == 10 and tested.count(guard.right) == 10
+    assert len(tested) == 20
+
+
+def test_assignments_guard_never_tests_a_binder():
+    # each of these is False at every point, but its verdict may depend
+    # on the search budget, so it is left to the caller
+    w = Var("w")
+    for g in (Forall(w, Lt(w, x)), BForall(w, Lit(3), Lt(w, x)),
+              Not(Exists(w, Eq(w, w))), Or(FalseC(), BExists(w, x, TrueC()))):
+        assert list(assignments([x], 2, guard=And(g, Lt(x, Lit(2))))) == [
+            {x: 0}, {x: 1}]
+
+
+def test_assignments_guard_reads_unswept_variables_from_base():
+    guard = And(Eq(z, Lit(5)), Lt(x, Lit(2)))
+    assert list(assignments([x], 3, {z: 5}, guard)) == [
+        {z: 5, x: 0}, {z: 5, x: 1}]
+    assert list(assignments([x], 3, {z: 4}, guard)) == []
+    assert list(assignments([x], 3, None, guard)) == []  # z reads as 0
+    assert list(assignments([x], 1, None, Eq(z, Lit(0)))) == [{x: 0}, {x: 1}]
+    assert list(assignments([], 3, {z: 4}, guard)) == []
+    assert list(assignments([], 3, {z: 5}, guard)) == [{z: 5}]
+
+
 def test_format_assignment():
     assert format_assignment({x: 1, y: 2}) == "x=1,y=2"
     assert format_assignment({}) == "the empty assignment"
