@@ -44,6 +44,7 @@ operators built from `_BINARY`, and walks the tree by an explicit stack.
 
 import functools
 import re
+from decimal import Decimal
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -139,6 +140,15 @@ def _span(tok):
     return SourceSpan(tok[2], tok[3])
 
 
+def _numeral(text):
+    # int() refuses a numeral past sys.get_int_max_str_digits(); Decimal
+    # converts exactly at any length
+    try:
+        return int(text)
+    except ValueError:
+        return int(Decimal(text))
+
+
 class _Parser:
     def __init__(self, text):
         self.toks = tokenize(text)
@@ -207,7 +217,7 @@ class _Parser:
                 stack.append(self.quantifier(t))
                 continue
             if kind == "num":
-                value = Lit(int(text))
+                value = Lit(_numeral(text))
             elif kind != "ident":
                 raise ParseError("expected a term, found "
                                  f"{text or 'end of input'!r}", _span(t))
@@ -455,7 +465,10 @@ def format_formula(node):
         n = todo.pop()
         layout = _LAYOUT.get(type(n))
         if layout is None:  # a text, a variable's name or a number
-            out.append(str(n))
+            try:
+                out.append(str(n))
+            except ValueError:  # an int past the digit limit
+                out.append(str(Decimal(n)))
         else:
             text, fields = layout
             out.append(text)

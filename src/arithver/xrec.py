@@ -3,6 +3,7 @@ formulas, the standard library of arithmetic combinators, characteristic
 functions of level-0 formulas, and compilation to while-programs.
 """
 
+import functools
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -442,7 +443,7 @@ class NotLevelZero(ValueError):
 def _term_schema(t, order):
     n = len(order)
     if isinstance(t, Var):
-        return Proj(order.index(t) + 1, n)
+        return Proj(n - order[::-1].index(t), n)
     if isinstance(t, (AddT, MulT)):
         op = AddF() if isinstance(t, AddT) else MulF()
         return _cn(op, _term_schema(t.left, order), _term_schema(t.right, order))
@@ -461,36 +462,33 @@ def sigma0_char(f, var_order=None):
 
 
 def _char(f, order):
+    """chi_f over order: the connectives act on 0/1 values, a `/\\` chain
+    as the product of its operands' values, a `\\/` chain as sg of their
+    sum, `a -> b` as `~a \\/ b`, `a <-> b` as chi_eq(a, b) and `~a` as
+    1 - a.  A bounded binder appends its variable to order, and a
+    variable reads its last position there, so an inner binder shadows."""
     n = len(order)
     if isinstance(f, TrueC):
         return Const(1, n)
     if isinstance(f, FalseC):
         return Const(0, n)
-    if isinstance(f, Eq):
-        return _cn(chi_eq_schema(), _term_schema(f.left, order),
-                   _term_schema(f.right, order))
+    if isinstance(f, (Eq, Iff)):
+        side = _char if isinstance(f, Iff) else _term_schema
+        return _cn(chi_eq_schema(), side(f.left, order), side(f.right, order))
     if isinstance(f, Lt):
         return _cn(chi_lt_schema(), _term_schema(f.left, order),
                    _term_schema(f.right, order))
     if isinstance(f, Not):
         return _cn(monus_schema(), Const(1, n), _char(f.body, order))
-    if isinstance(f, (Implies, Iff)):
-        # a -> b as ~a \/ b, and a <-> b as (a -> b) /\ (b -> a)
-        a, b = _char(f.left, order), _char(f.right, order)
-        ab = _cn(max_schema(), _cn(monus_schema(), Const(1, n), a), b)
-        if isinstance(f, Implies):
-            return ab
-        ba = _cn(max_schema(), _cn(monus_schema(), Const(1, n), b), a)
-        return _cn(min_schema(), ab, ba)
-    if isinstance(f, And):
-        return _cn(min_schema(), _char(f.left, order), _char(f.right, order))
-    if isinstance(f, Or):
-        return _cn(max_schema(), _char(f.left, order), _char(f.right, order))
+    if isinstance(f, Implies):
+        f = Or(Not(f.left), f.right)
+    if isinstance(f, (And, Or)):
+        op = MulF() if isinstance(f, And) else AddF()
+        parts = [_char(p, order) for p in operands(f, type(f))]
+        out = functools.reduce(lambda a, b: _cn(op, a, b), parts)
+        return out if op == MulF() else _cn(sg_schema(), out)
     if isinstance(f, (BForall, BExists)):
-        inner_order = order + [f.var]
-        if f.var in order:
-            raise ValueError(f"bound variable {f.var} shadows a free one")
-        c = _char(f.body, inner_order)
+        c = _char(f.body, order + [f.var])
         closure = bforall(c) if isinstance(f, BForall) else bexists(c)
         return _cn(closure, *_projs(n), _term_schema(f.bound, order))
     raise TypeError(f"unexpected node in level-0 formula: {f!r}")
@@ -630,20 +628,17 @@ def sigma1_to_program(f, result_var):
 
 
 def pi1_counterexample_program(psi, y):
-    """The least-counterexample searcher for a Pi_1 sentence forall y psi.
-
-    Builds phi(x, y) = x = x and not psi(y) and (forall i < y . psi(i))
-    and compiles it; the program halts exactly on the least y falsifying
-    psi, and runs forever when forall y psi holds.
+    """The least-counterexample searcher for a Pi_1 sentence forall y psi:
+    mu y . chi_psi(y) = 0, compiled.  It halts exactly on the least y
+    falsifying psi, and runs forever when forall y psi holds.  Its one
+    input, a dummy x named apart from psi's free variables, keeps the
+    shape of sigma1_to_program's result.
     """
     if classify(psi).n != 0:
         raise ShapeError("psi must be level 0")
     fv = free_vars(psi)
     if fv - {y}:
         raise ShapeError(f"psi may mention only {y}, found {sorted(v.name for v in fv)}")
-    names = Names(fv | {y})
-    x = names.fresh("x")
-    i = names.fresh("i")
-    phi = And(Eq(x, x),
-              And(Not(psi), BForall(i, y, substitute(psi, y, i))))
-    return sigma1_to_program(phi, y)
+    x = Names(fv | {y}).fresh("x")
+    prog, res, ps = compile_to_while(Mn(sigma0_char(psi, var_order=[x, y])))
+    return prog, res, ps, [x]

@@ -1,5 +1,6 @@
 import functools
 import random
+import sys
 
 import pytest
 
@@ -306,6 +307,22 @@ def test_tokenize_pinned():
     # a symbol's kind is its text
     want = [t if len(t) == 4 else (t[0], *t) for t in TOKENS]
     assert tokenize(TOKEN_TEXT) == want
+
+
+def test_numeral_past_the_int_digit_limit_round_trips():
+    # str(int) and int(str) refuse more than sys.int_info's default 4,300
+    # digits; the printer and the parser take such a numeral all the same
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    big = int("7" * 20000)
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        f = Lt(x, Add(Lit(big), y))
+        text = str(f)
+        assert text == "x < (" + "7" * 20000 + " + y)"
+        assert alpha_equal(parse_formula(text), f)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_tokenize_unknown_char():

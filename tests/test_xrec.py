@@ -22,7 +22,7 @@ from arithver.xrec import (STDLIB, AddF, Cn, Const, EvalResult,
                            sigma0_char, sigma1_to_program, sigma1_to_xrec,
                            stdlib, sum_of, xrec_eval)
 
-from generators import random_program
+from generators import random_formula, random_program
 from test_acceptance import SIGMA1_FIXTURES
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -270,6 +270,31 @@ def test_sigma0_char_constants_and_implications(text):
         assert xrec_eval(c, [a, b], fuel=10 ** 6).value == int(want.is_true())
 
 
+def test_sigma0_char_agrees_with_eval_formula_on_random_formulas():
+    # random level-0 formulas over x, y, z, each compared at every point
+    # of {0, 1, 2}^3; a binder may reuse the name of one further out
+    rng, kept = random.Random(35), 0
+    while kept < 60:
+        f = random_formula(rng, 3, [x, y, z])
+        if classify(f).n != 0:
+            continue
+        kept += 1
+        c = sigma0_char(f, var_order=[x, y, z])
+        for point in itertools.product(range(3), repeat=3):
+            want = eval_formula(f, dict(zip((x, y, z), point)))
+            assert want.is_exact()
+            got = xrec_eval(c, list(point), fuel=10 ** 6)
+            assert got.value == int(want.is_true()), (str(f), point)
+
+
+def test_sigma0_char_inner_binder_shadows():
+    f = parse_formula("y < 2 /\\ exists y < 3 . y = x")
+    c = sigma0_char(f, var_order=[x, y])
+    for a, b in itertools.product(range(4), repeat=2):
+        want = int(b < 2 and a < 3)
+        assert xrec_eval(c, [a, b], fuel=10 ** 6).value == want
+
+
 def test_sigma0_char_rejects_higher_levels():
     with pytest.raises(NotLevelZero):
         sigma0_char(Exists(y, Eq(y, x)))
@@ -429,6 +454,34 @@ def test_pi1_searcher_immediate_counterexample():
     assert out.terminated and out.state[res] == 0
 
 
+PI1_BODIES = ("y < 9", "y * y < y + 3", "~(y = 3)",
+              "exists z < y . z + z = y", "forall z < y . z * z < y")
+# ROADMAP item 12's six-conjunct psi
+PSI6 = ("(y < 3 -> y * y < 9) /\\ (y < 4 \\/ 5 < y) /\\ ~(y = 7) /\\ "
+        "y + y < 30 /\\ ~(y = 9) /\\ (y < 2 \\/ 3 < y)")
+# binders named as the searcher's variable and its dummy input
+SHADOWING = ("y < 3 /\\ exists y < 4 . y = 3", "forall x < y . x < 5")
+
+
+@pytest.mark.parametrize("body", PI1_BODIES + (PSI6,) + SHADOWING)
+def test_pi1_searcher_halts_on_least_counterexample(body):
+    psi = parse_formula(body)
+    least = next(n for n in range(21)
+                 if not eval_formula(psi, {y: n}).is_true())
+    prog, res, ps, xs = pi1_counterexample_program(psi, y)
+    assert len(ps) == len(xs) == 1
+    out = run(prog, {ps[0]: 0}, 10 ** 6)
+    assert out.terminated and out.state[res] == least
+
+
+def test_pi1_searcher_is_one_mu_search():
+    # one mu-search over chi_psi, not the Sigma_1 compiler's cap and
+    # result searches, which took 69,155 steps here
+    prog, res, ps, _ = pi1_counterexample_program(parse_formula("y < 9"), y)
+    out = run(prog, {ps[0]: 0}, 5000)
+    assert out.terminated and out.state[res] == 9
+
+
 def test_pi1_searcher_input_validation():
     with pytest.raises(ShapeError):
         pi1_counterexample_program(Exists(z, Eq(z, y)), y)
@@ -440,8 +493,6 @@ def test_pi1_searcher_input_validation():
 # compiled programs read back
 
 
-PI1_BODIES = ("y < 9", "y * y < y + 3", "~(y = 3)",
-              "exists z < y . z + z = y", "forall z < y . z * z < y")
 CHI_LT = chi_lt_schema()
 # the stdlib, the one-schema combinators and one cases, by name
 SCHEMAS = {**{name: make() for name, make in STDLIB.items()},
@@ -468,14 +519,11 @@ def test_compiled_program_reads_back(name):
     assert str(again) == str(prog)
 
 
-@pytest.mark.parametrize("name", list(SCHEMAS))
+@pytest.mark.parametrize("name", [*SCHEMAS, *PI1_BODIES])
 def test_compiled_program_alpha_reads_back(name):
     # alpha of the text read back is alpha of the compiled program.  The
-    # Sigma_1 and Pi_1 programs are left out: their alpha takes 3 to 42 s
-    # each, and coding.tuple_graph recurses once per program variable, so
-    # on parity's 1,169 variables, and on the 1,003 of one Pi_1 program,
-    # it raises RecursionError
-    prog = compile_to_while(SCHEMAS[name])[0]
+    # Sigma_1 programs are left out: their alpha takes 2 to 32 s each
+    prog = COMPILED[name]()
     again = parse_program(str(prog))
     assert alpha_equal(encode_alpha(again)[0], encode_alpha(prog)[0])
 
