@@ -212,7 +212,7 @@ def _inst(prog, xs, st):
     raise TypeError(f"not a program: {prog!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HoareTriple:
     pre: "Formula"
     prog: Program

@@ -29,33 +29,33 @@ class ProofNode:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssignAxiom(ProofNode):
     conclusion: HoareTriple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeqRule(ProofNode):
     left: ProofNode
     right: ProofNode
     conclusion: HoareTriple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CondRule(ProofNode):
     then_pf: ProofNode
     else_pf: ProofNode
     conclusion: HoareTriple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WhileRule(ProofNode):
     invariant: Formula
     body_pf: ProofNode
     conclusion: HoareTriple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConseqRule(ProofNode):
     inner: ProofNode
     conclusion: HoareTriple

@@ -37,8 +37,8 @@ Identifiers may carry trailing primes (y', x''); an IDENT is a
 end of line.  All parse errors carry a SourceSpan of byte offsets.
 
 One printer, format_formula, which format_program names too, writes
-every term, formula, guard and program, and is what str of a node
-returns.  It reads one template per node class, those of the binary
+every term, formula, guard and program, and is what str and repr of a
+node return.  It reads one template per node class, those of the binary
 operators built from `_BINARY`, and walks the tree by an explicit stack.
 """
 

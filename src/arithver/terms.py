@@ -2,9 +2,10 @@
 
 Lit is the one numeral: Lit(0) and Lit(1) are the constants 0 and 1.  A
 variable's name is an IDENT that is not one of the KEYWORDS, the lexer's
-and the parser's definitions too.  Each name has one live Var, which
-equals and hashes by identity; the other nodes compare by structure.
-All nodes are immutable; substitution returns new trees.
+and the parser's definitions too.  Each name has one live Var.  All
+nodes are immutable; substitution returns new trees.  A node's == and
+hash are identity and its repr is its text: trees compare by structure
+only through alpha_equal.
 
 One walk substitutes, simultaneously and without capture: a binder is
 renamed when it would capture a substituted term or its substituted
@@ -37,19 +38,17 @@ class Term:
     def __str__(self):
         return _printer()(self)
 
+    __repr__ = __str__
+
 
 _VARS = weakref.WeakValueDictionary()  # name -> the one live Var
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Var(Term):
-    """A variable.  Each name has one live Var, so a Var equals and hashes
-    by identity, and the assignment dicts that variables key find it
-    without a Python call."""
+    """A variable.  Each name has one live Var, so the assignment dicts
+    that variables key find it by identity, without a Python call."""
     name: str
-
-    # @dataclass keeps methods the class body defines; these are C slots
-    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __new__(cls, name):
         v = _VARS.get(name)
@@ -69,7 +68,7 @@ class Var(Term):
         return Var, (self.name,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Lit(Term):
     n: int
 
@@ -82,13 +81,13 @@ class Lit(Term):
 Zero = One = Lit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Add(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Mul(Term):
     left: Term
     right: Term
@@ -96,67 +95,67 @@ class Mul(Term):
 
 class Formula:
     __slots__ = ()
-    __str__ = Term.__str__
+    __str__ = __repr__ = Term.__str__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TrueC(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class FalseC(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Eq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Lt(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Forall(Formula):
     var: Var
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Exists(Formula):
     var: Var
     body: Formula
@@ -168,7 +167,7 @@ def _bound_outside_scope(f):
         raise ValueError(f"bound term of {word} {f.var}<... mentions {f.var}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class BForall(Formula):
     var: Var
     bound: Term
@@ -176,7 +175,7 @@ class BForall(Formula):
     __post_init__ = _bound_outside_scope
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class BExists(Formula):
     var: Var
     bound: Term
@@ -352,11 +351,11 @@ def substitute_simultaneous(f, pairs):
     targets = [v for v, _ in pairs]
     if len(set(targets)) != len(targets):
         raise ValueError("substitution targets must be distinct")
-    return _walk(f, {v: t for v, t in pairs if t != v})  # x := x: no change
+    return _walk(f, {v: t for v, t in pairs if t is not v})  # x := x: no change
 
 
 def substitute(f, var, term):
-    return f if term == var else _walk(f, {var: term})
+    return f if term is var else _walk(f, {var: term})
 
 
 def _walk(f, env):

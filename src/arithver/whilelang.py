@@ -23,16 +23,16 @@ from .evaluator import (TRUE, compile_formula, compile_term, eval_formula,
 
 class Program:
     __slots__ = ()
-    __str__ = Term.__str__
+    __str__ = __repr__ = Term.__str__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Assign(Program):
     var: Var
     expr: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Seq(Program):
     first: Program
     second: Program
@@ -68,7 +68,7 @@ def _check_guard(g):
         raise TypeError(f"not a boolean expression: {g!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class If(Program):
     guard: Formula
     then: Program
@@ -78,7 +78,7 @@ class If(Program):
         _check_guard(self.guard)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class While(Program):
     guard: Formula
     body: Program

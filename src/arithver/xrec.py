@@ -483,10 +483,11 @@ def _char(f, order):
     if isinstance(f, Implies):
         f = Or(Not(f.left), f.right)
     if isinstance(f, (And, Or)):
-        op = MulF() if isinstance(f, And) else AddF()
+        product = isinstance(f, And)
+        op = MulF() if product else AddF()
         parts = [_char(p, order) for p in operands(f, type(f))]
         out = functools.reduce(lambda a, b: _cn(op, a, b), parts)
-        return out if op == MulF() else _cn(sg_schema(), out)
+        return out if product else _cn(sg_schema(), out)
     if isinstance(f, (BForall, BExists)):
         c = _char(f.body, order + [f.var])
         closure = bforall(c) if isinstance(f, BForall) else bexists(c)

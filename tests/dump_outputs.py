@@ -53,8 +53,8 @@ from arithver.proofs import (AssignAxiom, ConseqRule, ProofNode, WhileRule,
 from arithver.syntax import (ParseError, format_schema, parse_bool,
                              parse_formula, parse_program, parse_schema)
 from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, Forall,
-                            Lit, Lt, Names, Or, TrueC, Var, alpha_equal,
-                            free_vars, substitute, substitute_simultaneous)
+                            Lit, Lt, Names, Or, TrueC, Var, free_vars,
+                            substitute, substitute_simultaneous)
 from arithver.whilelang import (Assign, Program, Seq, While, program_vars,
                                 run)
 from arithver.xrec import (STDLIB, Proj, bexists, bforall, cases,
@@ -64,7 +64,7 @@ from arithver.xrec import (STDLIB, Proj, bexists, bforall, cases,
 
 from generators import (VARS, bounded_ladder, layered_chain,
                         layered_formula, random_bool, random_formula,
-                        random_program, random_term)
+                        random_program, random_term, same)
 from test_acceptance import SIGMA1_FIXTURES
 from test_proofs import conditional_proof, counting_loop_proof
 from test_syntax import OPERATOR_ERRORS, SCHEMA_ERRORS
@@ -179,7 +179,7 @@ def dump_eval(rng):
 def dump_parses(rng, progs):
     for k, p in enumerate(progs):
         q = attempt(lambda: parse_program(str(p)))
-        print(f"parse-program {k} {q == p} {q if isinstance(q, str) else ''}")
+        print(f"parse-program {k} {same(q, p)} {q if isinstance(q, str) else ''}")
     guards = [str(random_bool(rng, 3)) for _ in range(500)]
     guards += [str(random_formula(rng, 2)) for _ in range(200)]
     guards += MALFORMED
@@ -394,9 +394,7 @@ def dump_texts(rng):
 
 def dump_readback(built):
     # each text of dump_texts read back: whether the parser rebuilds the
-    # node, and the hash of the node it builds, printed again.  The tree
-    # is the same when it is alpha-equal and prints the same text, which
-    # shows every name; `==` would recurse once per `;` of a long chain
+    # node, and the hash of the node it builds, printed again
     for kind, name, node in built:
         parse = parse_program if isinstance(node, Program) else parse_formula
         text = str(node)
@@ -404,8 +402,8 @@ def dump_readback(built):
         if isinstance(again, str):
             print(f"readback {kind} {name} False {again}")
             continue
-        same = alpha_equal(again, node) and str(again) == text
-        print(f"readback {kind} {name} {same} {_sha(str(again))}")
+        print(f"readback {kind} {name} {same(again, node)} "
+              f"{_sha(str(again))}")
 
 
 def dump_prenex_levels(rng):

@@ -1,4 +1,5 @@
-"""Random ASTs for round-trip and differential tests.
+"""Random ASTs for round-trip and differential tests, and `same`, the
+exact comparison of trees, Hoare triples and proofs that the tests use.
 
 Programs are generated so that loops usually terminate quickly and state
 values stay small enough for trace coding: every loop gets the shape
@@ -9,12 +10,28 @@ value each iteration and overwhelm the sequence codes).
 
 import random
 
+from arithver.alpha import HoareTriple
+from arithver.proofs import ProofNode
 from arithver.terms import (Add, And, BExists, BForall, Eq, Exists, FalseC,
                             Forall, Iff, Implies, Lit, Lt, Mul, Not, Or,
-                            TrueC, Var)
+                            TrueC, Var, alpha_equal)
 from arithver.whilelang import Assign, If, Seq, While
 
 VARS = [Var("x"), Var("y"), Var("z")]
+
+
+def same(a, b):
+    """Whether terms, formulas or programs a and b are the same tree, bound
+    names included, or Hoare triples or proofs whose fields are.  A node's
+    == is identity; alpha_equal reads a tree's shape but not the names it
+    binds, and its text reads the names but prints a `;` chain flat however
+    it nests, so together they are exact."""
+    if isinstance(a, (HoareTriple, ProofNode)):
+        return type(a) is type(b) and all(
+            same(getattr(a, k), getattr(b, k)) for k in a.__match_args__)
+    if type(a) is tuple:  # a triple's parameters, Vars
+        return a == b
+    return alpha_equal(a, b) and str(a) == str(b)
 
 
 def random_term(rng, depth=2, vars=VARS, in_loop=False):

@@ -546,6 +546,14 @@ def test_eval_exit_codes(capsys):
     assert "unknown" in out
 
 
+@pytest.mark.parametrize("exact", ["1 = 1", "1 = 0"])
+def test_eval_iff_with_an_unknown_side_is_unknown(capsys, exact):
+    for text in (f"(exists y. y + y = 1) <-> ({exact})",
+                 f"({exact}) <-> (exists y. y + y = 1)"):
+        assert run_cli(capsys, "eval", text) == (
+            2, "unknown (no witness <= 64)\n", "")
+
+
 def test_eval_assignment(capsys):
     code, tree = run_json(capsys, "eval", "x + y = 7", "--assign", "x=3,y=4")
     assert code == 0 and tree["value"] == "true"

@@ -86,6 +86,19 @@ BOTH_PATHS = pytest.mark.parametrize("evaluate", [eval_formula, _compiled],
                                      ids=["eval", "compiled"])
 
 
+@pytest.mark.parametrize("x_value", [1, 0], ids=["exact-true", "exact-false"])
+@pytest.mark.parametrize("unknown_first", [True, False],
+                         ids=["unknown-left", "unknown-right"])
+@BOTH_PATHS
+def test_iff_with_one_unknown_side_is_unknown(x_value, unknown_first, evaluate):
+    # strong Kleene: `<->` is Unknown when either side is, whichever the
+    # exact side's value and whichever side is exact
+    u = Exists(y, Eq(Add(y, y), Lit(1)))  # never true; Unknown at any budget
+    f = Iff(u, Eq(x, Lit(1))) if unknown_first else Iff(Eq(x, Lit(1)), u)
+    r = evaluate(f, {x: x_value}, Budget(q_bound=4))
+    assert r == unknown("no witness <= 4")
+
+
 def test_and_chain_reports_first_unknown():
     u1 = Exists(z, Eq(Mul(z, z), Lit(7)))
     u2 = Forall(z, Lt(z, Lit(100)))

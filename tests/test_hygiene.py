@@ -103,14 +103,30 @@ def test_only_seq_builds_seq_nodes():
         assert not calls, path.name
 
 
+NODE_BASES = (terms.Term, terms.Formula, whilelang.Program)
+TREE_NODES = {c for m in (terms, whilelang)
+              for _, c in inspect.getmembers(m, inspect.isclass)
+              if c.__module__ == m.__name__ and issubclass(c, NODE_BASES)}
+
+
 def test_only_the_base_classes_print():
     # syntax prints every term, formula and program by one walk; a node
-    # class reaches it through its base class's __str__, and restates no
-    # concrete syntax of its own
-    printing = [c for m in (terms, whilelang)
-                for _, c in inspect.getmembers(m, inspect.isclass)
-                if c.__module__ == m.__name__ and "__str__" in vars(c)]
-    assert set(printing) == {terms.Term, terms.Formula, whilelang.Program}
+    # class reaches it through its base class's __str__, which is its
+    # __repr__ too, and restates no concrete syntax of its own
+    assert len(TREE_NODES) == 24
+    for name in ("__str__", "__repr__"):
+        printing = {c for c in TREE_NODES if name in vars(c)}
+        assert printing == set(NODE_BASES), name
+    for c in NODE_BASES:
+        assert c.__repr__ is c.__str__, c
+
+
+def test_tree_nodes_compare_by_identity():
+    # trees compare by structure through terms.alpha_equal alone: no node
+    # class defines == or hash of its own, so both are object's
+    for c in TREE_NODES:
+        assert not {"__eq__", "__ne__", "__hash__"} & set(vars(c)), c
+        assert c.__eq__ is object.__eq__ and c.__hash__ is object.__hash__, c
 
 
 def test_every_proof_rule_is_in_the_rule_table():

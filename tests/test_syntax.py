@@ -18,7 +18,7 @@ from arithver.syntax import (ParseError, SourceSpan, format_formula,
                              parse_proof, parse_schema, parse_term,
                              parse_triple, tokenize)
 
-from generators import random_bool, random_formula, random_program
+from generators import random_bool, random_formula, random_program, same
 
 x, y = Var("x"), Var("y")
 
@@ -96,9 +96,9 @@ OPERATOR_ERRORS = [
 
 
 def test_term_precedence_and_associativity():
-    assert parse_term("1 + 2 + 3") == Add(Add(Lit(1), Lit(2)), Lit(3))
-    assert parse_term("1 + 2 * 3") == Add(Lit(1), Mul(Lit(2), Lit(3)))
-    assert parse_term("(1 + 2) * 3") == Mul(Add(Lit(1), Lit(2)), Lit(3))
+    assert same(parse_term("1 + 2 + 3"), Add(Add(Lit(1), Lit(2)), Lit(3)))
+    assert same(parse_term("1 + 2 * 3"), Add(Lit(1), Mul(Lit(2), Lit(3))))
+    assert same(parse_term("(1 + 2) * 3"), Mul(Add(Lit(1), Lit(2)), Lit(3)))
 
 
 def test_primed_identifiers():
@@ -107,9 +107,9 @@ def test_primed_identifiers():
 
 def test_formula_examples_from_grammar():
     f = parse_formula("exists y. y*y = 49")
-    assert isinstance(f, Exists) and f.body == Eq(Mul(y, y), Lit(49))
+    assert isinstance(f, Exists) and same(f.body, Eq(Mul(y, y), Lit(49)))
     g = parse_formula("forall i<x. i < x")
-    assert isinstance(g, BForall) and g.bound == x
+    assert isinstance(g, BForall) and g.bound is x
     h = parse_formula("p = 1 /\\ q = 1 -> r = 1")
     assert isinstance(h, Implies) and isinstance(h.left, And)
 
@@ -143,7 +143,7 @@ def test_chain_of_three_associates(sym, ctor, right):
     (a, b, c), parse = _chain_parts(ctor)
     text = f" {sym} ".join(str(p) for p in (a, b, c))
     want = ctor(a, ctor(b, c)) if right else ctor(ctor(a, b), c)
-    assert parse(text) == want
+    assert same(parse(text), want)
 
 
 _PAIRS = [(i, j) for i in range(6) for j in range(i + 1, 6)
@@ -156,8 +156,8 @@ _PAIRS = [(i, j) for i in range(6) for j in range(i + 1, 6)
 def test_tighter_operator_binds_first(loose, tight):
     (ls, lc, _), (ts, tc, _) = OPERATORS[loose], OPERATORS[tight]
     (a, b, c), parse = _chain_parts(lc)
-    assert parse(f"{a} {ls} {b} {ts} {c}") == lc(a, tc(b, c))
-    assert parse(f"{a} {ts} {b} {ls} {c}") == lc(tc(a, b), c)
+    assert same(parse(f"{a} {ls} {b} {ts} {c}"), lc(a, tc(b, c)))
+    assert same(parse(f"{a} {ts} {b} {ls} {c}"), lc(tc(a, b), c))
 
 
 _LEVEL = {ctor: (k, sym, right) for k, (sym, ctor, right) in enumerate(OPERATORS)}
@@ -211,9 +211,10 @@ def test_quantifier_body_extends_right():
 
 
 def test_parenthesized_term_vs_formula():
-    assert parse_formula("(x + 1) * y = 0") == Eq(Mul(Add(x, Lit(1)), y), Lit(0))
+    assert same(parse_formula("(x + 1) * y = 0"),
+                Eq(Mul(Add(x, Lit(1)), y), Lit(0)))
     f = parse_formula("(x = 0)")
-    assert f == Eq(x, Lit(0))
+    assert same(f, Eq(x, Lit(0)))
 
 
 def test_program_examples():
@@ -229,10 +230,10 @@ def test_guard_round_trip_500_random():
     rng = random.Random(13)
     for _ in range(500):
         g = random_bool(rng, 3)
-        assert parse_bool(str(g)) == g, str(g)
+        assert same(parse_bool(str(g)), g), str(g)
         p = parse_program(f"if {g} then x := 0 else x := 1 fi")
         q = parse_program(f"while {g} do x := 0 od")
-        assert p.guard == g and q.guard == g, str(g)
+        assert same(p.guard, g) and same(q.guard, g), str(g)
 
 
 @pytest.mark.parametrize("guard", [
@@ -431,8 +432,8 @@ def test_schema_round_trip():
 
 def test_triple_syntax():
     t = parse_triple("{true} x := 1 {x = 1}")
-    assert t.pre == parse_formula("true")
-    assert t.prog == parse_program("x := 1")
+    assert same(t.pre, parse_formula("true"))
+    assert same(t.prog, parse_program("x := 1"))
 
 
 def test_proof_file_round_trip():
@@ -446,7 +447,7 @@ def test_proof_file_round_trip():
     assert isinstance(pf, ConseqRule)
     assert isinstance(pf.inner, AssignAxiom)
     assert check_proof(pf, grid=3).accepted
-    assert parse_proof(format_proof(pf)) == pf
+    assert same(parse_proof(format_proof(pf)), pf)
 
 
 def test_proof_unknown_rule():
@@ -459,7 +460,7 @@ def test_formula_round_trip_500_random():
     for _ in range(500):
         f = random_formula(rng)
         g = parse_formula(format_formula(f))
-        assert f == g, format_formula(f)
+        assert same(f, g), format_formula(f)
 
 
 def test_program_round_trip_500_random():
@@ -467,7 +468,7 @@ def test_program_round_trip_500_random():
     for _ in range(500):
         p = random_program(rng)
         q = parse_program(format_program(p))
-        assert p == q, format_program(p)
+        assert same(p, q), format_program(p)
 
 
 def test_deep_chains_print():
@@ -489,7 +490,7 @@ def test_deep_term_reads_back():
     text = str(f)
     assert text.startswith("(" * 299 + "1 + 1)")
     g = parse_formula(text)
-    assert g == f and str(g) == text
+    assert same(g, f)
 
 
 _COND = """cond {
@@ -511,7 +512,7 @@ def test_format_proof_exact_cond_and_loop():
 
 def test_deep_proof_prints_and_reads_back():
     # format_proof walks by a stack, as the parser and the checker do.  The
-    # texts are compared, as dataclass == recurses
+    # texts are compared, as `same` recurses once per rule
     pf = AssignAxiom(parse_triple("{0 = 0} x := 0 {x = 0}"))
     for _ in range(1000):
         pf = ConseqRule(pf, pf.conclusion)
@@ -536,7 +537,7 @@ def test_proof_round_trip_all_five_rules():
              type(pf.inner.right), type(pf.inner.left.then_pf)}
     assert kinds == {ConseqRule, SeqRule, CondRule, WhileRule, AssignAxiom}
     text = format_proof(pf)
-    assert parse_proof(text) == pf
+    assert same(parse_proof(text), pf)
     assert format_proof(parse_proof(text)) == text
 
 
